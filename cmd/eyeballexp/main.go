@@ -28,6 +28,7 @@ import (
 	"eyeballas/internal/faults"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/parallel"
+	"eyeballas/internal/trace"
 )
 
 func main() {
@@ -52,6 +53,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	batch := fs.Int("batch", 0, "peers per streaming ingestion batch for the pipeline build (0 = default; output is identical for every setting)")
 	faultFlags := faults.BindCLIFlags(fs)
 	obsFlags := obs.BindCLIFlags(fs)
+	traceFlags := trace.BindCLIFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -67,7 +69,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := obsFlags.Start(stderr); err != nil {
 		return err
 	}
-	defer obsFlags.Finish(stdout, stderr)
+	defer obsFlags.Finish(stdout)
+	ctx = traceFlags.Start(ctx, "eyeballexp.run", *seed, false)
+	defer traceFlags.Finish(stderr)
 
 	var env *eyeball.Experiments
 	switch {
@@ -256,5 +260,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *outDir != "" {
 		fmt.Fprintf(stdout, "artifacts written to %s\n", *outDir)
 	}
-	return obsFlags.Finish(stdout, stderr)
+	if err := traceFlags.Finish(stderr); err != nil {
+		return err
+	}
+	return obsFlags.Finish(stdout)
 }

@@ -30,6 +30,7 @@ import (
 	"eyeballas/internal/faults"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/parallel"
+	"eyeballas/internal/trace"
 )
 
 func main() {
@@ -54,6 +55,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	list := fs.Bool("list", false, "list every AS")
 	faultFlags := faults.BindCLIFlags(fs)
 	obsFlags := obs.BindCLIFlags(fs)
+	traceFlags := trace.BindCLIFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -69,13 +71,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := obsFlags.Start(stderr); err != nil {
 		return err
 	}
-	defer obsFlags.Finish(stdout, stderr)
+	defer obsFlags.Finish(stdout)
+	ctx = traceFlags.Start(ctx, "eyeballgen.run", *seed, false)
+	defer traceFlags.Finish(stderr)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
 	var w *eyeball.World
-	genSpan := reg.StartSpan("eyeballgen.generate")
+	genSpan := trace.FromContext(ctx).Child("eyeballgen.generate")
 	if *small {
 		w, err = eyeball.GenerateSmallWorld(*seed)
 	} else {
@@ -200,5 +204,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "  wrote world snapshot to %s\n", *savePath)
 	}
-	return obsFlags.Finish(stdout, stderr)
+	if err := traceFlags.Finish(stderr); err != nil {
+		return err
+	}
+	return obsFlags.Finish(stdout)
 }

@@ -31,6 +31,7 @@ import (
 	"eyeballas/internal/faults"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/parallel"
+	"eyeballas/internal/trace"
 )
 
 func main() {
@@ -56,6 +57,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	batch := fs.Int("batch", 0, "peers per streaming ingestion batch for the pipeline build (0 = default; output is identical for every setting)")
 	faultFlags := faults.BindCLIFlags(fs)
 	obsFlags := obs.BindCLIFlags(fs)
+	traceFlags := trace.BindCLIFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -71,7 +73,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := obsFlags.Start(stderr); err != nil {
 		return err
 	}
-	defer obsFlags.Finish(stdout, stderr)
+	defer obsFlags.Finish(stdout)
+	ctx = traceFlags.Start(ctx, "eyeballkde.run", *seed, false)
+	defer traceFlags.Finish(stderr)
 
 	bandwidths, err := parseBandwidths(*bwList)
 	if err != nil {
@@ -125,7 +129,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "\nwrote density surface(s) to %s\n", *surface)
 	}
-	return obsFlags.Finish(stdout, stderr)
+	if err := traceFlags.Finish(stderr); err != nil {
+		return err
+	}
+	return obsFlags.Finish(stdout)
 }
 
 // writeSurface dumps each bandwidth's density grid as whitespace-separated

@@ -23,6 +23,10 @@
 // unit by unit and fed straight into the pipeline, never materialized.
 // Output is bit-identical to the default path (CI diffs the two).
 //
+// -trace prints the build's span tree to stderr and -trace-out writes the
+// same tree as canonical JSON: one "eyeballpipe.build" root over
+// "pipeline.run" and its crawl, origin-table and build stages.
+//
 // SIGINT/SIGTERM cancel the run: the pipeline's workers stop within one
 // work unit, the process exits non-zero, and -metrics still writes a
 // partial snapshot of the counters flushed so far.
@@ -82,6 +86,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	traceOut := fs.String("trace-out", "", "write one offline build trace (stage spans with trace parentage, IDs derived from -seed) as canonical JSON to this file")
 	faultFlags := faults.BindCLIFlags(fs)
 	obsFlags := obs.BindCLIFlags(fs)
+	traceFlags := trace.BindCLIFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -100,7 +105,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// Idempotent: on the normal path the explicit Finish below does the
 	// work; on error paths (including cancellation mid-pipeline) this
 	// deferred call still writes a partial -metrics snapshot.
-	defer obsFlags.Finish(stdout, stderr)
+	defer obsFlags.Finish(stdout)
 
 	var w *eyeball.World
 	switch {
@@ -133,39 +138,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cfg.SingleDBFallback = *singleDBFallback
 	cfg.BatchSize = *batch
 	cfg.MaxSamplesPerAS = *sampleCap
-	// -trace-out wraps the whole build in one request-style trace: the
-	// pipeline's stage spans pick up trace parentage from the context,
-	// so an offline build emits the same trace shape a served request
-	// does. IDs derive from -seed, making the trace's identity — though
-	// not its timings — reproducible.
-	var troot *trace.Span
-	if *traceOut != "" {
-		tracer := trace.New(trace.Options{Seed: *seed})
-		troot = tracer.Start("eyeballpipe.build")
-		troot.SetInt("seed", int64(*seed))
-		ctx = trace.NewContext(ctx, troot)
-	}
+	// The build runs under one trace root: the pipeline's stage spans
+	// pick up parentage from the context, so an offline build emits the
+	// same trace shape a served request does. -trace prints the tree and
+	// -trace-out writes it as JSON. IDs derive from -seed, making the
+	// trace's identity — though not its timings — reproducible.
+	buildCtx := traceFlags.Start(ctx, "eyeballpipe.build", *seed, *traceOut != "")
 	var ds *eyeball.Dataset
 	var origins *eyeball.OriginTable
 	if *stream {
-		ds, origins, err = eyeball.BuildTargetDatasetStreamExportCtx(ctx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
+		ds, origins, err = eyeball.BuildTargetDatasetStreamExportCtx(buildCtx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
 	} else {
-		ds, origins, err = eyeball.BuildTargetDatasetExportCtx(ctx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
+		ds, origins, err = eyeball.BuildTargetDatasetExportCtx(buildCtx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
 	}
-	if troot != nil {
-		troot.End()
-		f, ferr := os.Create(*traceOut)
-		if ferr != nil {
-			return ferr
+	if terr := traceFlags.Finish(stderr); terr != nil {
+		return terr
+	}
+	if *traceOut != "" {
+		if terr := writeTrace(*traceOut, traceFlags.Root()); terr != nil {
+			return terr
 		}
-		if werr := trace.WriteJSON(f, troot); werr != nil {
-			f.Close()
-			return werr
-		}
-		if cerr := f.Close(); cerr != nil {
-			return cerr
-		}
-		fmt.Fprintf(stderr, "wrote build trace (%d spans) to %s\n", troot.SpanCount(), *traceOut)
+		fmt.Fprintf(stderr, "wrote build trace (%d spans) to %s\n", traceFlags.Root().SpanCount(), *traceOut)
 	}
 	if err != nil {
 		return err
@@ -245,5 +238,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			stdout.Write(body)
 		}
 	}
-	return obsFlags.Finish(stdout, stderr)
+	return obsFlags.Finish(stdout)
+}
+
+// writeTrace writes root's trace to path as canonical JSON.
+func writeTrace(path string, root *trace.Span) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.WriteJSON(f, root); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

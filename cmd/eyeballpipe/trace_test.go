@@ -26,14 +26,60 @@ type traceNode struct {
 	Children []traceNode `json:"children"`
 }
 
+// buildTree is the stage tree one offline build traces: one span per
+// stage, nested as the pipeline runs them.
+const buildTree = "eyeballpipe.build(pipeline.run(crawl,bgp.origin_table(bgp.routing,bgp.ribs),pipeline.build(locate,aggregate,condition)))"
+
+// shape renders a trace tree's names and nesting as "a(b,c(d))".
+func (n traceNode) shape() string {
+	if len(n.Children) == 0 {
+		return n.Name
+	}
+	kids := make([]string, len(n.Children))
+	for i, c := range n.Children {
+		kids[i] = c.shape()
+	}
+	return n.Name + "(" + strings.Join(kids, ",") + ")"
+}
+
+// parseTextTree rebuilds the span tree -trace printed: each line is one
+// span, indented two spaces per level, name first. Lines that are not
+// indented tree lines under the single root (other stderr output) end
+// the tree.
+func parseTextTree(t *testing.T, text string) traceNode {
+	t.Helper()
+	var root traceNode
+	var stack []*traceNode
+	for i, line := range strings.Split(text, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			break
+		}
+		depth := (len(line) - len(strings.TrimLeft(line, " "))) / 2
+		if i == 0 {
+			root.Name = fields[0]
+			stack = []*traceNode{&root}
+			continue
+		}
+		if depth == 0 || depth > len(stack) {
+			break
+		}
+		parent := stack[depth-1]
+		parent.Children = append(parent.Children, traceNode{Name: fields[0]})
+		stack = append(stack[:depth], &parent.Children[len(parent.Children)-1])
+	}
+	return root
+}
+
 // TestTraceOut: one offline build emits a parseable canonical trace —
 // the eyeballpipe.build root over pipeline.run with crawl, origin-table,
-// and build stages — and the trace ID derives from -seed.
+// and build stages — and the trace ID derives from -seed. -trace prints
+// the same one tree the JSON holds.
 func TestTraceOut(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "build-trace.json")
 	var stderr bytes.Buffer
 	if err := run(context.Background(),
-		[]string{"-small", "-seed", "5", "-trace-out", out},
+		[]string{"-small", "-seed", "5", "-quiet", "-trace", "-trace-out", out},
 		io.Discard, &stderr); err != nil {
 		t.Fatal(err)
 	}
@@ -60,18 +106,11 @@ func TestTraceOut(t *testing.T) {
 	if d.DurationNS <= 0 {
 		t.Errorf("duration_ns = %d, want positive", d.DurationNS)
 	}
-	if len(d.Root.Children) != 1 || d.Root.Children[0].Name != "pipeline.run" {
-		t.Fatalf("root children = %+v, want one pipeline.run", d.Root.Children)
+	if got := d.Root.shape(); got != buildTree {
+		t.Errorf("-trace-out tree\n got %s\nwant %s", got, buildTree)
 	}
-	var stages []string
-	for _, c := range d.Root.Children[0].Children {
-		stages = append(stages, c.Name)
-	}
-	joined := strings.Join(stages, ",")
-	for _, want := range []string{"crawl", "bgp.origin_table", "pipeline.build"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("pipeline.run stages %v lack %q", stages, want)
-		}
+	if got := parseTextTree(t, stderr.String()).shape(); got != d.Root.shape() {
+		t.Errorf("-trace and -trace-out disagree\n-trace     %s\n-trace-out %s\nstderr:\n%s", got, d.Root.shape(), stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "wrote build trace") {
 		t.Errorf("stderr lacks trace summary: %q", stderr.String())
@@ -98,5 +137,20 @@ func TestTraceOut(t *testing.T) {
 	}
 	if d2.Spans != d.Spans {
 		t.Errorf("span counts differ across runs: %d vs %d", d.Spans, d2.Spans)
+	}
+}
+
+// TestTraceStream: the streaming build never materializes a crawl, so
+// its -trace tree is the batch tree minus the crawl stage.
+func TestTraceStream(t *testing.T) {
+	var stderr bytes.Buffer
+	if err := run(context.Background(),
+		[]string{"-small", "-seed", "5", "-quiet", "-trace", "-stream"},
+		io.Discard, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Replace(buildTree, "crawl,", "", 1)
+	if got := parseTextTree(t, stderr.String()).shape(); got != want {
+		t.Errorf("-stream -trace tree\n got %s\nwant %s\nstderr:\n%s", got, want, stderr.String())
 	}
 }

@@ -12,7 +12,7 @@
 //	             [-tracing=false] [-trace-recent N] [-trace-slow D]
 //	             [-trace-seed N]
 //	             [-chaos SPEC] [-chaos-seed N] [-chaos-slow-max D]
-//	             [-metrics out.json|out.prom|-] [-trace] [-pprof :6060]
+//	             [-metrics out.json|out.prom|-] [-pprof :6060]
 //
 // Endpoints:
 //
@@ -25,7 +25,7 @@
 //	GET  /debug/requests       flight recorder: recent request traces
 //	GET  /debug/requests/slow  flight recorder: slow captures
 //	GET  /debug/trace/{id}     one full request trace as JSON
-//	GET  /metrics              Prometheus exposition (with -metrics/-trace/-pprof)
+//	GET  /metrics              Prometheus exposition (with -metrics/-pprof)
 //
 // All operational output — startup, reload results, and the per-request
 // access log — flows through one structured slog stream on stderr
@@ -148,7 +148,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := obsFlags.Start(stderr); err != nil {
 		return err
 	}
-	defer obsFlags.Finish(stdout, stderr)
+	defer obsFlags.Finish(stdout)
 
 	var chaos *serve.Chaos
 	if *chaosSpec != "" {

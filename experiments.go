@@ -74,7 +74,7 @@ func NewSmallExperiments(seed uint64) (*Experiments, error) {
 
 // NewExperimentsObs is NewExperiments with an observability registry
 // threaded through every stage (crawl metrics, pipeline funnel, BGP and
-// KDE instrumentation, per-dataset build spans). A nil registry is the
+// KDE instrumentation). A nil registry is the
 // disabled state; the environment is identical either way.
 func NewExperimentsObs(seed uint64, reg *Registry) (*Experiments, error) {
 	return experiments.NewEnvObs(seed, experiments.ScaleDefault, reg)

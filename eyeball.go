@@ -88,10 +88,12 @@ type (
 	// streaming pipeline consumes without materializing a crawl.
 	PeerSource = p2p.PeerSource
 
-	// Registry collects the metrics, spans, and funnels of one run;
-	// assign one to PipelineConfig.Obs / CrawlConfig.Obs /
-	// FootprintOptions.Obs to enable instrumentation. A nil Registry is
-	// the disabled state: outputs are bit-identical either way.
+	// Registry collects the metrics and funnels of one run; assign one
+	// to PipelineConfig.Obs / CrawlConfig.Obs / FootprintOptions.Obs to
+	// enable instrumentation. Stage spans are not kept here: they come
+	// from the trace carried by a Ctx entry point's context. A nil
+	// Registry is the disabled state: outputs are bit-identical either
+	// way.
 	Registry = obs.Registry
 	// FunnelReport is the stage-by-stage in/out/drop accounting of a
 	// pipeline build (Dataset.Funnel).

@@ -66,15 +66,14 @@ func BuildRIB(w *astopo.World, r *Routing, vantage astopo.ASN) (*RIB, error) {
 	return BuildRIBObs(w, r, vantage, nil)
 }
 
-// BuildRIBObs is BuildRIB with instrumentation: a per-vantage build
-// span, the compile-time histogram, and entry/segment gauges. A nil
-// registry disables all of it (BuildRIB delegates here with nil).
+// BuildRIBObs is BuildRIB with instrumentation: the compile-time
+// histogram and entry/segment gauges. A nil registry disables all of it
+// (BuildRIB delegates here with nil). The build's span is the caller's
+// (pipeline's "bgp.ribs").
 func BuildRIBObs(w *astopo.World, r *Routing, vantage astopo.ASN, reg *obs.Registry) (*RIB, error) {
 	if w.AS(vantage) == nil {
 		return nil, fmt.Errorf("bgp: unknown vantage AS %d", vantage)
 	}
-	span := reg.StartSpan("bgp.build_rib " + strconv.Itoa(int(vantage)))
-	defer span.End()
 	rib := &RIB{Vantage: vantage, table: ipnet.NewTable[astopo.ASN]()}
 	for _, dst := range r.ASNs() {
 		path := r.Path(vantage, dst)
@@ -255,8 +254,9 @@ func NewOriginTable(ribs ...*RIB) *OriginTable {
 	return NewOriginTableObs(nil, ribs...)
 }
 
-// NewOriginTableObs is NewOriginTable with instrumentation: merge span,
-// compile-time histogram, and prefix/segment gauges.
+// NewOriginTableObs is NewOriginTable with instrumentation: the
+// compile-time histogram and prefix/segment gauges. The merge's span is
+// the caller's (pipeline's "bgp.origin_table").
 //
 // Lookup accounting is deliberately NOT done inside OriginOf: the
 // compiled lookup runs in ~6 ns and even one uncontended atomic
@@ -267,8 +267,6 @@ func NewOriginTable(ribs ...*RIB) *OriginTable {
 // instruction-identical to the bare one. scripts/bench_obs.sh proves
 // the overhead budget.
 func NewOriginTableObs(reg *obs.Registry, ribs ...*RIB) *OriginTable {
-	span := reg.StartSpan("bgp.origin_table")
-	defer span.End()
 	ot := &OriginTable{table: ipnet.NewTable[astopo.ASN]()}
 	for _, rib := range ribs {
 		for _, e := range rib.Entries {

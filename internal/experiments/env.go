@@ -18,6 +18,7 @@ import (
 	"eyeballas/internal/pipeline"
 	"eyeballas/internal/refdata"
 	"eyeballas/internal/rng"
+	"eyeballas/internal/trace"
 	"eyeballas/internal/traceroute"
 )
 
@@ -49,8 +50,9 @@ type Env struct {
 	// degradation) reuse the same thresholds.
 	PipeCfg pipeline.Config
 	// Ctx, when non-nil, cancels every experiment runner's worker pools
-	// and pipeline rebuilds (the CLIs set it to their signal context).
-	// Nil means context.Background().
+	// and pipeline rebuilds (the CLIs set it to their signal context),
+	// and carries the run's trace, if any, so the spans the runners open
+	// nest under it. Nil means context.Background().
 	Ctx context.Context
 }
 
@@ -87,9 +89,9 @@ func NewEnv(seed uint64, scale Scale) (*Env, error) {
 }
 
 // NewEnvObs is NewEnv with an observability registry threaded through
-// every stage (world generation span, crawl/pipeline metrics and funnel,
-// per-dataset build spans). A nil registry is the disabled state and
-// changes nothing about the generated environment.
+// every stage (crawl/pipeline metrics and funnel, BGP and KDE metrics).
+// A nil registry is the disabled state and changes nothing about the
+// generated environment.
 func NewEnvObs(seed uint64, scale Scale, reg *obs.Registry) (*Env, error) {
 	return NewEnvCtx(nil, seed, scale, reg, nil)
 }
@@ -118,7 +120,7 @@ func NewEnvCtx(ctx context.Context, seed uint64, scale Scale, reg *obs.Registry,
 	for _, opt := range opts {
 		opt(&pipeCfg)
 	}
-	genSpan := reg.StartSpan("experiments.generate_world")
+	genSpan := trace.FromContext(ctx).Child("experiments.generate_world")
 	w, err := astopo.Generate(cfg)
 	genSpan.End()
 	if err != nil {
@@ -143,7 +145,7 @@ func NewPaperScaleEnvObs(seed uint64, reg *obs.Registry) (*Env, error) {
 // NewPaperScaleEnvCtx is NewPaperScaleEnvObs with a cancellation
 // context stored on the environment and an optional fault plan.
 func NewPaperScaleEnvCtx(ctx context.Context, seed uint64, reg *obs.Registry, plan *faults.Plan, opts ...EnvOption) (*Env, error) {
-	genSpan := reg.StartSpan("experiments.generate_world")
+	genSpan := trace.FromContext(ctx).Child("experiments.generate_world")
 	w, err := astopo.Generate(astopo.PaperConfig(seed))
 	genSpan.End()
 	if err != nil {
@@ -168,15 +170,14 @@ func NewEnvWithWorld(w *astopo.World, seed uint64, pipeCfg pipeline.Config) (*En
 // NewEnvWithWorldCtx is NewEnvWithWorld with a cancellation context
 // stored on the environment (nil means context.Background()).
 func NewEnvWithWorldCtx(ctx context.Context, w *astopo.World, seed uint64, pipeCfg pipeline.Config) (*Env, error) {
-	reg := pipeCfg.Obs
-	span := reg.StartSpan("experiments.env")
+	span := trace.FromContext(ctx).Child("experiments.env")
 	defer span.End()
 	env := &Env{Seed: seed, World: w, PipeCfg: pipeCfg, Ctx: ctx}
 	routingSpan := span.Child("routing")
 	env.Routing = bgp.ComputeRouting(w)
 	routingSpan.End()
 	var err error
-	env.Dataset, env.Crawl, err = pipeline.Run(env.ctx(), w, p2p.DefaultConfig(), pipeCfg, seed)
+	env.Dataset, env.Crawl, err = pipeline.Run(trace.NewContext(env.ctx(), span), w, p2p.DefaultConfig(), pipeCfg, seed)
 	if err != nil {
 		return nil, err
 	}

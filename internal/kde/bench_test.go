@@ -85,8 +85,8 @@ func BenchmarkEstimateParallel(b *testing.B) {
 }
 
 // BenchmarkEstimateObs runs the same estimate as BenchmarkEstimate/n10000
-// with a live registry attached: the span/counter/histogram hooks fire on
-// every call. The delta against the uninstrumented run is the kde-layer
+// with a live registry attached: the counter/gauge/histogram hooks fire
+// on every call. The delta against the uninstrumented run is the kde-layer
 // observability overhead (budget: ≤3%).
 func BenchmarkEstimateObs(b *testing.B) {
 	samples := benchSamples(10000)

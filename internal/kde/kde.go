@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"eyeballas/internal/geo"
 	"eyeballas/internal/grid"
@@ -46,9 +47,10 @@ type Options struct {
 	// the worker count.
 	Workers int
 	// Obs receives estimation metrics (grid-cell gauge, estimate/sample
-	// counters, latency histogram) and the bin/blur spans; nil disables
-	// instrumentation. The surface is bit-identical either way — only
-	// timing observations vary.
+	// counters, latency histogram); nil disables them. Stage spans come
+	// from the trace carried by Estimate's context, not from here. The
+	// surface is bit-identical either way — only timing observations
+	// vary.
 	Obs *obs.Registry
 }
 
@@ -94,14 +96,18 @@ func Estimate(ctx context.Context, samples []geo.XY, opts Options) (*grid.Grid, 
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("kde: no samples")
 	}
-	span := o.Obs.StartSpan("kde.estimate")
+	// The latency histogram needs a clock read; take it only when a
+	// registry will observe it.
+	var start time.Time
+	if o.Obs != nil {
+		start = time.Now()
+	}
+	// When the caller's context carries a trace (a served footprint
+	// request, or a batch CLI's -trace run), open the estimate under it
+	// so the trace reaches down to individual convolution blocks. span
+	// is nil otherwise and every use below is a branch-only no-op.
+	span := trace.FromContext(ctx).Child("kde.estimate")
 	defer span.End()
-	// When the caller's context carries a request trace (the serve
-	// footprint path), mirror the estimate under it so one request's
-	// trace reaches down to individual convolution blocks. tspan is nil
-	// otherwise and every use below is a branch-only no-op.
-	tspan := trace.FromContext(ctx).Child("kde.estimate")
-	defer tspan.End()
 	minX, minY := samples[0].X, samples[0].Y
 	maxX, maxY := minX, minY
 	for _, s := range samples[1:] {
@@ -120,8 +126,8 @@ func Estimate(ctx context.Context, samples []geo.XY, opts Options) (*grid.Grid, 
 		return nil, fmt.Errorf("kde: domain needs %d cells (cap %d); increase CellKm", w*h, o.MaxCells)
 	}
 	g := grid.New(minX, minY, o.CellKm, w, h)
-	tspan.SetInt("samples", int64(len(samples)))
-	tspan.SetInt("cells", int64(w*h))
+	span.SetInt("samples", int64(len(samples)))
+	span.SetInt("cells", int64(w*h))
 	if o.Obs != nil {
 		o.Obs.Counter("eyeball_kde_estimates_total").Inc()
 		o.Obs.Counter("eyeball_kde_samples_total").Add(int64(len(samples)))
@@ -130,7 +136,6 @@ func Estimate(ctx context.Context, samples []geo.XY, opts Options) (*grid.Grid, 
 
 	// Bin samples.
 	binSpan := span.Child("bin")
-	tBin := tspan.Child("bin")
 	for _, s := range samples {
 		i, j, ok := g.CellOf(s)
 		if !ok {
@@ -142,17 +147,15 @@ func Estimate(ctx context.Context, samples []geo.XY, opts Options) (*grid.Grid, 
 		g.Add(i, j, 1)
 	}
 	binSpan.End()
-	tBin.End()
 
-	if err := blurSeparable(ctx, g, o.BandwidthKm, o.TruncSigma, o.Workers, span, tspan); err != nil {
+	if err := blurSeparable(ctx, g, o.BandwidthKm, o.TruncSigma, o.Workers, span); err != nil {
 		return nil, err
 	}
 
 	// counts → density: divide by N·cell² so the surface integrates to 1.
 	g.Scale(1 / (float64(len(samples)) * o.CellKm * o.CellKm))
-	span.End()
-	if d, ok := span.Duration(); ok {
-		o.Obs.Histogram("eyeball_kde_estimate_seconds", obs.LatencyBuckets()).Observe(d.Seconds())
+	if o.Obs != nil {
+		o.Obs.Histogram("eyeball_kde_estimate_seconds", obs.LatencyBuckets()).Observe(time.Since(start).Seconds())
 	}
 	return g, nil
 }
@@ -174,14 +177,13 @@ func clamp(v, lo, hi int) int {
 // convolved independently into disjoint slices, and the block
 // decomposition is a fixed function of the grid dimensions, so the result
 // is byte-identical for every worker count — including workers == 1,
-// which runs inline with zero synchronization. parent (nil when
-// disabled) receives one child span per pass; tparent (nil when request
-// tracing is off) additionally receives one span per convolution block,
-// keyed by the block's low index so the rendered trace is deterministic
-// regardless of worker scheduling. A cancelled ctx stops the fan-out at
-// a block boundary and surfaces ctx.Err(); the grid is then partially
-// blurred and must be discarded by the caller.
-func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma float64, workers int, parent *obs.Span, tparent *trace.Span) error {
+// which runs inline with zero synchronization. parent (nil when tracing
+// is off) receives one child span per pass, each with one span per
+// convolution block, keyed by the block's low index so the rendered
+// trace is deterministic regardless of worker scheduling. A cancelled
+// ctx stops the fan-out at a block boundary and surfaces ctx.Err(); the
+// grid is then partially blurred and must be discarded by the caller.
+func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma float64, workers int, parent *trace.Span) error {
 	radius := int(math.Ceil(truncSigma * bandwidthKm / g.Cell))
 	kernel := make([]float64, 2*radius+1)
 	sum := 0.0
@@ -198,14 +200,13 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma fl
 	// Horizontal pass: each row of g.Data convolves into the same row of
 	// tmp; rows in a block are processed in order, blocks never overlap.
 	hSpan := parent.Child("blur_horizontal")
-	tH := tparent.Child("blur_horizontal")
 	err := parallel.Blocks(ctx, workers, g.H, 0, func(lo, hi int) error {
 		// Per-block trace spans are created and attributed by this
 		// worker goroutine (the package's ownership contract); ChildSeq
 		// keys them by lo so sibling order is schedule-independent.
 		var bs *trace.Span
-		if tH != nil {
-			bs = tH.ChildSeq("rows", lo)
+		if hSpan != nil {
+			bs = hSpan.ChildSeq("rows", lo)
 			bs.SetInt("lo", int64(lo))
 			bs.SetInt("hi", int64(hi))
 		}
@@ -218,7 +219,6 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma fl
 		return nil
 	})
 	hSpan.End()
-	tH.End()
 	if err != nil {
 		return err
 	}
@@ -226,11 +226,10 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma fl
 	// block owns a contiguous span of columns and its own scratch
 	// buffers; writes target disjoint strided cells.
 	vSpan := parent.Child("blur_vertical")
-	tV := tparent.Child("blur_vertical")
 	err = parallel.Blocks(ctx, workers, g.W, 0, func(lo, hi int) error {
 		var bs *trace.Span
-		if tV != nil {
-			bs = tV.ChildSeq("cols", lo)
+		if vSpan != nil {
+			bs = vSpan.ChildSeq("cols", lo)
 			bs.SetInt("lo", int64(lo))
 			bs.SetInt("hi", int64(hi))
 		}
@@ -249,7 +248,6 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma fl
 		return nil
 	})
 	vSpan.End()
-	tV.End()
 	return err
 }
 

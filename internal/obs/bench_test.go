@@ -40,22 +40,6 @@ func BenchmarkHistogramObserveDisabled(b *testing.B) {
 	}
 }
 
-func BenchmarkSpanStartEndEnabled(b *testing.B) {
-	r := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.StartSpan("bench.span").End()
-	}
-}
-
-func BenchmarkSpanStartEndDisabled(b *testing.B) {
-	var r *Registry
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.StartSpan("bench.span").End()
-	}
-}
-
 func BenchmarkFunnelStageDisabled(b *testing.B) {
 	var st *Stage
 	b.ReportAllocs()

@@ -10,23 +10,24 @@ import (
 	"strings"
 )
 
-// CLIFlags bundles the three observability flags every CLI exposes:
+// CLIFlags bundles the two observability flags every CLI exposes:
 //
 //	-metrics <path|->   write a metrics snapshot at exit (.prom selects
 //	                    Prometheus text, anything else JSON; '-' writes
 //	                    JSON to stdout)
-//	-trace              print the span tree to stderr at exit
 //	-pprof <addr>       serve /metrics, /metrics.json and /debug/pprof/
 //	                    for the duration of the run (use :0 for an
 //	                    ephemeral port; the bound address is logged)
 //
+// The batch CLIs' -trace flag lives in internal/trace (trace.CLIFlags),
+// which owns the span API this package cannot import.
+//
 // Usage: BindCLIFlags(fs) before fs.Parse; after parsing, Registry()
 // returns the run's registry (nil when no flag was given, keeping the
 // disabled fast path), Start() brings up the -pprof server, and
-// Finish() writes the snapshot/trace and shuts the server down.
+// Finish() writes the snapshot and shuts the server down.
 type CLIFlags struct {
 	metricsPath string
-	trace       bool
 	pprofAddr   string
 
 	reg  *Registry
@@ -35,13 +36,11 @@ type CLIFlags struct {
 	done bool
 }
 
-// BindCLIFlags registers -metrics, -trace, and -pprof on fs.
+// BindCLIFlags registers -metrics and -pprof on fs.
 func BindCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	c := &CLIFlags{}
 	fs.StringVar(&c.metricsPath, "metrics", "",
 		"write a metrics snapshot at exit: a path ending in .prom for Prometheus text exposition, any other path for JSON, '-' for JSON on stdout")
-	fs.BoolVar(&c.trace, "trace", false,
-		"print the span tree (per-stage wall-clock timings) to stderr at exit")
 	fs.StringVar(&c.pprofAddr, "pprof", "",
 		"serve GET /metrics, /metrics.json and /debug/pprof/ on this address (e.g. :6060, or :0 for an ephemeral port) during the run")
 	return c
@@ -49,7 +48,7 @@ func BindCLIFlags(fs *flag.FlagSet) *CLIFlags {
 
 // Enabled reports whether any observability flag was given.
 func (c *CLIFlags) Enabled() bool {
-	return c != nil && (c.metricsPath != "" || c.trace || c.pprofAddr != "")
+	return c != nil && (c.metricsPath != "" || c.pprofAddr != "")
 }
 
 // Registry returns the run's registry, creating it on first call.
@@ -90,16 +89,15 @@ func (c *CLIFlags) ServerAddr() string {
 	return c.addr
 }
 
-// Finish writes the -metrics snapshot and the -trace tree, then shuts
-// the -pprof server down. stdout receives '-' snapshots; the trace goes
-// to stderr.
+// Finish writes the -metrics snapshot, then shuts the -pprof server
+// down. stdout receives '-' snapshots.
 //
 // Finish is idempotent: the first call does the work, later calls are
 // no-ops. CLIs exploit this by deferring Finish right after Start —
 // when a run is cancelled mid-pipeline the deferred call still writes
 // a partial snapshot (the counters flushed so far), while the normal
 // exit path's explicit Finish keeps its error reporting.
-func (c *CLIFlags) Finish(stdout, stderr io.Writer) error {
+func (c *CLIFlags) Finish(stdout io.Writer) error {
 	if c == nil || c.done {
 		return nil
 	}
@@ -109,11 +107,6 @@ func (c *CLIFlags) Finish(stdout, stderr io.Writer) error {
 		c.srv = nil
 	}
 	reg := c.Registry()
-	if c.trace {
-		if err := reg.WriteTrace(stderr); err != nil {
-			return err
-		}
-	}
 	if c.metricsPath == "" {
 		return nil
 	}

@@ -35,7 +35,7 @@ func TestCLIFlagsDisabledByDefault(t *testing.T) {
 	if err := c.Start(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Finish(io.Discard, io.Discard); err != nil {
+	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -48,7 +48,7 @@ func TestCLIFlagsMetricsJSONFile(t *testing.T) {
 		t.Fatal("-metrics should enable the registry")
 	}
 	reg.Counter("cli_total").Add(5)
-	if err := c.Finish(io.Discard, io.Discard); err != nil {
+	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -70,7 +70,7 @@ func TestCLIFlagsMetricsPromFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.prom")
 	c := parseFlags(t, "-metrics", path)
 	c.Registry().Counter("cli_total").Add(7)
-	if err := c.Finish(io.Discard, io.Discard); err != nil {
+	if err := c.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -87,25 +87,12 @@ func TestCLIFlagsMetricsStdout(t *testing.T) {
 	c := parseFlags(t, "-metrics", "-")
 	c.Registry().Counter("cli_total").Add(9)
 	var stdout bytes.Buffer
-	if err := c.Finish(&stdout, io.Discard); err != nil {
+	if err := c.Finish(&stdout); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
 	if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
 		t.Fatalf("'-' should write JSON to stdout: %v\n%s", err, stdout.String())
-	}
-}
-
-func TestCLIFlagsTrace(t *testing.T) {
-	c := parseFlags(t, "-trace")
-	reg := c.Registry()
-	reg.StartSpan("cli.test").End()
-	var stderr bytes.Buffer
-	if err := c.Finish(io.Discard, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stderr.String(), "cli.test") {
-		t.Fatalf("-trace output missing span:\n%s", stderr.String())
 	}
 }
 
@@ -146,7 +133,7 @@ func TestCLIFlagsPprofServer(t *testing.T) {
 	}
 
 	var stdout bytes.Buffer
-	if err := c.Finish(&stdout, io.Discard); err != nil {
+	if err := c.Finish(&stdout); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {

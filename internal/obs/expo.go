@@ -12,14 +12,13 @@ import (
 
 // Snapshot is a point-in-time copy of everything in a registry, with
 // fully deterministic ordering: metric series sorted by name then
-// rendered labels, funnels and their stages in declaration order, spans
-// in creation order. Both exposition writers consume it.
+// rendered labels, funnels and their stages in declaration order. Both
+// exposition writers consume it.
 type Snapshot struct {
 	Counters   []SeriesInt
 	Gauges     []SeriesFloat
 	Histograms []HistSeries
 	Funnels    []FunnelSnapshot
-	Spans      []SpanSnapshot
 }
 
 // SeriesInt is one integer-valued metric series.
@@ -71,13 +70,6 @@ type StageSnapshot struct {
 	Drops map[string]int64 `json:"drops,omitempty"`
 }
 
-// SpanSnapshot mirrors one span subtree.
-type SpanSnapshot struct {
-	Name       string         `json:"name"`
-	DurationNS int64          `json:"duration_ns"` // -1 while open
-	Children   []SpanSnapshot `json:"children,omitempty"`
-}
-
 // Snapshot copies the registry's current state. Returns the zero
 // Snapshot on a nil registry.
 func (r *Registry) Snapshot() Snapshot {
@@ -104,8 +96,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.funnels {
 		funnels[k] = v
 	}
-	roots := make([]*Span, len(r.spans))
-	copy(roots, r.spans)
 	r.mu.Unlock()
 
 	for _, c := range counters {
@@ -169,21 +159,7 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		snap.Funnels = append(snap.Funnels, fs)
 	}
-	for _, s := range roots {
-		snap.Spans = append(snap.Spans, snapshotSpan(s))
-	}
 	return snap
-}
-
-func snapshotSpan(s *Span) SpanSnapshot {
-	out := SpanSnapshot{Name: s.name, DurationNS: -1}
-	if d, ok := s.Duration(); ok {
-		out.DurationNS = int64(d)
-	}
-	for _, c := range s.children() {
-		out.Children = append(out.Children, snapshotSpan(c))
-	}
-	return out
 }
 
 // formatFloat renders a float the way Prometheus text exposition does.
@@ -203,8 +179,7 @@ func formatFloat(v float64) string {
 // format (version 0.0.4): counters, gauges, histograms with cumulative
 // le buckets, and the funnels as two synthetic counter families
 // (eyeball_funnel_peers_total{funnel,stage,dir} and
-// eyeball_funnel_drops_total{funnel,stage,reason}). Spans are not
-// exported here — use -trace or the JSON snapshot.
+// eyeball_funnel_drops_total{funnel,stage,reason}).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	return r.Snapshot().WritePrometheus(w)
 }
@@ -312,15 +287,13 @@ type jsonSnapshot struct {
 	Gauges     map[string]float64        `json:"gauges,omitempty"`
 	Histograms map[string]jsonHistogram  `json:"histograms,omitempty"`
 	Funnels    map[string]FunnelSnapshot `json:"funnels,omitempty"`
-	Spans      []SpanSnapshot            `json:"spans,omitempty"`
 }
 
 // WriteJSON renders the snapshot as deterministic, indented JSON: map
 // keys are sorted by encoding/json, histogram buckets stay in numeric
-// order, funnel stages and spans keep declaration/creation order. No
-// timestamp is emitted — snapshots of identical metric state are
-// byte-identical (golden-file friendly); only span durations and
-// latency-histogram contents vary run to run.
+// order, funnel stages keep declaration order. No timestamp is emitted —
+// snapshots of identical metric state are byte-identical (golden-file
+// friendly); only latency-histogram contents vary run to run.
 func (r *Registry) WriteJSON(w io.Writer) error { return r.Snapshot().WriteJSON(w) }
 
 // WriteJSON renders the snapshot; see Registry.WriteJSON.
@@ -361,7 +334,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 			out.Funnels[f.Name] = f
 		}
 	}
-	out.Spans = s.Spans
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)

@@ -1,8 +1,9 @@
 // Package obs is the repository's zero-dependency observability layer:
-// atomic counters and gauges, fixed-bucket histograms, monotonic span
-// timers with parent/child nesting, and stage-by-stage funnel accounting,
-// all collected in a Registry that snapshots to Prometheus text
-// exposition format and deterministic JSON.
+// atomic counters and gauges, fixed-bucket histograms, and stage-by-stage
+// funnel accounting, all collected in a Registry that snapshots to
+// Prometheus text exposition format and deterministic JSON. Spans are
+// not kept here: internal/trace is the one span API, and it renders
+// through this package's TreeNode encoder (tree.go).
 //
 // Design constraints (carried over from the parallel worker pool and the
 // compiled LPM engine, see DESIGN.md "Observability"):
@@ -10,12 +11,12 @@
 //   - Instrumentation is a read-only side channel. Nothing in this
 //     package influences dataset bytes: pipeline and KDE outputs are
 //     bit-identical with metrics enabled or disabled, for every worker
-//     count. Only *timing* observations (span durations, latency
-//     histograms) vary run to run.
+//     count. Only *timing* observations (latency histograms) vary run
+//     to run.
 //
 //   - A nil Registry is the disabled state and must cost near-zero on
 //     hot paths. Every method on a nil *Registry, *Counter, *Gauge,
-//     *Histogram, and *Span is a safe no-op guarded by a single branch
+//     *Histogram, and *Stage is a safe no-op guarded by a single branch
 //     and performs no allocation (verified by testing.AllocsPerRun).
 //     Instrumented code therefore holds possibly-nil handles and calls
 //     them unconditionally.
@@ -33,7 +34,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value
@@ -119,7 +119,7 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Registry collects every metric, span, and funnel of one run. The zero
+// Registry collects every metric and funnel of one run. The zero
 // value is not usable — construct with New. A nil *Registry disables all
 // instrumentation: every method is a safe, allocation-free no-op.
 type Registry struct {
@@ -129,9 +129,6 @@ type Registry struct {
 	hists    map[string]*Histogram
 	funnels  map[string]*Funnel
 	fnlOrder []string
-	spans    []*Span // root spans, in creation order, capped at maxRootSpans
-	dropped  int64   // root spans not retained once the cap was hit
-	now      func() time.Time
 }
 
 // New returns an empty, enabled registry.
@@ -141,26 +138,7 @@ func New() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		funnels:  make(map[string]*Funnel),
-		now:      time.Now,
 	}
-}
-
-// SetClock replaces the registry's time source (tests only; the default
-// is time.Now).
-func (r *Registry) SetClock(now func() time.Time) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
-}
-
-func (r *Registry) clock() time.Time {
-	r.mu.Lock()
-	now := r.now
-	r.mu.Unlock()
-	return now()
 }
 
 // seriesKey renders name plus sorted label pairs into the canonical

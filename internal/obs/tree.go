@@ -7,18 +7,17 @@ import (
 	"time"
 )
 
-// TreeNode is the neutral span-tree node both trace producers in the
-// repository render through: the batch CLIs' obs.Span forest (-trace)
-// and internal/trace's request-scoped traces (the flight recorder and
-// /debug/trace/{id}). Factoring the encoding here means the text and
-// JSON forms of a span tree are defined exactly once — a tree renders
-// to the same bytes no matter which subsystem produced it.
+// TreeNode is the neutral span-tree node internal/trace — the one trace
+// producer in the repository — renders every trace through: the flight
+// recorder, /debug/trace/{id}, and the batch CLIs' -trace and -trace-out
+// output. Keeping the encoders here defines the text and JSON forms of a
+// span tree exactly once.
 //
 // Both encoders are deterministic: fields encode in declaration order,
 // attributes and events in recorded order, children in the order the
-// producer supplies them (producers are responsible for a deterministic
-// child order). No timestamps are emitted — only durations and offsets
-// — so trees built under a pinned clock are byte-stable and
+// producer supplies them (the producer sorts siblings by a
+// schedule-independent key). No timestamps are emitted — only durations
+// and offsets — so trees built under a pinned clock are byte-stable and
 // golden-file friendly.
 type TreeNode struct {
 	Name string `json:"name"`
@@ -104,14 +103,6 @@ func writeTreeNode(w io.Writer, n *TreeNode, depth int) error {
 		}
 	}
 	return nil
-}
-
-// WriteTreeJSON renders a span forest as deterministic, indented JSON —
-// the encoding /debug/trace/{id}, the flight recorder, and eyeballpipe
-// -trace-out all share. Arrays keep producer order and structs encode
-// in field-declaration order, so equal trees are equal bytes.
-func WriteTreeJSON(w io.Writer, roots []TreeNode) error {
-	return EncodeJSON(w, roots)
 }
 
 // EncodeJSON writes v in the repository's canonical JSON form: indented

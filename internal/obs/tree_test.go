@@ -51,7 +51,7 @@ func TestGoldenTreeText(t *testing.T) {
 // -trace-out share via EncodeJSON.
 func TestGoldenTreeJSON(t *testing.T) {
 	var b bytes.Buffer
-	if err := WriteTreeJSON(&b, fixtureTree()); err != nil {
+	if err := EncodeJSON(&b, fixtureTree()); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "tree.json", b.Bytes())
@@ -72,36 +72,13 @@ func TestTreeRendersAreStable(t *testing.T) {
 	}
 	a.Reset()
 	b.Reset()
-	if err := WriteTreeJSON(&a, fixtureTree()); err != nil {
+	if err := EncodeJSON(&a, fixtureTree()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTreeJSON(&b, fixtureTree()); err != nil {
+	if err := EncodeJSON(&b, fixtureTree()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two JSON renders of the same tree differ")
-	}
-}
-
-// TestWriteTraceMatchesTree proves Registry.WriteTrace is the shared
-// encoder applied to Registry.TraceTree — the factoring the flight
-// recorder depends on.
-func TestWriteTraceMatchesTree(t *testing.T) {
-	r := New()
-	r.SetClock(pinnedClock())
-	root := r.StartSpan("pipeline.build")
-	root.Child("locate").End()
-	root.End()
-
-	var direct, viaTree bytes.Buffer
-	if err := r.WriteTrace(&direct); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTree(&viaTree, r.TraceTree()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct.Bytes(), viaTree.Bytes()) {
-		t.Fatalf("WriteTrace diverged from WriteTree over TraceTree:\n--- WriteTrace ---\n%s--- WriteTree ---\n%s",
-			direct.String(), viaTree.String())
 	}
 }

@@ -80,8 +80,8 @@ type Config struct {
 	KadZones int
 	// Torrents is the number of swarms the BitTorrent crawler scrapes.
 	Torrents int
-	// Obs receives crawl metrics (contacts/peers/dups per app) and the
-	// per-app crawl spans; nil disables instrumentation. Metrics are a
+	// Obs receives crawl metrics (contacts/peers/dups per app); nil
+	// disables instrumentation. Metrics are a
 	// read-only side channel: the crawl is byte-identical either way.
 	Obs *obs.Registry
 	// Faults injects crawl-level failures (faults.CrawlLoss drops a

@@ -12,7 +12,6 @@ import (
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/geo"
 	"eyeballas/internal/ipnet"
-	"eyeballas/internal/obs"
 	"eyeballas/internal/rng"
 )
 
@@ -74,9 +73,9 @@ func (s *sliceStream) Next(buf []Peer) (int, error) {
 // purely from src's seed (never from consumed state), so a second
 // Stream call re-generates the identical sequence. Fault injection
 // (cfg.Faults) keys every decision by peer identity, so it is equally
-// schedule- and batch-independent. Obs counters and the "p2p.crawl"
-// span are emitted per stream — a fallback rerun shows up as a second
-// crawl span, which is what actually happened.
+// schedule- and batch-independent. Obs counters are emitted per stream
+// — a fallback rerun counts its peers again, which is what actually
+// happened.
 func NewCrawlSource(w *astopo.World, cfg Config, src *rng.Source) PeerSource {
 	return &crawlSource{w: w, cfg: cfg, src: src}
 }
@@ -99,7 +98,6 @@ func (c *crawlSource) Stream(ctx context.Context) (PeerStream, error) {
 		ases: c.w.ASes(),
 		cs:   newCrawlState(c.w, c.cfg),
 		src:  c.src,
-		span: c.cfg.Obs.StartSpan("p2p.crawl"),
 	}, nil
 }
 
@@ -108,20 +106,11 @@ type crawlStream struct {
 	ases []*astopo.AS
 	cs   *crawlState
 	src  *rng.Source
-	span *obs.Span
 
 	ai, appi int    // cursor over (AS, app) units, app-major within AS
 	pending  []Peer // current unit's undelivered peers
 	off      int
 	done     bool
-}
-
-// finish ends the stream exactly once.
-func (s *crawlStream) finish() {
-	if !s.done {
-		s.done = true
-		s.span.End()
-	}
 }
 
 func (s *crawlStream) Next(buf []Peer) (int, error) {
@@ -139,7 +128,7 @@ func (s *crawlStream) Next(buf []Peer) (int, error) {
 		s.pending = s.pending[:0]
 		s.off = 0
 		if s.ai >= len(s.ases) {
-			s.finish()
+			s.done = true
 			return n, io.EOF
 		}
 		a := s.ases[s.ai]
@@ -150,7 +139,7 @@ func (s *crawlStream) Next(buf []Peer) (int, error) {
 			}
 			// Cancellation granularity matches Run: between ASes.
 			if err := s.ctx.Err(); err != nil {
-				s.finish()
+				s.done = true
 				return 0, err
 			}
 		}

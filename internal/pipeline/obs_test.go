@@ -192,8 +192,9 @@ func TestDatasetIdenticalWithRegistry(t *testing.T) {
 
 // TestRegistryExposesPipelineMetrics checks the wiring end to end: one
 // instrumented Run must populate the crawl counters, the
-// shard-aggregated origin-lookup counter, the per-AS P90 histogram, the
-// funnel families, and the span tree.
+// shard-aggregated origin-lookup counter, the per-AS P90 histogram, and
+// the funnel families. (Stage spans come from the trace in the context;
+// TestRunStageSpans pins their shape.)
 func TestRegistryExposesPipelineMetrics(t *testing.T) {
 	w, _, crawl := setup(t)
 	reg := obs.New()
@@ -233,17 +234,6 @@ func TestRegistryExposesPipelineMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-
-	// The span tree must include the pipeline stages.
-	var trace bytes.Buffer
-	if err := reg.WriteTrace(&trace); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"pipeline.run", "pipeline.build", "locate", "aggregate", "condition", "p2p.crawl", "bgp.origin_table"} {
-		if !strings.Contains(trace.String(), want) {
-			t.Fatalf("trace missing span %q:\n%s", want, trace.String())
 		}
 	}
 

@@ -80,11 +80,12 @@ type Config struct {
 	// byte-identical for every setting: results are index-addressed and
 	// aggregation always applies them in a fixed order.
 	Workers int
-	// Obs receives pipeline metrics: the stage funnel, per-stage spans,
-	// the per-AS P90 geo-error histogram, and the shard-aggregated
-	// origin-lookup counter. nil disables exposition; the funnel itself
-	// is always built (Dataset.Drops and the CLI summary are views over
-	// it), and datasets are bit-identical with or without a registry.
+	// Obs receives pipeline metrics: the stage funnel, the per-AS P90
+	// geo-error histogram, and the shard-aggregated origin-lookup
+	// counter (stage spans come from the trace in the context). nil
+	// disables exposition; the funnel itself is always built
+	// (Dataset.Drops and the CLI summary are views over it), and
+	// datasets are bit-identical with or without a registry.
 	Obs *obs.Registry
 
 	// MaxGeoMissFrac is the geolocate-stage error budget: the maximum
@@ -376,8 +377,6 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	span := cfg.Obs.StartSpan("pipeline.build")
-	defer span.End()
 
 	// Fault wiring: wrap the databases and the resolver with the plan's
 	// injectors, and arm the worker-panic injection. All of these are
@@ -420,9 +419,7 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 		ds.Degraded = true
 		ds.DegradedReason = "single-db mode requested (no cross-database error estimates)"
 	}
-	locSpan := span.Child("locate")
 	results, err := runLocate(ctx, crawl, dbA, secondary, origins, checked, cfg, wp, lookupsC)
-	locSpan.End()
 	if err != nil {
 		return nil, err
 	}
@@ -458,9 +455,7 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 				lostDB, lostFrac = dbA, fracA
 			}
 			_ = survivorMiss
-			fbSpan := span.Child("locate_single_db_fallback")
 			results, err = runLocate(ctx, crawl, survivor, nil, origins, checked, cfg, wp, lookupsC)
-			fbSpan.End()
 			if err != nil {
 				return nil, err
 			}
@@ -491,7 +486,6 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 		}
 	}
 
-	aggSpan := span.Child("aggregate")
 	seenIP := make(map[ipnet.Addr]astopo.ASN, len(crawl.Peers))
 	var dup int
 	for i, peer := range crawl.Peers {
@@ -516,7 +510,6 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 		rec.PeersByApp[peer.App]++
 		rec.Samples = append(rec.Samples, r.sample)
 	}
-	aggSpan.End()
 
 	// Flush the peer-level funnel stages once per reason (the loops
 	// above used plain locals — no per-peer atomics) and derive the
@@ -539,10 +532,7 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 	ds.Drops.UnmappedIP = counts.unmapped
 	ds.Drops.DupIP = dup
 
-	condSpan := span.Child("condition")
-	out, err := condition(ctx, ds, cfg, stCond, nil)
-	condSpan.End()
-	return out, err
+	return condition(ctx, ds, cfg, stCond, nil)
 }
 
 // runLocate fans the pure per-peer stage out over the worker pool.
@@ -788,33 +778,21 @@ func Run(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, 
 // serving artifact carries the exact LPM the dataset was conditioned
 // with instead of a re-derived one.
 func RunExport(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, *p2p.Crawl, *bgp.OriginTable, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := cfg.Obs.StartSpan("pipeline.run")
+	ctx, span := startRun(ctx)
 	defer span.End()
-	// When ctx carries a request trace, nest the whole run (and, via
-	// the rebound context, the build's stage spans) under it.
-	tRun := trace.FromContext(ctx).Child("pipeline.run")
-	defer tRun.End()
-	if tRun != nil {
-		ctx = trace.NewContext(ctx, tRun)
-	}
 	if crawlCfg.Obs == nil {
 		crawlCfg.Obs = cfg.Obs
 	}
 	if crawlCfg.Faults == nil {
 		crawlCfg.Faults = cfg.Faults
 	}
-	tCrawl := tRun.Child("crawl")
+	crawlSpan := span.Child("crawl")
 	crawl, err := p2p.Run(ctx, w, crawlCfg, seedSource(crawlSeed))
-	tCrawl.End()
+	crawlSpan.End()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tOrigin := tRun.Child("bgp.origin_table")
-	origins, err := originTable(ctx, w, cfg, span)
-	tOrigin.End()
+	origins, err := originTable(ctx, w, cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -825,11 +803,26 @@ func RunExport(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Co
 	return ds, crawl, origins, nil
 }
 
+// startRun opens the "pipeline.run" span under the trace ctx carries
+// (nil, and ctx unchanged, when it carries none) and rebinds ctx to it,
+// so the crawl, origin-table and build stages nest under the run.
+func startRun(ctx context.Context) (context.Context, *trace.Span) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	span := trace.FromContext(ctx).Child("pipeline.run")
+	return trace.NewContext(ctx, span), span
+}
+
 // originTable computes policy routing and builds the origin table from
 // the world's three tier-1 vantage RIBs — the shared back half of Run
-// and RunStream. Per-vantage RIB construction is independent; fan it
-// out, keeping the vantage order (and thus the origin table) fixed.
-func originTable(ctx context.Context, w *astopo.World, cfg Config, span *obs.Span) (*bgp.OriginTable, error) {
+// and RunStream — under a "bgp.origin_table" span with "bgp.routing"
+// and "bgp.ribs" children. Per-vantage RIB construction is independent;
+// fan it out, keeping the vantage order (and thus the origin table)
+// fixed.
+func originTable(ctx context.Context, w *astopo.World, cfg Config) (*bgp.OriginTable, error) {
+	span := trace.FromContext(ctx).Child("bgp.origin_table")
+	defer span.End()
 	routingSpan := span.Child("bgp.routing")
 	routing := bgp.ComputeRouting(w)
 	routingSpan.End()
@@ -848,16 +841,17 @@ func originTable(ctx context.Context, w *astopo.World, cfg Config, span *obs.Spa
 	}
 	ribs := make([]*bgp.RIB, len(vantages))
 	ribSpan := span.Child("bgp.ribs")
-	if err := parallel.ForEach(ctx, cfg.Workers, vantages, func(i int, vantage astopo.ASN) error {
+	err := parallel.ForEach(ctx, cfg.Workers, vantages, func(i int, vantage astopo.ASN) error {
 		rib, err := bgp.BuildRIBObs(w, routing, vantage, cfg.Obs)
 		if err != nil {
 			return err
 		}
 		ribs[i] = rib
 		return nil
-	}); err != nil {
+	})
+	ribSpan.End()
+	if err != nil {
 		return nil, err
 	}
-	ribSpan.End()
 	return bgp.NewOriginTableObs(cfg.Obs, ribs...), nil
 }

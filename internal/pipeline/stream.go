@@ -37,10 +37,11 @@ import (
 //
 // src must be replayable (see p2p.PeerSource): the single-DB fallback
 // re-opens the stream for its rescue pass instead of re-reading a
-// materialized crawl. The funnel, spans ("pipeline.build" → "locate",
-// "aggregate", "condition"), budgets, and fault wiring are the same as
-// the batch path's; Dataset.Stream additionally reports the engine's
-// deterministic memory accounting.
+// materialized crawl. The funnel, budgets, and fault wiring are the
+// same as the batch path's; Dataset.Stream additionally reports the
+// engine's deterministic memory accounting. When ctx carries a trace,
+// the build opens "pipeline.build" under it with "locate", "aggregate"
+// and "condition" stage children.
 func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, origins bgp.Resolver, cfg Config) (*Dataset, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -51,13 +52,10 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	span := cfg.Obs.StartSpan("pipeline.build")
+	// nil when ctx carries no trace, making every span use below a
+	// branch-only no-op.
+	span := trace.FromContext(ctx).Child("pipeline.build")
 	defer span.End()
-	// Mirror the build's stage spans under a request trace when the
-	// context carries one (eyeballpipe -trace-out, or a future online
-	// rebuild); nil otherwise, making every use a branch-only no-op.
-	tb := trace.FromContext(ctx).Child("pipeline.build")
-	defer tb.End()
 
 	// Fault wiring: identical to the batch path — injection sites key
 	// on peer identity, so batching cannot move a decision.
@@ -89,10 +87,8 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 
 	agg := newStreamAgg(cfg)
 	locSpan := span.Child("locate")
-	tLoc := tb.Child("locate")
 	err := streamPass(ctx, src, dbA, secondary, origins, checked, cfg, wp, lookupsC, agg)
-	tLoc.SetInt("crawled", int64(agg.crawled))
-	tLoc.End()
+	locSpan.SetInt("crawled", int64(agg.crawled))
 	locSpan.End()
 	if err != nil {
 		return nil, err
@@ -126,10 +122,8 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 				lostDB, lostFrac = dbA, fracA
 			}
 			fbSpan := span.Child("locate_single_db_fallback")
-			tFb := tb.Child("locate_single_db_fallback")
 			agg = newStreamAgg(cfg)
 			err = streamPass(ctx, src, survivor, nil, origins, checked, cfg, wp, lookupsC, agg)
-			tFb.End()
 			fbSpan.End()
 			if err != nil {
 				return nil, err
@@ -168,10 +162,8 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 	// merged its batch); this hands the accumulated state to the
 	// dataset and publishes the memory watermarks.
 	aggSpan := span.Child("aggregate")
-	tAgg := tb.Child("aggregate")
 	ds.CrawledPeers = n
 	agg.finish(ds, cfg)
-	tAgg.End()
 	aggSpan.End()
 
 	// Flush the peer-level funnel stages once per reason — only now,
@@ -196,12 +188,10 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 	ds.Drops.DupIP = agg.dup
 
 	condSpan := span.Child("condition")
-	tCond := tb.Child("condition")
 	out, err := condition(ctx, ds, cfg, stCond, agg.accs)
 	if out != nil {
-		tCond.SetInt("ases", int64(len(out.Order)))
+		condSpan.SetInt("ases", int64(len(out.Order)))
 	}
-	tCond.End()
 	condSpan.End()
 	return out, err
 }
@@ -386,12 +376,9 @@ func CrawlSource(w *astopo.World, crawlCfg p2p.Config, crawlSeed uint64) p2p.Pee
 // the world — the streaming entry point for pre-crawled (e.g.
 // file-backed) peers. The peers must come from the same world.
 func BuildFromSource(ctx context.Context, w *astopo.World, src p2p.PeerSource, cfg Config) (*Dataset, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := cfg.Obs.StartSpan("pipeline.run")
+	ctx, span := startRun(ctx)
 	defer span.End()
-	origins, err := originTable(ctx, w, cfg, span)
+	origins, err := originTable(ctx, w, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -413,10 +400,7 @@ func RunStream(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Co
 // resolved peers against — the streaming counterpart of RunExport, used
 // by the snapshot writer.
 func RunStreamExport(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, *bgp.OriginTable, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := cfg.Obs.StartSpan("pipeline.run")
+	ctx, span := startRun(ctx)
 	defer span.End()
 	if crawlCfg.Obs == nil {
 		crawlCfg.Obs = cfg.Obs
@@ -424,7 +408,7 @@ func RunStreamExport(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, 
 	if crawlCfg.Faults == nil {
 		crawlCfg.Faults = cfg.Faults
 	}
-	origins, err := originTable(ctx, w, cfg, span)
+	origins, err := originTable(ctx, w, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -142,7 +142,7 @@ func TestBuildStreamPeakHeapBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	origins, err := originTable(context.Background(), w, cfg, cfg.Obs.StartSpan("mem-test"))
+	origins, err := originTable(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

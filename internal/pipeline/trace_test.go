@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"eyeballas/internal/geodb"
@@ -74,6 +75,55 @@ func TestBuildTraceTree(t *testing.T) {
 	// observation only.
 	assertDatasetsIdentical(t, ref, ds)
 	assertFunnelsIdentical(t, "traced", ref, ds)
+}
+
+// treeShape renders a span tree's names and nesting as "a(b,c(d))" —
+// the timing-free part of a trace that a test can pin exactly.
+func treeShape(n obs.TreeNode) string {
+	if len(n.Children) == 0 {
+		return n.Name
+	}
+	kids := make([]string, len(n.Children))
+	for i, c := range n.Children {
+		kids[i] = treeShape(c)
+	}
+	return n.Name + "(" + strings.Join(kids, ",") + ")"
+}
+
+// TestRunStageSpans pins the one-span-per-stage tree both whole-run entry
+// points hang under the trace in their context — the tree the batch
+// CLIs' -trace prints. RunStream never materializes a crawl, so its tree
+// is Run's minus the crawl stage.
+func TestRunStageSpans(t *testing.T) {
+	w, _, _ := setup(t)
+	const origin = "bgp.origin_table(bgp.routing,bgp.ribs)"
+	const build = "pipeline.build(locate,aggregate,condition)"
+	cases := []struct {
+		name string
+		run  func(context.Context) error
+		want string
+	}{
+		{"Run", func(ctx context.Context) error {
+			_, _, err := Run(ctx, w, p2p.DefaultConfig(), DefaultConfig(), 71)
+			return err
+		}, "test.run(pipeline.run(crawl," + origin + "," + build + "))"},
+		{"RunStream", func(ctx context.Context) error {
+			_, err := RunStream(ctx, w, p2p.DefaultConfig(), DefaultConfig(), 71)
+			return err
+		}, "test.run(pipeline.run(" + origin + "," + build + "))"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := trace.New(trace.Options{Seed: 7}).Start("test.run")
+			if err := tc.run(trace.NewContext(context.Background(), root)); err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+			if got := treeShape(root.Tree()); got != tc.want {
+				t.Fatalf("trace tree\n got %s\nwant %s", got, tc.want)
+			}
+		})
+	}
 }
 
 func attrValue(t *testing.T, n obs.TreeNode, key string) string {

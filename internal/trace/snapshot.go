@@ -36,10 +36,9 @@ func (l *spanList) snapshot() []*Span {
 	return out
 }
 
-// Tree converts the span subtree into the shared obs.TreeNode form —
-// the same encoder obs.WriteTrace renders batch spans through, so the
-// flight recorder, /debug/trace/{id}, and eyeballpipe -trace-out all
-// emit one canonical text/JSON shape. Siblings are ordered by their
+// Tree converts the span subtree into the shared obs.TreeNode form, so
+// the flight recorder, /debug/trace/{id}, and the batch CLIs' -trace
+// and -trace-out all emit one canonical text/JSON shape. Siblings are ordered by their
 // sequence key, making the tree deterministic under parallel span
 // creation. Returns the zero node on a nil receiver.
 func (s *Span) Tree() obs.TreeNode {
@@ -96,7 +95,7 @@ func WriteJSON(w io.Writer, root *Span) error {
 }
 
 // WriteText writes one trace as the shared indented text tree (the
-// -trace CLI form).
+// batch CLIs' -trace form, see CLIFlags).
 func WriteText(w io.Writer, root *Span) error {
 	if root == nil {
 		return nil

@@ -1,8 +1,9 @@
-// Package trace provides request-scoped tracing for the serve path: one
-// root span per request, child spans down through footprint rendering
-// and KDE blocks, W3C traceparent interop, and a fixed-size flight
-// recorder that keeps the last N completed traces (plus slow outliers)
-// inspectable at /debug/requests.
+// Package trace is the repository's one span API. On the serve path it
+// gives one root span per request, child spans down through footprint
+// rendering and KDE blocks, W3C traceparent interop, and a fixed-size
+// flight recorder that keeps the last N completed traces (plus slow
+// outliers) inspectable at /debug/requests. The batch CLIs open one root
+// per run (CLIFlags), under which every pipeline and KDE stage nests.
 //
 // The package is dependency-free beyond the standard library and
 // internal/obs (whose TreeNode encoder renders traces), and follows the

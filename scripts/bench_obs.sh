@@ -3,10 +3,10 @@
 # BENCH_pr3.json: the full pipeline Build stage with the registry off vs
 # on (the ≤3% acceptance budget), the ~6ns compiled origin lookup bare vs
 # under the pipeline's shard-aggregated counting pattern, a KDE estimate
-# with live spans/counters, and the raw primitive costs (atomic counter,
-# histogram observe, span start/end) in both enabled and disabled
-# (nil-receiver, branch-only) states. Run single-core so the numbers
-# isolate the scalar hot paths.
+# with live counters and histograms, and the raw primitive costs (atomic
+# counter, histogram observe) in both enabled and disabled (nil-receiver,
+# branch-only) states. Run single-core so the numbers isolate the scalar
+# hot paths.
 #
 # Usage: scripts/bench_obs.sh [output.json]
 #   BENCHTIME=0.2s scripts/bench_obs.sh     # quicker CI smoke
@@ -29,7 +29,7 @@ GOMAXPROCS=1 go test -run '^$' \
   -bench 'EstimateObs$' \
   -benchtime "$benchtime" ./internal/kde/ | tee -a "$tmp"
 GOMAXPROCS=1 go test -run '^$' \
-  -bench 'CounterInc|HistogramObserve|SpanStartEnd' \
+  -bench 'CounterInc|HistogramObserve' \
   -benchtime "$benchtime" ./internal/obs/ | tee -a "$tmp"
 
 awk '
