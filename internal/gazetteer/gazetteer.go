@@ -201,33 +201,37 @@ func (g *Gazetteer) InRegion(r Region) []City {
 	return out
 }
 
-// cellsWithin yields the candidate cell keys covering a km-radius disc
-// around p.
-func cellsWithin(p geo.Point, km float64) []cellKey {
+// cellBox is the block of 1°×1° cells that covers a km-radius disc
+// around a point. Longitude indices are unwrapped: cellAt maps them back
+// across the antimeridian.
+type cellBox struct{ minLat, maxLat, minLon, maxLon int }
+
+func boxAround(p geo.Point, km float64) cellBox {
 	dLat := km/111.19 + 1e-9
 	cos := math.Cos(p.Lat * math.Pi / 180)
 	if cos < 0.05 {
 		cos = 0.05
 	}
 	dLon := km/(111.19*cos) + 1e-9
-	minLat := int(math.Floor(p.Lat - dLat))
-	maxLat := int(math.Floor(p.Lat + dLat))
-	minLon := int(math.Floor(p.Lon - dLon))
-	maxLon := int(math.Floor(p.Lon + dLon))
-	var keys []cellKey
-	for la := minLat; la <= maxLat; la++ {
-		for lo := minLon; lo <= maxLon; lo++ {
-			wrapped := lo
-			for wrapped < -180 {
-				wrapped += 360
-			}
-			for wrapped >= 180 {
-				wrapped -= 360
-			}
-			keys = append(keys, cellKey{lat: la, lon: wrapped})
-		}
+	return cellBox{
+		minLat: int(math.Floor(p.Lat - dLat)),
+		maxLat: int(math.Floor(p.Lat + dLat)),
+		minLon: int(math.Floor(p.Lon - dLon)),
+		maxLon: int(math.Floor(p.Lon + dLon)),
 	}
-	return keys
+}
+
+// cellAt returns the cell at row la, unwrapped column lo. Every query
+// walks its box row by row, west to east, and each cell's entries in index
+// order; that visit order decides ties between equidistant entries.
+func cellAt(la, lo int) cellKey {
+	for lo < -180 {
+		lo += 360
+	}
+	for lo >= 180 {
+		lo -= 360
+	}
+	return cellKey{lat: la, lon: lo}
 }
 
 // Within returns all cities within km kilometres of p, nearest first.
@@ -237,11 +241,14 @@ func (g *Gazetteer) Within(p geo.Point, km float64) []City {
 		d float64
 	}
 	var hits []hit
-	for _, k := range cellsWithin(p, km) {
-		for _, i := range g.cells[k] {
-			d := geo.DistanceKm(p, g.cities[i].Loc)
-			if d <= km {
-				hits = append(hits, hit{g.cities[i], d})
+	b := boxAround(p, km)
+	for la := b.minLat; la <= b.maxLat; la++ {
+		for lo := b.minLon; lo <= b.maxLon; lo++ {
+			for _, i := range g.cells[cellAt(la, lo)] {
+				d := geo.DistanceKm(p, g.cities[i].Loc)
+				if d <= km {
+					hits = append(hits, hit{g.cities[i], d})
+				}
 			}
 		}
 	}
@@ -265,14 +272,17 @@ func (g *Gazetteer) MostPopulousWithin(p geo.Point, km float64) (City, bool) {
 	best := -1
 	bestPop := -1
 	bestName := ""
-	for _, k := range cellsWithin(p, km) {
-		for _, i := range g.cells[k] {
-			if geo.DistanceKm(p, g.cities[i].Loc) > km {
-				continue
-			}
-			c := g.cities[i]
-			if c.Pop > bestPop || (c.Pop == bestPop && c.Name < bestName) {
-				best, bestPop, bestName = i, c.Pop, c.Name
+	b := boxAround(p, km)
+	for la := b.minLat; la <= b.maxLat; la++ {
+		for lo := b.minLon; lo <= b.maxLon; lo++ {
+			for _, i := range g.cells[cellAt(la, lo)] {
+				if geo.DistanceKm(p, g.cities[i].Loc) > km {
+					continue
+				}
+				c := g.cities[i]
+				if c.Pop > bestPop || (c.Pop == bestPop && c.Name < bestName) {
+					best, bestPop, bestName = i, c.Pop, c.Name
+				}
 			}
 		}
 	}
@@ -282,14 +292,27 @@ func (g *Gazetteer) MostPopulousWithin(p geo.Point, km float64) (City, bool) {
 	return g.cities[best], true
 }
 
-// Nearest returns the city closest to p within maxKm. ok is false if none
-// lies within maxKm.
+// Nearest returns the city closest to p within maxKm, breaking distance
+// ties by name: the first entry of Within(p, maxKm), found without
+// building or sorting that list. ok is false if none lies within maxKm.
 func (g *Gazetteer) Nearest(p geo.Point, maxKm float64) (City, bool) {
-	cities := g.Within(p, maxKm)
-	if len(cities) == 0 {
+	best := -1
+	bestD := 0.0
+	b := boxAround(p, maxKm)
+	for la := b.minLat; la <= b.maxLat; la++ {
+		for lo := b.minLon; lo <= b.maxLon; lo++ {
+			for _, i := range g.cells[cellAt(la, lo)] {
+				d := geo.DistanceKm(p, g.cities[i].Loc)
+				if d <= maxKm && (best < 0 || d < bestD || (d == bestD && g.cities[i].Name < g.cities[best].Name)) {
+					best, bestD = i, d
+				}
+			}
+		}
+	}
+	if best < 0 {
 		return City{}, false
 	}
-	return cities[0], true
+	return g.cities[best], true
 }
 
 // Find returns the first city with the given name and country. ok is false

@@ -1,7 +1,6 @@
 package gazetteer
 
 import (
-	"sort"
 	"testing"
 
 	"eyeballas/internal/geo"
@@ -258,46 +257,6 @@ func TestZipIndexNearest(t *testing.T) {
 	if got.Loc != best.Loc {
 		t.Errorf("Nearest returned %v (%.2f km), true nearest %v (%.2f km)",
 			got.Loc, geo.DistanceKm(probe, got.Loc), best.Loc, bestD)
-	}
-}
-
-func TestKNearestMatchesBruteForce(t *testing.T) {
-	g := Default()
-	zips := SynthesizeZips(g, DefaultZipPlan(), rng.New(5))
-	idx := NewZipIndex(zips)
-	probes := []geo.Point{}
-	for _, name := range []string{"Rome", "Milan", "Naples"} {
-		c, _ := g.Find(name, "IT")
-		probes = append(probes, c.Loc, geo.Destination(c.Loc, 45, 30), geo.Destination(c.Loc, 200, 55))
-	}
-	for _, p := range probes {
-		got := idx.KNearest(p, 4, 120)
-		// Brute force.
-		type hit struct {
-			z ZipCentroid
-			d float64
-		}
-		var hits []hit
-		for _, z := range zips {
-			if d := geo.DistanceKm(p, z.Loc); d <= 120 {
-				hits = append(hits, hit{z, d})
-			}
-		}
-		sort.Slice(hits, func(a, b int) bool { return hits[a].d < hits[b].d })
-		want := 4
-		if len(hits) < want {
-			want = len(hits)
-		}
-		if len(got) != want {
-			t.Fatalf("probe %v: got %d, want %d", p, len(got), want)
-		}
-		for i := range got {
-			// Equal distances may order arbitrarily; compare distances.
-			gd := geo.DistanceKm(p, got[i].Loc)
-			if gd-hits[i].d > 1e-9 {
-				t.Fatalf("probe %v rank %d: got %.4f km, brute force %.4f km", p, i, gd, hits[i].d)
-			}
-		}
 	}
 }
 

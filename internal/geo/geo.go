@@ -71,32 +71,48 @@ func (p Point) Normalize() Point {
 	return Point{Lat: ClampLat(p.Lat), Lon: NormalizeLon(p.Lon)}
 }
 
-func deg2rad(d float64) float64 { return d * math.Pi / 180 }
+// Radians converts degrees to radians.
+func Radians(deg float64) float64 { return deg * math.Pi / 180 }
+
 func rad2deg(r float64) float64 { return r * 180 / math.Pi }
 
 // DistanceKm returns the great-circle (haversine) distance between a and b
 // in kilometres.
 func DistanceKm(a, b Point) float64 {
-	lat1 := deg2rad(a.Lat)
-	lat2 := deg2rad(b.Lat)
-	dLat := lat2 - lat1
-	dLon := deg2rad(b.Lon - a.Lon)
+	lat1 := Radians(a.Lat)
+	lat2 := Radians(b.Lat)
+	return HaversineKm(Haversine(lat1, math.Cos(lat1), lat2, math.Cos(lat2), Radians(b.Lon-a.Lon)))
+}
 
-	sinLat := math.Sin(dLat / 2)
+// Haversine returns the haversine of the central angle between two
+// points, hav(θ) = sin²(θ/2), clamped to 1. lat1 and lat2 are the
+// latitudes in radians, cos1 and cos2 their cosines, and dLon is the
+// longitude difference lon2-lon1 in radians. It is DistanceKm's own
+// kernel: a caller that precomputes a latitude with Radians and its cosine
+// with math.Cos gets bit-identical distances from HaversineKm, and can
+// compare h against a threshold before paying for the arcsine.
+func Haversine(lat1, cos1, lat2, cos2, dLon float64) float64 {
+	sinLat := math.Sin((lat2 - lat1) / 2)
 	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	h := sinLat*sinLat + cos1*cos2*sinLon*sinLon
 	if h > 1 {
 		h = 1
 	}
+	return h
+}
+
+// HaversineKm converts a haversine value from Haversine to a great-circle
+// distance in kilometres.
+func HaversineKm(h float64) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
 }
 
 // Destination returns the point reached by travelling distKm kilometres
 // from p along the given initial bearing (degrees clockwise from north).
 func Destination(p Point, bearingDeg, distKm float64) Point {
-	lat1 := deg2rad(p.Lat)
-	lon1 := deg2rad(p.Lon)
-	brng := deg2rad(bearingDeg)
+	lat1 := Radians(p.Lat)
+	lon1 := Radians(p.Lon)
+	brng := Radians(bearingDeg)
 	dr := distKm / EarthRadiusKm
 
 	sinLat2 := math.Sin(lat1)*math.Cos(dr) + math.Cos(lat1)*math.Sin(dr)*math.Cos(brng)
@@ -110,10 +126,10 @@ func Destination(p Point, bearingDeg, distKm float64) Point {
 
 // Midpoint returns the spherical midpoint of a and b.
 func Midpoint(a, b Point) Point {
-	lat1 := deg2rad(a.Lat)
-	lon1 := deg2rad(a.Lon)
-	lat2 := deg2rad(b.Lat)
-	dLon := deg2rad(b.Lon - a.Lon)
+	lat1 := Radians(a.Lat)
+	lon1 := Radians(a.Lon)
+	lat2 := Radians(b.Lat)
+	dLon := Radians(b.Lon - a.Lon)
 
 	bx := math.Cos(lat2) * math.Cos(dLon)
 	by := math.Cos(lat2) * math.Sin(dLon)

@@ -34,6 +34,33 @@ func TestDistanceKnownPairs(t *testing.T) {
 	}
 }
 
+// referenceDistanceKm is the haversine written out as one expression.
+// DistanceKm must equal it bit for bit: the zip index builds distances
+// from the same Haversine/HaversineKm kernel with precomputed latitude
+// terms, and a changed bit would move a tie between two centroids.
+func referenceDistanceKm(a, b Point) float64 {
+	lat1 := a.Lat * math.Pi / 180
+	lat2 := b.Lat * math.Pi / 180
+	sinLat := math.Sin((lat2 - lat1) / 2)
+	sinLon := math.Sin((b.Lon - a.Lon) * math.Pi / 180 / 2)
+	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	if h > 1 {
+		h = 1
+	}
+	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
+}
+
+func TestDistanceMatchesReferenceBits(t *testing.T) {
+	f := func(lat1, lon1, lat2, lon2 float64) bool {
+		a := Point{ClampLat(math.Mod(lat1, 90)), NormalizeLon(lon1)}
+		b := Point{ClampLat(math.Mod(lat2, 90)), NormalizeLon(lon2)}
+		return math.Float64bits(DistanceKm(a, b)) == math.Float64bits(referenceDistanceKm(a, b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestDistanceSymmetric(t *testing.T) {
 	f := func(lat1, lon1, lat2, lon2 float64) bool {
 		a := Point{ClampLat(math.Mod(lat1, 90)), NormalizeLon(lon1)}

@@ -40,7 +40,7 @@ const kmPerDegLat = EarthRadiusKm * math.Pi / 180
 func (pr *Projection) ToXY(p Point) XY {
 	dLon := NormalizeLon(p.Lon - pr.Origin.Lon)
 	return XY{
-		X: dLon * kmPerDegLat * math.Cos(deg2rad(p.Lat)),
+		X: dLon * kmPerDegLat * math.Cos(Radians(p.Lat)),
 		Y: (p.Lat - pr.Origin.Lat) * kmPerDegLat,
 	}
 }
@@ -48,7 +48,7 @@ func (pr *Projection) ToXY(p Point) XY {
 // ToGeo inverts ToXY.
 func (pr *Projection) ToGeo(q XY) Point {
 	lat := pr.Origin.Lat + q.Y/kmPerDegLat
-	cos := math.Cos(deg2rad(lat))
+	cos := math.Cos(Radians(lat))
 	var lon float64
 	if cos > 1e-9 {
 		lon = pr.Origin.Lon + q.X/(kmPerDegLat*cos)
@@ -85,7 +85,7 @@ func (b BBox) Expand(km float64) BBox {
 	// Longitude padding uses the narrower (higher-latitude) edge so the
 	// padding is at least km everywhere inside the box.
 	lat := math.Max(math.Abs(b.Min.Lat), math.Abs(b.Max.Lat))
-	cos := math.Cos(deg2rad(lat))
+	cos := math.Cos(Radians(lat))
 	if cos < 0.05 {
 		cos = 0.05
 	}

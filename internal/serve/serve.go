@@ -422,6 +422,17 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Flush forwards to the wrapped writer, so a streaming handler's lines
+// reach the client as they are written. Embedding alone would hide the
+// wrapped writer's http.Flusher. A flush sends the header, so it counts as
+// a write.
+func (w *statusWriter) Flush() {
+	w.wrote = true
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
 // spanOf returns the root span the middleware attached to this request,
 // or nil when tracing is disabled. Composes with the nil-safe span API.
 func spanOf(w http.ResponseWriter) *trace.Span {

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -527,6 +529,9 @@ func TestBulkFootprints(t *testing.T) {
 	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
 		t.Fatalf("bulk body is not the concatenation of single responses:\n%q\nvs\n%q", rec.Body.String(), want.String())
 	}
+	if !rec.Flushed {
+		t.Error("bulk response was never flushed: lines are not streamed")
+	}
 	assertFootprintFunnel(t, reg)
 
 	// ?bw= rides through to every line.
@@ -549,6 +554,73 @@ func TestBulkFootprints(t *testing.T) {
 	long := "64500" + strings.Repeat(",64500", maxBulkASNs)
 	if rec := get(t, h, "/v1/footprints?asns="+long); rec.Code != http.StatusBadRequest {
 		t.Errorf("%d asns: %d, want 400", maxBulkASNs+1, rec.Code)
+	}
+}
+
+// TestBulkFootprintsStreamsOverTheWire stalls the second AS's render and
+// reads the first line from a real connection before releasing it: the
+// handler must push each line out as it is written, not when it returns.
+func TestBulkFootprintsStreamsOverTheWire(t *testing.T) {
+	// No request deadline: only the test ends the stall.
+	s, _, _ := newTestServer(t, Options{Timeout: -1})
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	render := s.render
+	s.render = func(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, bw float64, workers int, reg *obs.Registry) ([]byte, error) {
+		if rec.ASN == 64501 {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return render(ctx, gaz, rec, bw, workers, reg)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(unblock) // runs first: lets the handler finish before Close waits on it
+
+	type result struct {
+		resp *http.Response
+		rest *bufio.Reader
+		line []byte
+		err  error
+	}
+	first := make(chan result, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/footprints?asns=64500,64501")
+		if err != nil {
+			first <- result{err: err}
+			return
+		}
+		br := bufio.NewReader(resp.Body)
+		line, err := br.ReadBytes('\n')
+		first <- result{resp, br, line, err}
+	}()
+	var r result
+	select {
+	case r = <-first:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first line not delivered while the second render was stalled")
+	}
+	if r.resp != nil {
+		defer r.resp.Body.Close()
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	unblock()
+	rest, err := io.ReadAll(r.rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if want := get(t, h, "/v1/footprint/64500").Body.Bytes(); !bytes.Equal(r.line, want) {
+		t.Errorf("line 1 = %q, want %q", r.line, want)
+	}
+	if want := get(t, h, "/v1/footprint/64501").Body.Bytes(); !bytes.Equal(rest, want) {
+		t.Errorf("line 2 = %q, want %q", rest, want)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"eyeballas/internal/astopo"
+	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/geo"
 	"eyeballas/internal/ipnet"
 	"eyeballas/internal/rng"
@@ -23,13 +24,58 @@ type User struct {
 	TrueLoc geo.Point // exact ground-truth location
 }
 
-// Placer materializes users for the ASes of one world.
+// Placer materializes users for the ASes of one world. NewPlacer builds
+// one placement table per AS; they are read-only afterwards, so a Placer
+// is safe for concurrent use.
 type Placer struct {
-	w *astopo.World
+	tables map[*astopo.AS]*placement
+}
+
+// placement is one AS's precomputed draw tables: its user-serving PoP
+// cities with their customer shares, and its prefixes with their sizes.
+// The weight slices are exactly the ones a per-call build would produce,
+// so rng.Source.WeightedIndex consumes the same draws and returns the same
+// indices.
+type placement struct {
+	cities  []gazetteer.City
+	shares  []float64
+	prefixW []float64 // nil unless the AS has two or more prefixes
 }
 
 // NewPlacer returns a placer over the world.
-func NewPlacer(w *astopo.World) *Placer { return &Placer{w: w} }
+func NewPlacer(w *astopo.World) *Placer {
+	pl := &Placer{tables: make(map[*astopo.AS]*placement)}
+	for _, a := range w.ASes() {
+		pl.tables[a] = newPlacement(a)
+	}
+	return pl
+}
+
+func newPlacement(a *astopo.AS) *placement {
+	t := &placement{}
+	for _, p := range a.PoPs {
+		if p.ServesUsers {
+			t.cities = append(t.cities, p.City)
+			t.shares = append(t.shares, p.Share)
+		}
+	}
+	if len(a.Prefixes) > 1 {
+		t.prefixW = make([]float64, len(a.Prefixes))
+		for i, p := range a.Prefixes {
+			t.prefixW[i] = float64(p.NumAddrs())
+		}
+	}
+	return t
+}
+
+// table returns a's placement table. An AS from outside the placer's
+// world is tabulated for this call only.
+func (pl *Placer) table(a *astopo.AS) *placement {
+	if t, ok := pl.tables[a]; ok {
+		return t
+	}
+	return newPlacement(a)
+}
 
 // suburbanTailProb is the fraction of users living outside the compact
 // metro core, up to suburbanReach metro radii out.
@@ -43,21 +89,17 @@ const (
 // metro (triangular radial profile) or, with a small probability, in the
 // suburban tail beyond it.
 func (pl *Placer) Place(a *astopo.AS, s *rng.Source) geo.Point {
-	pops := a.UserPoPs()
-	if len(pops) == 0 {
+	t := pl.table(a)
+	if len(t.cities) == 0 {
 		// Infrastructure-only AS probed for a user anyway: fall back to
 		// the first PoP city.
 		return a.PoPs[0].City.Loc
 	}
-	weights := make([]float64, len(pops))
-	for i, p := range pops {
-		weights[i] = p.Share
-	}
-	idx := s.WeightedIndex(weights)
+	idx := s.WeightedIndex(t.shares)
 	if idx < 0 {
 		idx = 0
 	}
-	city := pops[idx].City
+	city := t.cities[idx]
 	r := city.RadiusKm()
 	var dist float64
 	if s.Bool(suburbanTailProb) {
@@ -77,11 +119,7 @@ func (pl *Placer) IPFor(a *astopo.AS, s *rng.Source) ipnet.Addr {
 		p := a.Prefixes[0]
 		return p.Nth(uint64(s.Int63()))
 	}
-	weights := make([]float64, len(a.Prefixes))
-	for i, p := range a.Prefixes {
-		weights[i] = float64(p.NumAddrs())
-	}
-	p := a.Prefixes[s.WeightedIndex(weights)]
+	p := a.Prefixes[s.WeightedIndex(pl.table(a).prefixW)]
 	return p.Nth(uint64(s.Int63()))
 }
 

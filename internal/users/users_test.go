@@ -1,10 +1,12 @@
 package users
 
 import (
+	"math"
 	"testing"
 
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/geo"
+	"eyeballas/internal/ipnet"
 	"eyeballas/internal/rng"
 )
 
@@ -132,5 +134,70 @@ func TestPlaceInfraOnlyFallback(t *testing.T) {
 	loc := pl.Place(tier1, rng.New(4))
 	if !loc.Valid() {
 		t.Errorf("fallback location invalid: %v", loc)
+	}
+}
+
+// referencePlace and referenceIPFor draw a user the direct way, building
+// the PoP and prefix weight slices on every call. The placer's tables must
+// hand rng.Source.WeightedIndex the same weights, so both consume the
+// same draws and return the same users.
+func referencePlace(a *astopo.AS, s *rng.Source) geo.Point {
+	pops := a.UserPoPs()
+	if len(pops) == 0 {
+		return a.PoPs[0].City.Loc
+	}
+	weights := make([]float64, len(pops))
+	for i, p := range pops {
+		weights[i] = p.Share
+	}
+	idx := s.WeightedIndex(weights)
+	if idx < 0 {
+		idx = 0
+	}
+	city := pops[idx].City
+	r := city.RadiusKm()
+	var dist float64
+	if s.Bool(suburbanTailProb) {
+		dist = r * (1 + (suburbanReach-1)*s.Float64()*s.Float64())
+	} else {
+		dist = r * s.Float64() * math.Sqrt(s.Float64())
+	}
+	return geo.Destination(city.Loc, s.Range(0, 360), dist)
+}
+
+func referenceIPFor(a *astopo.AS, s *rng.Source) ipnet.Addr {
+	if len(a.Prefixes) == 0 {
+		return 0
+	}
+	if len(a.Prefixes) == 1 {
+		return a.Prefixes[0].Nth(uint64(s.Int63()))
+	}
+	weights := make([]float64, len(a.Prefixes))
+	for i, p := range a.Prefixes {
+		weights[i] = float64(p.NumAddrs())
+	}
+	return a.Prefixes[s.WeightedIndex(weights)].Nth(uint64(s.Int63()))
+}
+
+// TestPlacerMatchesReference draws users of every AS of a world, and of
+// an AS from another world, through the placer and through the reference,
+// from identically seeded streams.
+func TestPlacerMatchesReference(t *testing.T) {
+	w, pl := worldAndPlacer(t)
+	w2, err := astopo.Generate(astopo.SmallConfig(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ases := append(w.ASes(), w2.Eyeballs()[0])
+	for _, a := range ases {
+		got, want := rng.New(9).SplitN("ref", int(a.ASN)), rng.New(9).SplitN("ref", int(a.ASN))
+		for i := 0; i < 50; i++ {
+			if g, r := pl.IPFor(a, got), referenceIPFor(a, want); g != r {
+				t.Fatalf("AS %d draw %d: IPFor %v, reference %v", a.ASN, i, g, r)
+			}
+			if g, r := pl.Place(a, got), referencePlace(a, want); g != r {
+				t.Fatalf("AS %d draw %d: Place %v, reference %v", a.ASN, i, g, r)
+			}
+		}
 	}
 }
