@@ -101,7 +101,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "environment: seed=%d, %d eligible ASes, %d usable peers, %d crawled peers\n\n",
-		*seed, len(env.Dataset.Order), env.Dataset.TotalPeers, len(env.Crawl.Peers))
+		*seed, len(env.Dataset.Order), env.Dataset.TotalPeers, env.Dataset.CrawledPeers)
 
 	want := func(name string) bool { return *expSel == "all" || *expSel == name }
 	var emitErr error

@@ -12,13 +12,16 @@ import (
 
 // snapDigests pins the SHA-256 of the `.snap` artifact that
 // `eyeballpipe -small -seed 42 -quiet -snapshot out.snap` writes for
-// three builds: a clean one, one under a mixed fault plan, and one that
-// falls back to a single geolocation database (the second locate pass).
-// The artifact holds the crawl's per-AS samples and the geolocated
-// records, so these digests cover the crawl, both geolocation databases
-// and the grouping stage. Any change here changes the dataset and must be
-// deliberate: rerun the build, inspect the difference, and update the
-// table in the same commit.
+// a clean build, one under a mixed fault plan, one that falls back to a
+// single geolocation database (the second locate pass), and the same
+// builds at other worker counts and batch sizes. The artifact holds the
+// crawl's per-AS samples and the geolocated records, so these digests
+// cover the crawl, both geolocation databases and the grouping stage.
+// The worker count never moves a digest; a batch size moves it only
+// through the batch ledger the artifact records (Dataset.Stream). Any
+// change here changes the dataset and must be deliberate: rerun the
+// build, inspect the difference, and update the table in the same
+// commit.
 var snapDigests = []struct {
 	name   string
 	args   []string
@@ -32,6 +35,13 @@ var snapDigests = []struct {
 	{"single-db-fallback", []string{
 		"-faults", "geo-miss-b=0.5", "-max-geo-miss", "0.2", "-single-db-fallback",
 	}, "ffc7e1bff9e7435f2451897f2c7fbdde88fb2c23e0dec083fa5907fd5870dad0"},
+	{"workers-1", []string{"-workers", "1"}, "092e85de65138f71729532a3454e47fd962761b2af4cb1c0ad2a68581c8761a7"},
+	{"batch-7", []string{"-batch", "7"}, "b60f1630382d8e4696d18db8b216df02d9b4750bc7a42a435a7b01ae513a6c7c"},
+	{"batch-larger-than-crawl", []string{"-batch", "100000"}, "f9d6f3758df97f3c81e7bff567b484d97d6bef21397f79d7f2a2b122ac491c5a"},
+	{"faults-batch-7-workers-1", []string{
+		"-faults", "crawl-dup=0.05,geo-miss=0.05,geo-garbage=0.01,geo-nan=0.01,origin-miss=0.05",
+		"-fault-seed", "7", "-batch", "7", "-workers", "1",
+	}, "6dee7cb9ad813cb58a98f7087c775ffc0572f0711e59e7b8bd120ec7adc281f8"},
 }
 
 // TestSnapshotDigests is the gate on the build's output: each pinned

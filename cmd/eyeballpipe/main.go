@@ -10,7 +10,7 @@
 //	            [-footprint ASN] [-footprint-out fp.json] [-footprint-bw KM]
 //	            [-faults spec] [-fault-seed N] [-max-geo-miss F] [-max-origin-miss F]
 //	            [-single-db] [-single-db-fallback]
-//	            [-stream] [-batch N] [-as-sample-cap N]
+//	            [-batch N] [-as-sample-cap N]
 //	            [-quiet] [-metrics out.json|out.prom|-] [-trace] [-pprof :6060]
 //	            [-trace-out build-trace.json]
 //
@@ -19,13 +19,16 @@
 // renders one AS's PoP footprint with the same code path the server's
 // /v1/footprint endpoint uses, so the two outputs are byte-identical.
 //
-// -stream runs the bounded-memory ingestion path: the crawl is generated
-// unit by unit and fed straight into the pipeline, never materialized.
-// Output is bit-identical to the default path (CI diffs the two).
+// The crawl is generated unit by unit and fed straight into the
+// pipeline, never materialized, so peak memory is bounded by the kept
+// users; -batch and -as-sample-cap tune that bound. Output is
+// bit-identical for every -batch and -workers setting (CI diffs them).
 //
 // -trace prints the build's span tree to stderr and -trace-out writes the
 // same tree as canonical JSON: one "eyeballpipe.build" root over
-// "pipeline.run" and its crawl, origin-table and build stages.
+// "pipeline.run" and its origin-table and build stages; the build's
+// "locate" stage records the time spent generating the crawl as
+// "source_ns".
 //
 // SIGINT/SIGTERM cancel the run: the pipeline's workers stop within one
 // work unit, the process exits non-zero, and -metrics still writes a
@@ -75,7 +78,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	maxOriginMiss := fs.Float64("max-origin-miss", 0, "abort the build when the origin-lookup miss fraction exceeds this budget (0 disables)")
 	singleDB := fs.Bool("single-db", false, "run with the primary geolocation database only (no cross-database error estimates; dataset marked degraded)")
 	singleDBFallback := fs.Bool("single-db-fallback", false, "when exactly one database blows the geo budget, retry with the survivor instead of failing")
-	stream := fs.Bool("stream", false, "stream the crawl straight into the pipeline without materializing it (bounded memory; output is bit-identical to the default path)")
 	batch := fs.Int("batch", 0, "peers per streaming ingestion batch (0 = default; bounds transient memory only, output is identical for every setting)")
 	sampleCap := fs.Int("as-sample-cap", 0, "cap per-AS retained samples via a deterministic reservoir + quantile sketch (0 = keep all, exact statistics)")
 	snapPath := fs.String("snapshot", "", "write the built dataset + compiled LPM as a versioned binary serving artifact (eyeballas-snap/1) to this file")
@@ -144,13 +146,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// -trace-out writes it as JSON. IDs derive from -seed, making the
 	// trace's identity — though not its timings — reproducible.
 	buildCtx := traceFlags.Start(ctx, "eyeballpipe.build", *seed, *traceOut != "")
-	var ds *eyeball.Dataset
-	var origins *eyeball.OriginTable
-	if *stream {
-		ds, origins, err = eyeball.BuildTargetDatasetStreamExportCtx(buildCtx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
-	} else {
-		ds, origins, err = eyeball.BuildTargetDatasetExportCtx(buildCtx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
-	}
+	ds, origins, err := eyeball.BuildTargetDatasetCtx(buildCtx, w, eyeball.DefaultCrawlConfig(), cfg, *seed)
 	if terr := traceFlags.Finish(stderr); terr != nil {
 		return terr
 	}

@@ -107,20 +107,20 @@ func TestRunFromSnapshot(t *testing.T) {
 	}
 }
 
-// TestRunStreamIdenticalToBatch: -stream must produce byte-identical
-// stdout to the default materialized path, for any -batch, with and
+// TestRunStreamIdenticalToBatch: the streamed build must produce
+// byte-identical stdout for every -batch and -workers setting, with and
 // without fault injection — the CLI-level face of the bit-identity
 // guarantee the differential harness pins at the package level.
 func TestRunStreamIdenticalToBatch(t *testing.T) {
 	cases := []struct {
 		name   string
 		shared []string // args both runs get (fault plans must match)
-		stream []string // extra args for the streaming run only
+		extra  []string // args for the second run only
 	}{
-		{"default batch", nil, []string{"-stream"}},
-		{"batch 7", nil, []string{"-stream", "-batch", "7"}},
-		{"batch larger than crawl", nil, []string{"-stream", "-batch", "100000"}},
-		{"with faults", []string{"-faults", "geo-miss=0.05,crawl-dup=0.05", "-fault-seed", "7"}, []string{"-stream"}},
+		{"default batch", nil, []string{"-workers", "1"}}, // one worker against all CPUs
+		{"batch 7", nil, []string{"-batch", "7"}},
+		{"batch larger than crawl", nil, []string{"-batch", "100000"}},
+		{"with faults", []string{"-faults", "geo-miss=0.05,crawl-dup=0.05", "-fault-seed", "7"}, []string{"-batch", "7"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,11 +129,11 @@ func TestRunStreamIdenticalToBatch(t *testing.T) {
 			if err := run(context.Background(), base, &ref, io.Discard); err != nil {
 				t.Fatal(err)
 			}
-			if err := run(context.Background(), append(append([]string{}, base...), tc.stream...), &got, io.Discard); err != nil {
+			if err := run(context.Background(), append(append([]string{}, base...), tc.extra...), &got, io.Discard); err != nil {
 				t.Fatal(err)
 			}
 			if ref.String() != got.String() {
-				t.Errorf("-stream output differs from batch:\n--- batch ---\n%s\n--- stream ---\n%s", ref.String(), got.String())
+				t.Errorf("%v output differs from the default:\n--- default ---\n%s\n--- %v ---\n%s", tc.extra, ref.String(), tc.extra, got.String())
 			}
 		})
 	}
@@ -144,7 +144,7 @@ func TestRunStreamIdenticalToBatch(t *testing.T) {
 // retention, not eligibility, when generous).
 func TestRunSampleCap(t *testing.T) {
 	var capped bytes.Buffer
-	if err := run(context.Background(), []string{"-small", "-seed", "5", "-stream", "-as-sample-cap", "100000"}, &capped, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"-small", "-seed", "5", "-as-sample-cap", "100000"}, &capped, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var ref bytes.Buffer

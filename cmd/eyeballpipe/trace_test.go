@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,13 +24,29 @@ type traceDetail struct {
 }
 
 type traceNode struct {
-	Name     string      `json:"name"`
+	Name  string `json:"name"`
+	Attrs []struct {
+		Key string `json:"key"`
+		Val string `json:"val"`
+	} `json:"attrs"`
 	Children []traceNode `json:"children"`
 }
 
+// attr returns the value of the span attribute key, or "".
+func (n traceNode) attr(key string) string {
+	for _, a := range n.Attrs {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return ""
+}
+
 // buildTree is the stage tree one offline build traces: one span per
-// stage, nested as the pipeline runs them.
-const buildTree = "eyeballpipe.build(pipeline.run(crawl,bgp.origin_table(bgp.routing,bgp.ribs),pipeline.build(locate,aggregate,condition)))"
+// stage, nested as the pipeline runs them. The crawl is streamed into
+// the build, so it has no stage of its own: its time is locate's
+// source_ns attribute.
+const buildTree = "eyeballpipe.build(pipeline.run(bgp.origin_table(bgp.routing,bgp.ribs),pipeline.build(locate,aggregate,condition)))"
 
 // shape renders a trace tree's names and nesting as "a(b,c(d))".
 func (n traceNode) shape() string {
@@ -72,9 +90,9 @@ func parseTextTree(t *testing.T, text string) traceNode {
 }
 
 // TestTraceOut: one offline build emits a parseable canonical trace —
-// the eyeballpipe.build root over pipeline.run with crawl, origin-table,
-// and build stages — and the trace ID derives from -seed. -trace prints
-// the same one tree the JSON holds.
+// the eyeballpipe.build root over pipeline.run with origin-table and
+// build stages, locate carrying the crawl's source time — and the trace
+// ID derives from -seed. -trace prints the same one tree the JSON holds.
 func TestTraceOut(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "build-trace.json")
 	var stderr bytes.Buffer
@@ -107,7 +125,11 @@ func TestTraceOut(t *testing.T) {
 		t.Errorf("duration_ns = %d, want positive", d.DurationNS)
 	}
 	if got := d.Root.shape(); got != buildTree {
-		t.Errorf("-trace-out tree\n got %s\nwant %s", got, buildTree)
+		t.Fatalf("-trace-out tree\n got %s\nwant %s", got, buildTree)
+	}
+	locate := d.Root.Children[0].Children[1].Children[0]
+	if ns, err := strconv.ParseInt(locate.attr("source_ns"), 10, 64); err != nil || ns <= 0 {
+		t.Errorf("-trace-out locate source_ns = %q, want a positive duration", locate.attr("source_ns"))
 	}
 	if got := parseTextTree(t, stderr.String()).shape(); got != d.Root.shape() {
 		t.Errorf("-trace and -trace-out disagree\n-trace     %s\n-trace-out %s\nstderr:\n%s", got, d.Root.shape(), stderr.String())
@@ -140,17 +162,20 @@ func TestTraceOut(t *testing.T) {
 	}
 }
 
-// TestTraceStream: the streaming build never materializes a crawl, so
-// its -trace tree is the batch tree minus the crawl stage.
+// TestTraceStream: the build streams the crawl and never materializes
+// it, so the -trace tree has no crawl stage, and the locate line carries
+// the crawl's source time instead.
 func TestTraceStream(t *testing.T) {
 	var stderr bytes.Buffer
 	if err := run(context.Background(),
-		[]string{"-small", "-seed", "5", "-quiet", "-trace", "-stream"},
+		[]string{"-small", "-seed", "5", "-quiet", "-trace"},
 		io.Discard, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	want := strings.Replace(buildTree, "crawl,", "", 1)
-	if got := parseTextTree(t, stderr.String()).shape(); got != want {
-		t.Errorf("-stream -trace tree\n got %s\nwant %s\nstderr:\n%s", got, want, stderr.String())
+	if got := parseTextTree(t, stderr.String()).shape(); got != buildTree {
+		t.Errorf("-trace tree\n got %s\nwant %s\nstderr:\n%s", got, buildTree, stderr.String())
+	}
+	if !regexp.MustCompile(`(?m)^ +locate .*\bsource_ns=[1-9]`).MatchString(stderr.String()) {
+		t.Errorf("-trace locate line lacks source_ns:\n%s", stderr.String())
 	}
 }

@@ -60,54 +60,19 @@ type (
 	DegradationResult = experiments.Degradation
 )
 
-// NewExperiments generates the full-scale experimental environment
-// (world, crawls, geolocation, BGP, reference lists, IXP data,
-// traceroutes) from one seed.
-func NewExperiments(seed uint64) (*Experiments, error) {
-	return experiments.NewEnv(seed, experiments.ScaleDefault)
-}
-
-// NewSmallExperiments is NewExperiments at test scale.
+// NewSmallExperiments generates the test-scale experimental environment
+// from one seed.
 func NewSmallExperiments(seed uint64) (*Experiments, error) {
 	return experiments.NewEnv(seed, experiments.ScaleSmall)
 }
 
-// NewExperimentsObs is NewExperiments with an observability registry
-// threaded through every stage (crawl metrics, pipeline funnel, BGP and
-// KDE instrumentation). A nil registry is the
-// disabled state; the environment is identical either way.
-func NewExperimentsObs(seed uint64, reg *Registry) (*Experiments, error) {
-	return experiments.NewEnvObs(seed, experiments.ScaleDefault, reg)
-}
-
-// NewSmallExperimentsObs is NewExperimentsObs at test scale.
-func NewSmallExperimentsObs(seed uint64, reg *Registry) (*Experiments, error) {
-	return experiments.NewEnvObs(seed, experiments.ScaleSmall, reg)
-}
-
-// NewPaperScaleExperiments is NewExperiments at the paper's population
-// (1233 eyeball ASes, the literal 1000-peer floor); runs take minutes.
-func NewPaperScaleExperiments(seed uint64) (*Experiments, error) {
-	return experiments.NewPaperScaleEnv(seed)
-}
-
-// NewPaperScaleExperimentsObs is NewPaperScaleExperiments with an
-// observability registry.
-func NewPaperScaleExperimentsObs(seed uint64, reg *Registry) (*Experiments, error) {
-	return experiments.NewPaperScaleEnvObs(seed, reg)
-}
-
-// NewExperimentsWithWorld builds the environment over an existing world
-// (e.g. one loaded from a snapshot with LoadWorld).
-func NewExperimentsWithWorld(w *World, seed uint64, cfg PipelineConfig) (*Experiments, error) {
-	return experiments.NewEnvWithWorld(w, seed, cfg)
-}
-
-// NewExperimentsCtx is NewExperimentsObs with a cancellation context —
+// NewExperimentsCtx generates the full-scale experimental environment
+// (world, crawls, geolocation, BGP, reference lists, IXP data,
+// traceroutes) from one seed. reg instruments every stage, ctx cancels
 // every worker pool, crawl, and pipeline rebuild the experiments launch
-// observes it (nil means context.Background()) — and an optional
-// fault-injection plan threaded into the pipeline build. A nil plan is
-// the unfaulted, bit-identical default.
+// (nil means context.Background()), and plan injects faults into the
+// pipeline build; a nil registry or plan leaves the environment
+// bit-identical.
 func NewExperimentsCtx(ctx context.Context, seed uint64, reg *Registry, plan *FaultPlan, opts ...ExperimentsOption) (*Experiments, error) {
 	return experiments.NewEnvCtx(ctx, seed, experiments.ScaleDefault, reg, plan, opts...)
 }
@@ -118,7 +83,8 @@ func NewSmallExperimentsCtx(ctx context.Context, seed uint64, reg *Registry, pla
 }
 
 // NewPaperScaleExperimentsCtx is NewExperimentsCtx at the paper's
-// population.
+// population (1233 eyeball ASes, the literal 1000-peer floor); runs take
+// minutes.
 func NewPaperScaleExperimentsCtx(ctx context.Context, seed uint64, reg *Registry, plan *FaultPlan, opts ...ExperimentsOption) (*Experiments, error) {
 	return experiments.NewPaperScaleEnvCtx(ctx, seed, reg, plan, opts...)
 }
@@ -132,12 +98,8 @@ type ExperimentsOption = experiments.EnvOption
 // the knob bounds transient memory only).
 func WithBatchSize(n int) ExperimentsOption { return experiments.WithBatchSize(n) }
 
-// WithMaxSamplesPerAS caps per-AS sample retention in the environment's
-// pipeline build (deterministic reservoir + quantile sketch; 0 keeps
-// every sample).
-func WithMaxSamplesPerAS(n int) ExperimentsOption { return experiments.WithMaxSamplesPerAS(n) }
-
-// NewExperimentsWithWorldCtx is NewExperimentsWithWorld with a
+// NewExperimentsWithWorldCtx builds the environment over an existing
+// world (e.g. one loaded from a snapshot with LoadWorld), with a
 // cancellation context stored on the environment. Fault injection is
 // configured through cfg.Faults.
 func NewExperimentsWithWorldCtx(ctx context.Context, w *World, seed uint64, cfg PipelineConfig) (*Experiments, error) {

@@ -158,33 +158,21 @@ func BuildTargetDataset(w *World, seed uint64) (*Dataset, error) {
 	return ds, err
 }
 
-// BuildTargetDatasetWithConfig is BuildTargetDataset with explicit crawl
-// and conditioning parameters.
-func BuildTargetDatasetWithConfig(w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, error) {
-	ds, _, err := pipeline.Run(context.Background(), w, crawlCfg, cfg, seed)
-	return ds, err
-}
-
-// BuildTargetDatasetCtx is BuildTargetDatasetWithConfig with a
-// cancellation context: crawl, geolocation workers, and conditioning all
-// stop within one work unit of ctx being cancelled, returning ctx.Err().
-func BuildTargetDatasetCtx(ctx context.Context, w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, error) {
-	ds, _, err := pipeline.Run(ctx, w, crawlCfg, cfg, seed)
-	return ds, err
-}
-
-// BuildTargetDatasetStreamCtx is BuildTargetDatasetCtx on the streaming
-// ingestion engine: the crawl is generated unit by unit and fed straight
-// into the pipeline, so no peer slice is ever materialized and peak
-// memory is bounded by the kept users (plus cfg.BatchSize transient
-// state), not the crawl size. The dataset is bit-identical to
-// BuildTargetDatasetCtx's for the same inputs.
-func BuildTargetDatasetStreamCtx(ctx context.Context, w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, error) {
-	return pipeline.RunStream(ctx, w, crawlCfg, cfg, seed)
+// BuildTargetDatasetCtx is BuildTargetDataset with explicit crawl and
+// conditioning parameters and a cancellation context: crawl, geolocation
+// workers, and conditioning all stop within one work unit of ctx being
+// cancelled, returning ctx.Err(). The crawl is generated unit by unit and
+// fed straight into the pipeline, so peak memory is bounded by the kept
+// users (plus cfg.BatchSize transient state), not the crawl size. It also
+// returns the origin table the build resolved peers against — the input
+// WriteDatasetSnapshot needs, beside the dataset, to produce a serving
+// artifact carrying the exact LPM the dataset was conditioned with.
+func BuildTargetDatasetCtx(ctx context.Context, w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, *OriginTable, error) {
+	return pipeline.Run(ctx, w, crawlCfg, cfg, seed)
 }
 
 // CrawlPeerSource returns the replayable streaming source of the three
-// simulated crawls — the same peer sequence BuildTargetDataset* consume
+// simulated crawls — the same peer sequence BuildTargetDataset consumes
 // for this (world, crawlCfg, seed) — for callers that want to pump peers
 // through pipeline ingestion or export themselves.
 func CrawlPeerSource(w *World, crawlCfg CrawlConfig, seed uint64) PeerSource {
@@ -199,17 +187,9 @@ func WriteCrawlPeers(ctx context.Context, out io.Writer, w *World, crawlCfg Craw
 	return p2p.WritePeers(ctx, out, CrawlPeerSource(w, crawlCfg, seed))
 }
 
-// PeerFileSource reads a peers file written by WriteCrawlPeers; feed it
-// to BuildTargetDatasetFromSourceCtx to run the pipeline over
-// pre-crawled data at bounded memory.
+// PeerFileSource reads a peers file written by WriteCrawlPeers as a
+// replayable peer source.
 func PeerFileSource(path string) PeerSource { return p2p.FileSource(path) }
-
-// BuildTargetDatasetFromSourceCtx runs pipeline steps 2–4 over an
-// arbitrary replayable peer source against the world's databases and BGP
-// tables — the fully streaming Build entry point.
-func BuildTargetDatasetFromSourceCtx(ctx context.Context, w *World, src PeerSource, cfg PipelineConfig) (*Dataset, error) {
-	return pipeline.BuildFromSource(ctx, w, src, cfg)
-}
 
 // EstimateFootprint runs the paper's §3–§4 procedure for one AS's
 // samples against the world's geography.
@@ -284,29 +264,15 @@ type RIB = bgp.RIB
 type OriginTable = bgp.OriginTable
 
 // DatasetSnapshot is a versioned binary serving artifact: a conditioned
-// dataset plus the compiled origin table it was built with, in the
-// deterministic "eyeballas-snap/1" format. Write one with
-// WriteDatasetSnapshot and serve it with cmd/eyeballserve.
+// dataset plus the compiled origin table it was built with (both from
+// BuildTargetDatasetCtx), in the deterministic "eyeballas-snap/1"
+// format. Write one with WriteDatasetSnapshot and serve it with
+// cmd/eyeballserve.
 type DatasetSnapshot = snapshot.Snapshot
 
 // SnapshotMeta is a snapshot artifact's provenance record (seed +
 // label; deliberately no timestamps, so artifacts are byte-stable).
 type SnapshotMeta = snapshot.Meta
-
-// BuildTargetDatasetExportCtx is BuildTargetDatasetCtx plus the origin
-// table the build resolved peers against — the inputs WriteDatasetSnapshot
-// needs to produce a serving artifact carrying the exact LPM the dataset
-// was conditioned with.
-func BuildTargetDatasetExportCtx(ctx context.Context, w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, *OriginTable, error) {
-	ds, _, origins, err := pipeline.RunExport(ctx, w, crawlCfg, cfg, seed)
-	return ds, origins, err
-}
-
-// BuildTargetDatasetStreamExportCtx is the streaming counterpart of
-// BuildTargetDatasetExportCtx (bounded memory, bit-identical dataset).
-func BuildTargetDatasetStreamExportCtx(ctx context.Context, w *World, crawlCfg CrawlConfig, cfg PipelineConfig, seed uint64) (*Dataset, *OriginTable, error) {
-	return pipeline.RunStreamExport(ctx, w, crawlCfg, cfg, seed)
-}
 
 // WriteDatasetSnapshot serializes a snapshot artifact. The bytes are a
 // pure function of the contents: the same dataset and origin table

@@ -44,10 +44,10 @@ func RunCrawlQuality(env *Env, scales []float64) (*CrawlQuality, error) {
 	if len(scales) == 0 {
 		scales = []float64{1.0, 0.5, 0.25, 0.1}
 	}
-	pipeCfg := pipeline.DefaultConfig()
-	if len(env.Dataset.Order) < 100 {
-		pipeCfg.MinPeers = 60
-	}
+	// The environment's own thresholds, unfaulted; rebuilds are not part
+	// of the run's funnel.
+	pipeCfg := env.PipeCfg
+	pipeCfg.Obs, pipeCfg.Faults = nil, nil
 	out := &CrawlQuality{Scales: scales}
 	datasets := make([]*pipeline.Dataset, len(scales))
 	for si, scale := range scales {
@@ -56,14 +56,14 @@ func RunCrawlQuality(env *Env, scales []float64) (*CrawlQuality, error) {
 		}
 		crawlCfg := p2p.DefaultConfig()
 		crawlCfg.Scale *= scale
-		ds, crawl, err := pipeline.Run(env.ctx(), env.World, crawlCfg, pipeCfg, env.Seed+7777)
+		ds, _, err := pipeline.Run(env.ctx(), env.World, crawlCfg, pipeCfg, env.Seed+7777)
 		if err != nil {
 			return nil, err
 		}
 		datasets[si] = ds
 		out.Rows = append(out.Rows, CrawlQualityRow{
 			Scale:        scale,
-			CrawledPeers: len(crawl.Peers),
+			CrawledPeers: ds.CrawledPeers,
 			EligibleASes: len(ds.Order),
 			UsablePeers:  ds.TotalPeers,
 		})

@@ -40,14 +40,13 @@ type Env struct {
 	Seed      uint64
 	World     *astopo.World
 	Routing   *bgp.Routing
-	Crawl     *p2p.Crawl
 	Dataset   *pipeline.Dataset
 	Reference *refdata.Reference
 	IXPData   *ixp.Dataset
 	Traces    []traceroute.Trace
 	// PipeCfg is the pipeline configuration the Dataset was built with,
-	// kept so experiments that rebuild the pipeline (stability,
-	// degradation) reuse the same thresholds.
+	// kept so experiments that rebuild the pipeline (stability, crawl
+	// quality, degradation) reuse the same thresholds.
 	PipeCfg pipeline.Config
 	// Ctx, when non-nil, cancels every experiment runner's worker pools
 	// and pipeline rebuilds (the CLIs set it to their signal context),
@@ -76,31 +75,19 @@ func WithBatchSize(n int) EnvOption {
 	return func(c *pipeline.Config) { c.BatchSize = n }
 }
 
-// WithMaxSamplesPerAS caps per-AS sample retention (pipeline
-// Config.MaxSamplesPerAS): reservoir samples plus sketch-backed P90
-// statistics at bounded memory. 0 keeps every sample.
-func WithMaxSamplesPerAS(n int) EnvOption {
-	return func(c *pipeline.Config) { c.MaxSamplesPerAS = n }
-}
-
 // NewEnv generates the full experimental environment.
 func NewEnv(seed uint64, scale Scale) (*Env, error) {
-	return NewEnvObs(seed, scale, nil)
+	return NewEnvCtx(nil, seed, scale, nil, nil)
 }
 
-// NewEnvObs is NewEnv with an observability registry threaded through
-// every stage (crawl/pipeline metrics and funnel, BGP and KDE metrics).
-// A nil registry is the disabled state and changes nothing about the
-// generated environment.
-func NewEnvObs(seed uint64, scale Scale, reg *obs.Registry) (*Env, error) {
-	return NewEnvCtx(nil, seed, scale, reg, nil)
-}
-
-// NewEnvCtx is NewEnvObs with a cancellation context stored on the
-// environment — every worker pool, crawl, and pipeline rebuild the
-// experiments launch observes it (nil means context.Background()) —
-// and an optional fault-injection plan threaded into the pipeline
-// build. A nil plan is the unfaulted, bit-identical default.
+// NewEnvCtx is NewEnv with an observability registry threaded through
+// every stage (crawl/pipeline metrics and funnel, BGP and KDE metrics;
+// nil disables them and changes nothing about the environment), a
+// cancellation context stored on the environment — every worker pool,
+// crawl, and pipeline rebuild the experiments launch observes it (nil
+// means context.Background()) — and an optional fault-injection plan
+// threaded into the pipeline build. A nil plan is the unfaulted,
+// bit-identical default.
 func NewEnvCtx(ctx context.Context, seed uint64, scale Scale, reg *obs.Registry, plan *faults.Plan, opts ...EnvOption) (*Env, error) {
 	var cfg astopo.Config
 	var pipeCfg pipeline.Config
@@ -129,21 +116,9 @@ func NewEnvCtx(ctx context.Context, seed uint64, scale Scale, reg *obs.Registry,
 	return NewEnvWithWorldCtx(ctx, w, seed, pipeCfg)
 }
 
-// NewPaperScaleEnv generates the environment at the paper's population
-// (1233 eyeball ASes, the literal 1000-peer floor). A full run takes a
-// few minutes and several GB.
-func NewPaperScaleEnv(seed uint64) (*Env, error) {
-	return NewPaperScaleEnvObs(seed, nil)
-}
-
-// NewPaperScaleEnvObs is NewPaperScaleEnv with an observability
-// registry.
-func NewPaperScaleEnvObs(seed uint64, reg *obs.Registry) (*Env, error) {
-	return NewPaperScaleEnvCtx(nil, seed, reg, nil)
-}
-
-// NewPaperScaleEnvCtx is NewPaperScaleEnvObs with a cancellation
-// context stored on the environment and an optional fault plan.
+// NewPaperScaleEnvCtx is NewEnvCtx at the paper's population (1233
+// eyeball ASes, the literal 1000-peer floor). A full run takes a few
+// minutes and several GB.
 func NewPaperScaleEnvCtx(ctx context.Context, seed uint64, reg *obs.Registry, plan *faults.Plan, opts ...EnvOption) (*Env, error) {
 	genSpan := trace.FromContext(ctx).Child("experiments.generate_world")
 	w, err := astopo.Generate(astopo.PaperConfig(seed))
@@ -160,15 +135,10 @@ func NewPaperScaleEnvCtx(ctx context.Context, seed uint64, reg *obs.Registry, pl
 	return NewEnvWithWorldCtx(ctx, w, seed, pipeCfg)
 }
 
-// NewEnvWithWorld builds the measurement environment over an existing
-// world — typically one loaded from a snapshot — with explicit
-// conditioning thresholds.
-func NewEnvWithWorld(w *astopo.World, seed uint64, pipeCfg pipeline.Config) (*Env, error) {
-	return NewEnvWithWorldCtx(nil, w, seed, pipeCfg)
-}
-
-// NewEnvWithWorldCtx is NewEnvWithWorld with a cancellation context
-// stored on the environment (nil means context.Background()).
+// NewEnvWithWorldCtx builds the measurement environment over an
+// existing world — typically one loaded from a snapshot — with explicit
+// conditioning thresholds and a cancellation context stored on the
+// environment (nil means context.Background()).
 func NewEnvWithWorldCtx(ctx context.Context, w *astopo.World, seed uint64, pipeCfg pipeline.Config) (*Env, error) {
 	span := trace.FromContext(ctx).Child("experiments.env")
 	defer span.End()
@@ -177,7 +147,7 @@ func NewEnvWithWorldCtx(ctx context.Context, w *astopo.World, seed uint64, pipeC
 	env.Routing = bgp.ComputeRouting(w)
 	routingSpan.End()
 	var err error
-	env.Dataset, env.Crawl, err = pipeline.Run(trace.NewContext(env.ctx(), span), w, p2p.DefaultConfig(), pipeCfg, seed)
+	env.Dataset, _, err = pipeline.Run(trace.NewContext(env.ctx(), span), w, p2p.DefaultConfig(), pipeCfg, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -29,8 +29,8 @@ func sharedEnv(t *testing.T) *Env {
 
 func TestNewEnvComplete(t *testing.T) {
 	env := sharedEnv(t)
-	if env.World == nil || env.Routing == nil || env.Crawl == nil ||
-		env.Dataset == nil || env.Reference == nil || env.IXPData == nil {
+	if env.World == nil || env.Routing == nil || env.Dataset == nil ||
+		env.Reference == nil || env.IXPData == nil {
 		t.Fatal("environment incomplete")
 	}
 	if len(env.Traces) == 0 {

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"eyeballas/internal/astopo"
+	"eyeballas/internal/p2p"
+	"eyeballas/internal/pipeline"
 )
 
 func TestMultiScaleExperiment(t *testing.T) {
@@ -223,4 +228,53 @@ func TestCrawlQualityExperiment(t *testing.T) {
 	if !strings.Contains(cq.Render(), "sensitivity") {
 		t.Error("render malformed")
 	}
+}
+
+// TestRebuildsUseEnvPeerFloor: the stability and crawl-quality rebuilds
+// condition with the environment's own thresholds, so a floor the
+// environment was built with (e.g. the paper's 1000 under -paper) holds
+// in every rebuild too.
+func TestRebuildsUseEnvPeerFloor(t *testing.T) {
+	e := *sharedEnv(t)
+	e.PipeCfg.MinPeers = 90
+	cfg := e.PipeCfg
+	cfg.Obs, cfg.Faults = nil, nil
+	eligible := func(seed uint64) map[astopo.ASN]bool {
+		t.Helper()
+		ds, _, err := pipeline.Run(context.Background(), e.World, p2p.DefaultConfig(), cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[astopo.ASN]bool, len(ds.Order))
+		for _, asn := range ds.Order {
+			out[asn] = true
+		}
+		return out
+	}
+
+	t.Run("crawl-quality", func(t *testing.T) {
+		cq, err := RunCrawlQuality(&e, []float64{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cq.Rows[0].EligibleASes, len(eligible(e.Seed+7777)); got != want {
+			t.Errorf("rebuild kept %d eligible ASes, a build at the environment's floor keeps %d", got, want)
+		}
+	})
+	t.Run("stability", func(t *testing.T) {
+		st, err := RunStability(&e, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, second := eligible(e.Seed+1000), eligible(e.Seed+1001)
+		common := 0
+		for asn := range first {
+			if second[asn] {
+				common++
+			}
+		}
+		if st.CommonAS != common {
+			t.Errorf("rebuilds share %d eligible ASes, builds at the environment's floor share %d", st.CommonAS, common)
+		}
+	})
 }

@@ -38,12 +38,11 @@ func RunStability(env *Env, months int) (*Stability, error) {
 		return nil, fmt.Errorf("experiments: need >= 2 months, got %d", months)
 	}
 	// Re-run the pipeline per month with a distinct crawl seed. The
-	// world — the geography — is fixed; only sampling varies.
-	pipeCfg := pipeline.DefaultConfig()
-	if len(env.Dataset.Order) < 100 {
-		// Match the scale the env was built at.
-		pipeCfg.MinPeers = 60
-	}
+	// world — the geography — is fixed; only sampling varies. The
+	// rebuilds keep the environment's thresholds, unfaulted, outside the
+	// run's funnel.
+	pipeCfg := env.PipeCfg
+	pipeCfg.Obs, pipeCfg.Faults = nil, nil
 	datasets := make([]*pipeline.Dataset, months)
 	for m := 0; m < months; m++ {
 		ds, _, err := pipeline.Run(env.ctx(), env.World, p2p.DefaultConfig(), pipeCfg, env.Seed+uint64(1000+m))

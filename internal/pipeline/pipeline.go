@@ -337,19 +337,19 @@ func tally(results []located) passCounts {
 // on all CPUs; aggregation preserves crawl order, keeping the result
 // byte-identical to a sequential run.
 //
-// Since the streaming refactor, Build is a thin wrapper over
-// BuildStream on an in-memory stream of the crawl's peers — one
-// ingestion engine serves both shapes, and the differential harness in
-// stream_diff_test.go proves it bit-identical to the frozen batch
-// reference (buildBatch) for every batch size, worker count, and fault
-// plan.
+// Build is a thin wrapper over BuildStream on an in-memory stream of the
+// crawl's peers, kept for the benchmark's layer-by-layer build and for
+// tests; the differential harness in stream_diff_test.go proves it
+// bit-identical to the frozen batch reference (buildBatch) for every
+// batch size, worker count, and fault plan.
 //
-// origins is any bgp.Resolver; Run passes a *bgp.OriginTable, whose
-// lookups are served from the compiled flat LPM form. The interface keeps
-// the trie reference path substitutable for differential testing. If
-// origins additionally implements bgp.CheckedResolver, the checked path
-// is used and a lookup error aborts the build (propagated out of the
-// worker pool with lowest-index-wins semantics).
+// origins is any bgp.Resolver; the whole-run entry points pass a
+// *bgp.OriginTable, whose lookups are served from the compiled flat LPM
+// form. The interface keeps the trie reference path substitutable for
+// differential testing. If origins additionally implements
+// bgp.CheckedResolver, the checked path is used and a lookup error
+// aborts the build (propagated out of the worker pool with
+// lowest-index-wins semantics).
 //
 // ctx cancels the build at worker-pool block boundaries (nil means
 // context.Background()). On any failure — cancellation, lookup error,
@@ -759,67 +759,79 @@ func condition(ctx context.Context, ds *Dataset, cfg Config, stCond *obs.Stage, 
 	return ds, nil
 }
 
-// Run executes the entire methodology from a world: crawl, build the BGP
-// origin tables from three vantage tier-1s, and condition the dataset.
-// It is the one-call entry point used by the examples and experiments.
+// Run executes the entire methodology from a world: it builds the BGP
+// origin tables from three vantage tier-1s, then streams the generated
+// crawl unit by unit into BuildStream and conditions the dataset. No
+// crawl is ever materialized, so peak memory is bounded by the kept
+// users (plus cfg.BatchSize transient state), not the crawl size. Run
+// also returns the compiled origin table the build resolved peers
+// against, so a serving artifact carries the exact LPM the dataset was
+// conditioned with instead of a re-derived one.
 //
 // ctx cancels the run between crawl units, at RIB-construction
-// boundaries, and at the build's block boundaries (nil means
+// boundaries, and at the build's batch boundaries (nil means
 // context.Background()). cfg.Faults, when set, is injected into the
 // crawl as well as the build, so one plan drives every ingestion
 // boundary.
-func Run(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, *p2p.Crawl, error) {
-	ds, crawl, _, err := RunExport(ctx, w, crawlCfg, cfg, crawlSeed)
-	return ds, crawl, err
+func Run(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, *bgp.OriginTable, error) {
+	return runFrom(ctx, w, CrawlSource(w, crawlConfig(crawlCfg, cfg), crawlSeed), cfg)
 }
 
-// RunExport is Run plus the compiled origin table the build resolved
-// peers against — the export hook the snapshot writer uses, so the
-// serving artifact carries the exact LPM the dataset was conditioned
-// with instead of a re-derived one.
+// RunExport is Run over a materialized crawl: it collects the whole
+// crawl first, at O(crawled peers) memory, and returns it alongside the
+// dataset and origin table. No production path calls it. It is the
+// reference the benchmark's layer-by-layer build (p2p.Run, then Build)
+// is pinned against, and the one tests compare Run with.
 func RunExport(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, *p2p.Crawl, *bgp.OriginTable, error) {
-	ctx, span := startRun(ctx)
-	defer span.End()
-	if crawlCfg.Obs == nil {
-		crawlCfg.Obs = cfg.Obs
-	}
-	if crawlCfg.Faults == nil {
-		crawlCfg.Faults = cfg.Faults
-	}
-	crawlSpan := span.Child("crawl")
-	crawl, err := p2p.Run(ctx, w, crawlCfg, seedSource(crawlSeed))
-	crawlSpan.End()
+	crawl, err := p2p.Run(ctx, w, crawlConfig(crawlCfg, cfg), seedSource(crawlSeed))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	origins, err := originTable(ctx, w, cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ds, err := Build(ctx, crawl, geodb.NewGeoCity(w), geodb.NewIPLoc(w), origins, cfg)
+	ds, origins, err := runFrom(ctx, w, p2p.SlicePeers(crawl.Peers), cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return ds, crawl, origins, nil
 }
 
-// startRun opens the "pipeline.run" span under the trace ctx carries
-// (nil, and ctx unchanged, when it carries none) and rebinds ctx to it,
-// so the crawl, origin-table and build stages nest under the run.
-func startRun(ctx context.Context) (context.Context, *trace.Span) {
+// crawlConfig defaults the crawl's registry and fault plan to the
+// build's.
+func crawlConfig(crawlCfg p2p.Config, cfg Config) p2p.Config {
+	if crawlCfg.Obs == nil {
+		crawlCfg.Obs = cfg.Obs
+	}
+	if crawlCfg.Faults == nil {
+		crawlCfg.Faults = cfg.Faults
+	}
+	return crawlCfg
+}
+
+// runFrom is Run's body over any replayable peer source: the origin
+// tables, then BuildStream. It opens "pipeline.run" under the trace ctx
+// carries (none when it carries none) and nests both stages under it.
+func runFrom(ctx context.Context, w *astopo.World, src p2p.PeerSource, cfg Config) (*Dataset, *bgp.OriginTable, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	span := trace.FromContext(ctx).Child("pipeline.run")
-	return trace.NewContext(ctx, span), span
+	defer span.End()
+	ctx = trace.NewContext(ctx, span)
+	origins, err := originTable(ctx, w, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	ds, err := BuildStream(ctx, src, geodb.NewGeoCity(w), geodb.NewIPLoc(w), origins, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds, origins, nil
 }
 
 // originTable computes policy routing and builds the origin table from
-// the world's three tier-1 vantage RIBs — the shared back half of Run
-// and RunStream — under a "bgp.origin_table" span with "bgp.routing"
-// and "bgp.ribs" children. Per-vantage RIB construction is independent;
-// fan it out, keeping the vantage order (and thus the origin table)
-// fixed.
+// the world's three tier-1 vantage RIBs under a "bgp.origin_table" span
+// with "bgp.routing" and "bgp.ribs" children. Per-vantage RIB
+// construction is independent; fan it out, keeping the vantage order
+// (and thus the origin table) fixed.
 func originTable(ctx context.Context, w *astopo.World, cfg Config) (*bgp.OriginTable, error) {
 	span := trace.FromContext(ctx).Child("bgp.origin_table")
 	defer span.End()

@@ -26,7 +26,7 @@ var sharedSetup = sync.OnceValues(func() (*sharedEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, crawl, err := Run(context.Background(), w, p2p.DefaultConfig(), DefaultConfig(), 71)
+	ds, crawl, _, err := RunExport(context.Background(), w, p2p.DefaultConfig(), DefaultConfig(), 71)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/bgp"
@@ -17,7 +18,7 @@ import (
 )
 
 // BuildStream runs steps 2–4 of the methodology over a peer stream —
-// the bounded-memory ingestion engine behind Build.
+// the bounded-memory ingestion engine behind Run and Build.
 //
 // Peers are consumed in fixed-size batches (cfg.BatchSize) through the
 // worker pool: per-batch locate verdicts are index-addressed, then
@@ -41,7 +42,9 @@ import (
 // same as the batch path's; Dataset.Stream additionally reports the
 // engine's deterministic memory accounting. When ctx carries a trace,
 // the build opens "pipeline.build" under it with "locate", "aggregate"
-// and "condition" stage children.
+// and "condition" stage children; "locate" records the time its pass
+// spent inside the source (crawl generation, file decoding) as
+// "source_ns".
 func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, origins bgp.Resolver, cfg Config) (*Dataset, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -87,7 +90,7 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 
 	agg := newStreamAgg(cfg)
 	locSpan := span.Child("locate")
-	err := streamPass(ctx, src, dbA, secondary, origins, checked, cfg, wp, lookupsC, agg)
+	err := streamPass(ctx, locSpan, src, dbA, secondary, origins, checked, cfg, wp, lookupsC, agg)
 	locSpan.SetInt("crawled", int64(agg.crawled))
 	locSpan.End()
 	if err != nil {
@@ -123,7 +126,7 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 			}
 			fbSpan := span.Child("locate_single_db_fallback")
 			agg = newStreamAgg(cfg)
-			err = streamPass(ctx, src, survivor, nil, origins, checked, cfg, wp, lookupsC, agg)
+			err = streamPass(ctx, fbSpan, src, survivor, nil, origins, checked, cfg, wp, lookupsC, agg)
 			fbSpan.End()
 			if err != nil {
 				return nil, err
@@ -199,11 +202,17 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 // streamPass drives one full locate pass over a freshly opened stream,
 // folding every batch into agg. It is the streaming analogue of
 // runLocate + the aggregation loop, fused so no crawl-sized state ever
-// exists.
-func streamPass(ctx context.Context, src p2p.PeerSource, primary, secondary *geodb.DB, origins bgp.Resolver, checked bgp.CheckedResolver, cfg Config, wp *faults.Injector, lookupsC *obs.Counter, agg *streamAgg) error {
+// exists. A non-nil span receives the pass's time inside the source as
+// "source_ns"; with a nil span no clock is read.
+func streamPass(ctx context.Context, span *trace.Span, src p2p.PeerSource, primary, secondary *geodb.DB, origins bgp.Resolver, checked bgp.CheckedResolver, cfg Config, wp *faults.Injector, lookupsC *obs.Counter, agg *streamAgg) error {
 	st, err := src.Stream(ctx)
 	if err != nil {
 		return err
+	}
+	if span != nil {
+		timed := &timedStream{st: st}
+		defer func() { span.SetInt("source_ns", int64(timed.spent)) }()
+		st = timed
 	}
 	return parallel.Batched(ctx, cfg.Workers, cfg.BatchSize,
 		func(buf []p2p.Peer) (int, error) { return st.Next(buf) },
@@ -216,6 +225,19 @@ func streamPass(ctx context.Context, src p2p.PeerSource, primary, secondary *geo
 		func(batch []p2p.Peer, results []located) error {
 			return agg.fold(batch, results, lookupsC)
 		})
+}
+
+// timedStream adds the time spent in the wrapped stream's Next to spent.
+type timedStream struct {
+	st    p2p.PeerStream
+	spent time.Duration
+}
+
+func (t *timedStream) Next(buf []p2p.Peer) (int, error) {
+	start := time.Now()
+	n, err := t.st.Next(buf)
+	t.spent += time.Since(start)
+	return n, err
 }
 
 // asAcc is the streaming per-AS accumulator of a capped
@@ -364,58 +386,9 @@ func (g *streamAgg) finish(ds *Dataset, cfg Config) {
 	}
 }
 
-// CrawlSource returns the generative peer source Run and RunStream
-// consume for (w, crawlCfg, crawlSeed) — exposed so callers can export
-// (p2p.WritePeers) or re-ingest the exact crawl sequence of a seed.
+// CrawlSource returns the generative peer source Run consumes for (w,
+// crawlCfg, crawlSeed) — exposed so callers can export (p2p.WritePeers)
+// or re-ingest the exact crawl sequence of a seed.
 func CrawlSource(w *astopo.World, crawlCfg p2p.Config, crawlSeed uint64) p2p.PeerSource {
 	return p2p.NewCrawlSource(w, crawlCfg, seedSource(crawlSeed))
-}
-
-// BuildFromSource runs steps 2–4 over an arbitrary replayable peer
-// source, deriving the geolocation databases and BGP origin tables from
-// the world — the streaming entry point for pre-crawled (e.g.
-// file-backed) peers. The peers must come from the same world.
-func BuildFromSource(ctx context.Context, w *astopo.World, src p2p.PeerSource, cfg Config) (*Dataset, error) {
-	ctx, span := startRun(ctx)
-	defer span.End()
-	origins, err := originTable(ctx, w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return BuildStream(ctx, src, geodb.NewGeoCity(w), geodb.NewIPLoc(w), origins, cfg)
-}
-
-// RunStream is Run's streaming counterpart: crawl, origin tables, and
-// conditioning with the crawl generated unit by unit and fed straight
-// into BuildStream — no *p2p.Crawl is ever materialized, so the run's
-// peak memory is bounded by kept users, not crawl size. The dataset is
-// bit-identical to Run's for the same inputs (Run itself drains the
-// same generative source).
-func RunStream(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, error) {
-	ds, _, err := RunStreamExport(ctx, w, crawlCfg, cfg, crawlSeed)
-	return ds, err
-}
-
-// RunStreamExport is RunStream plus the compiled origin table the build
-// resolved peers against — the streaming counterpart of RunExport, used
-// by the snapshot writer.
-func RunStreamExport(ctx context.Context, w *astopo.World, crawlCfg p2p.Config, cfg Config, crawlSeed uint64) (*Dataset, *bgp.OriginTable, error) {
-	ctx, span := startRun(ctx)
-	defer span.End()
-	if crawlCfg.Obs == nil {
-		crawlCfg.Obs = cfg.Obs
-	}
-	if crawlCfg.Faults == nil {
-		crawlCfg.Faults = cfg.Faults
-	}
-	origins, err := originTable(ctx, w, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	src := p2p.NewCrawlSource(w, crawlCfg, seedSource(crawlSeed))
-	ds, err := BuildStream(ctx, src, geodb.NewGeoCity(w), geodb.NewIPLoc(w), origins, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ds, origins, nil
 }

@@ -68,7 +68,7 @@ func TestStreamDiffMatrix(t *testing.T) {
 	// A 20k-peer prefix keeps the degenerate batch=1 sweeps fast; every
 	// differential property (drops, dedup, app counting, conditioning)
 	// is exercised identically, and the full crawl is covered by the
-	// RunStream and fallback tests.
+	// Run and fallback tests.
 	baseCrawl := fullCrawl
 	if len(baseCrawl.Peers) > 20000 {
 		baseCrawl = &p2p.Crawl{Peers: fullCrawl.Peers[:20000]}
@@ -206,10 +206,11 @@ func TestStreamDiffSingleDBMode(t *testing.T) {
 	assertFunnelsIdentical(t, "single-db", ref, got)
 }
 
-// TestRunStreamMatchesRun: the generative end-to-end path — crawl
+// TestRunStreamMatchesRun: Run's generative end-to-end path — crawl
 // streamed unit by unit into BuildStream, no *p2p.Crawl ever built —
-// must be bit-identical to Run for clean and fully-faulted plans, for
-// every worker count and batch size.
+// must be bit-identical to RunExport's build over the materialized crawl
+// for clean and fully-faulted plans, for every worker count and batch
+// size.
 func TestRunStreamMatchesRun(t *testing.T) {
 	w, _, _ := setup(t)
 
@@ -225,7 +226,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	for _, plan := range []*faults.Plan{nil, full} {
 		cfg := DefaultConfig()
 		cfg.Faults = plan
-		ref, _, err := Run(context.Background(), w, p2p.DefaultConfig(), cfg, 71)
+		ref, crawl, _, err := RunExport(context.Background(), w, p2p.DefaultConfig(), cfg, 71)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,23 +235,23 @@ func TestRunStreamMatchesRun(t *testing.T) {
 				scfg := cfg
 				scfg.Workers = workers
 				scfg.BatchSize = batch
-				got, err := RunStream(context.Background(), w, p2p.DefaultConfig(), scfg, 71)
+				got, _, err := Run(context.Background(), w, p2p.DefaultConfig(), scfg, 71)
 				if err != nil {
 					t.Fatalf("batch=%d workers=%d: %v", batch, workers, err)
 				}
 				assertDatasetsIdentical(t, ref, got)
-				assertFunnelsIdentical(t, "run-stream", ref, got)
-				if got.CrawledPeers != ref.CrawledPeers {
-					t.Fatalf("CrawledPeers %d != Run's %d", got.CrawledPeers, ref.CrawledPeers)
+				assertFunnelsIdentical(t, "run", ref, got)
+				if got.CrawledPeers != len(crawl.Peers) {
+					t.Fatalf("CrawledPeers %d != RunExport's crawl of %d", got.CrawledPeers, len(crawl.Peers))
 				}
 			}
 		}
 	}
 }
 
-// TestRunStreamFunnelConservationWithDups pins the PR's accounting
-// bugfix end to end: with crawl-dup injection the streamed funnel must
-// still conserve every crawled peer — crawl == kept + drops — with the
+// TestRunStreamFunnelConservationWithDups pins the streaming accounting
+// end to end: with crawl-dup injection Run's streamed funnel must still
+// conserve every crawled peer — crawl == kept + drops — with the
 // injected duplicates showing up once in CrawledPeers and once in the
 // dup_ip drop reason.
 func TestRunStreamFunnelConservationWithDups(t *testing.T) {
@@ -262,7 +263,7 @@ func TestRunStreamFunnelConservationWithDups(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Faults = plan
 	cfg.BatchSize = 512 // small enough that duplicates straddle batches
-	ds, err := RunStream(context.Background(), w, p2p.DefaultConfig(), cfg, 71)
+	ds, _, err := Run(context.Background(), w, p2p.DefaultConfig(), cfg, 71)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -90,27 +91,26 @@ func treeShape(n obs.TreeNode) string {
 	return n.Name + "(" + strings.Join(kids, ",") + ")"
 }
 
-// TestRunStageSpans pins the one-span-per-stage tree both whole-run entry
-// points hang under the trace in their context — the tree the batch
-// CLIs' -trace prints. RunStream never materializes a crawl, so its tree
-// is Run's minus the crawl stage.
+// TestRunStageSpans pins the one-span-per-stage tree both whole-run
+// entry points hang under the trace in their context — the tree the
+// batch CLIs' -trace prints — and the time the locate pass spent inside
+// its peer source: Run streams the crawl into locate, so that attribute
+// is where crawl generation time shows up.
 func TestRunStageSpans(t *testing.T) {
 	w, _, _ := setup(t)
-	const origin = "bgp.origin_table(bgp.routing,bgp.ribs)"
-	const build = "pipeline.build(locate,aggregate,condition)"
+	const want = "test.run(pipeline.run(bgp.origin_table(bgp.routing,bgp.ribs),pipeline.build(locate,aggregate,condition)))"
 	cases := []struct {
 		name string
 		run  func(context.Context) error
-		want string
 	}{
 		{"Run", func(ctx context.Context) error {
 			_, _, err := Run(ctx, w, p2p.DefaultConfig(), DefaultConfig(), 71)
 			return err
-		}, "test.run(pipeline.run(crawl," + origin + "," + build + "))"},
-		{"RunStream", func(ctx context.Context) error {
-			_, err := RunStream(ctx, w, p2p.DefaultConfig(), DefaultConfig(), 71)
+		}},
+		{"RunExport", func(ctx context.Context) error {
+			_, _, _, err := RunExport(ctx, w, p2p.DefaultConfig(), DefaultConfig(), 71)
 			return err
-		}, "test.run(pipeline.run(" + origin + "," + build + "))"},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,8 +119,14 @@ func TestRunStageSpans(t *testing.T) {
 				t.Fatal(err)
 			}
 			root.End()
-			if got := treeShape(root.Tree()); got != tc.want {
-				t.Fatalf("trace tree\n got %s\nwant %s", got, tc.want)
+			tree := root.Tree()
+			if got := treeShape(tree); got != want {
+				t.Fatalf("trace tree\n got %s\nwant %s", got, want)
+			}
+			locate := tree.Children[0].Children[1].Children[0]
+			ns, err := strconv.ParseInt(attrValue(t, locate, "source_ns"), 10, 64)
+			if err != nil || ns <= 0 {
+				t.Errorf("locate source_ns = %q, want a positive duration", attrValue(t, locate, "source_ns"))
 			}
 		})
 	}
