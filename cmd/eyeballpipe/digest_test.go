@@ -13,10 +13,11 @@ import (
 // snapDigests pins the SHA-256 of the `.snap` artifact that
 // `eyeballpipe -small -seed 42 -quiet -snapshot out.snap` writes for
 // a clean build, one under a mixed fault plan, one that falls back to a
-// single geolocation database (the second locate pass), and the same
-// builds at other worker counts and batch sizes. The artifact holds the
-// crawl's per-AS samples and the geolocated records, so these digests
-// cover the crawl, both geolocation databases and the grouping stage.
+// single geolocation database (the second locate pass), one whose crawl
+// repeats half its peers, and the same builds at other worker counts
+// and batch sizes. The artifact holds the crawl's per-AS samples and
+// the geolocated records, so these digests cover the crawl, both
+// geolocation databases and the grouping stage.
 // The worker count never moves a digest; a batch size moves it only
 // through the batch ledger the artifact records (Dataset.Stream). Any
 // change here changes the dataset and must be deliberate: rerun the
@@ -42,6 +43,9 @@ var snapDigests = []struct {
 		"-faults", "crawl-dup=0.05,geo-miss=0.05,geo-garbage=0.01,geo-nan=0.01,origin-miss=0.05",
 		"-fault-seed", "7", "-batch", "7", "-workers", "1",
 	}, "6dee7cb9ad813cb58a98f7087c775ffc0572f0711e59e7b8bd120ec7adc281f8"},
+	{"workers-8", []string{"-workers", "8"}, "092e85de65138f71729532a3454e47fd962761b2af4cb1c0ad2a68581c8761a7"},
+	{"batch-1024", []string{"-batch", "1024"}, "313d0c2aee4b3a001414e7ea664d8c691c91308642cd51883b1108c9f0869982"},
+	{"dup-heavy", []string{"-faults", "crawl-dup=0.5", "-fault-seed", "7"}, "f4b17b0d36fc1d8b1d11166502c0446a92943fdb9d041f46de6884ff6da7fe69"},
 }
 
 // TestSnapshotDigests is the gate on the build's output: each pinned

@@ -10,7 +10,7 @@ import (
 	"eyeballas/internal/ipnet"
 )
 
-func faultWorld(t *testing.T) *astopo.World {
+func faultWorld(t testing.TB) *astopo.World {
 	t.Helper()
 	w, err := astopo.Generate(astopo.SmallConfig(51))
 	if err != nil {

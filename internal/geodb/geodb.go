@@ -115,6 +115,36 @@ func NewIPLoc(w *astopo.World) *DB {
 	})
 }
 
+// Site is one peer's true location plus the part of its lookup that no
+// database's error model touches: the zip centroids nearest to it. Every
+// database snaps a correctly-located user to one of the same four
+// nearest centroids, so a caller that asks several databases about the
+// same peer hands them one Site and the search runs once. The search
+// runs on first use, and the site remembers the index that answered
+// it, so a database over another world searches again instead of
+// reusing it. Loc must not change after the first LocateAt: use a new
+// Site for a new location. A Site is not safe for concurrent use.
+type Site struct {
+	Loc geo.Point
+
+	zips *gazetteer.ZipIndex // index that filled near; nil until first use
+	n    int
+	near [len(zipWeights)]gazetteer.ZipCentroid
+}
+
+// snapKm is the radius within which a correct record snaps to a zip.
+const snapKm = 120
+
+// nearestZips returns up to four zip centroids within snapKm of the
+// site, nearest first, searching idx only if it did not answer before.
+func (s *Site) nearestZips(idx *gazetteer.ZipIndex) []gazetteer.ZipCentroid {
+	if s.zips != idx {
+		s.n = idx.KNearestInto(s.Loc, snapKm, s.near[:])
+		s.zips = idx
+	}
+	return s.near[:s.n]
+}
+
 // Locate answers the database's record for an IP whose user truly sits at
 // trueLoc. Answers are deterministic per (database, IP): repeated lookups
 // agree, as they would against a static database file.
@@ -123,6 +153,13 @@ func NewIPLoc(w *astopo.World) *DB {
 // (user surveys, registry data — §4.3); a real database file is a frozen
 // function of the same information.
 func (db *DB) Locate(ip ipnet.Addr, trueLoc geo.Point) Record {
+	return db.LocateAt(ip, &Site{Loc: trueLoc})
+}
+
+// LocateAt is Locate for a user at site.Loc, reusing the site's zip
+// search when another database over the same world already ran it. The
+// answer is exactly Locate(ip, site.Loc)'s.
+func (db *DB) LocateAt(ip ipnet.Addr, site *Site) Record {
 	if db.injMissBoth != nil || db.injMissOnly != nil || db.injGarbage != nil || db.injNaN != nil {
 		if rec, injected := db.injectFault(ip); injected {
 			return rec
@@ -135,14 +172,14 @@ func (db *DB) Locate(ip ipnet.Addr, trueLoc geo.Point) Record {
 	case roll < m.PNoCity:
 		return Record{}
 	case roll < m.PNoCity+m.PFar:
-		return db.farRecord(s, trueLoc)
+		return db.farRecord(s, site.Loc)
 	case roll < m.PNoCity+m.PFar+m.PNearby:
-		if rec, ok := db.nearbyWrongRecord(s, trueLoc); ok {
+		if rec, ok := db.nearbyWrongRecord(s, site.Loc); ok {
 			return rec
 		}
-		return db.correctRecord(s, trueLoc)
+		return db.correctRecord(s, site)
 	default:
-		return db.correctRecord(s, trueLoc)
+		return db.correctRecord(s, site)
 	}
 }
 
@@ -150,14 +187,13 @@ func (db *DB) Locate(ip ipnet.Addr, trueLoc geo.Point) Record {
 // metro area — the zip-code resolution of real databases. Databases built
 // from different sources resolve the same user to different nearby postal
 // codes, so each database picks independently among the closest few.
-func (db *DB) correctRecord(s *miniRNG, trueLoc geo.Point) Record {
-	var buf [4]gazetteer.ZipCentroid
-	n := db.w.Zips.KNearestInto(trueLoc, 120, buf[:])
-	if n == 0 {
+func (db *DB) correctRecord(s *miniRNG, site *Site) Record {
+	near := site.nearestZips(db.w.Zips)
+	if len(near) == 0 {
 		return Record{}
 	}
 	// Weight toward the truly-nearest zip but allow neighbours.
-	zip := buf[weightedZip(s, n)]
+	zip := near[weightedZip(s, len(near))]
 	city, ok := db.w.Gazetteer.Find(zip.City, zip.Country)
 	if !ok {
 		return Record{}

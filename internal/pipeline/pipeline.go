@@ -581,7 +581,10 @@ func badCoord(lat, lon float64) bool {
 // the peer. checked is non-nil when origins supports fallible lookups;
 // a lookup error aborts the whole build.
 func locateOne(peer p2p.Peer, primary, secondary *geodb.DB, origins bgp.Resolver, checked bgp.CheckedResolver, cfg Config) (located, error) {
-	recA := primary.Locate(peer.IP, peer.TrueLoc)
+	// Both databases snap the peer to the same nearest zips: one site
+	// runs that search once for the pair.
+	site := geodb.Site{Loc: peer.TrueLoc}
+	recA := primary.LocateAt(peer.IP, &site)
 	var geoErr float64
 	var l located
 	if secondary == nil {
@@ -592,7 +595,7 @@ func locateOne(peer p2p.Peer, primary, secondary *geodb.DB, origins bgp.Resolver
 			return located{drop: dropGarbage}, nil
 		}
 	} else {
-		recB := secondary.Locate(peer.IP, peer.TrueLoc)
+		recB := secondary.LocateAt(peer.IP, &site)
 		l.missA = !recA.HasCity
 		l.missB = !recB.HasCity
 		var ok bool

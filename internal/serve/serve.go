@@ -269,11 +269,15 @@ func (s *Server) install(snap *snapshot.Snapshot, path string) *Artifact {
 }
 
 // LoadFile reads, validates, and installs a snapshot artifact from
-// disk. On error nothing changes: whatever artifact was serving keeps
-// serving.
+// disk. It runs the structural checks a reload applies after its swap
+// (see validate) before installing. On error nothing changes: whatever
+// artifact was serving keeps serving.
 func (s *Server) LoadFile(path string) (*Artifact, error) {
 	snap, err := snapshot.ReadFile(path)
 	if err != nil {
+		return nil, err
+	}
+	if err := validate(snap); err != nil {
 		return nil, err
 	}
 	return s.Load(snap, path), nil
@@ -332,14 +336,21 @@ func (s *Server) Reload() (*Artifact, error) {
 }
 
 // verifyLive runs the post-swap validation pass over a just-installed
-// artifact: the structural invariants decode alone cannot rule out —
-// plus the reload-fail chaos point, which models exactly this class of
-// "valid bytes, broken artifact" failure.
+// artifact: the structural checks of validate, plus the reload-fail
+// chaos point, which models exactly this class of "valid bytes, broken
+// artifact" failure.
 func (s *Server) verifyLive(a *Artifact) error {
 	if s.chaos.Load().reloadFails(s.reloadSeq) {
 		return fmt.Errorf("chaos: injected reload validation failure (attempt %d)", s.reloadSeq)
 	}
-	ds := a.Snap.Dataset
+	return validate(a.Snap)
+}
+
+// validate checks the structural invariants decode alone cannot rule
+// out: every AS in the order has a record, the order is strictly
+// ascending, and the funnel ledger conserves every peer.
+func validate(snap *snapshot.Snapshot) error {
+	ds := snap.Dataset
 	for i, asn := range ds.Order {
 		rec := ds.ASes[asn]
 		if rec == nil {

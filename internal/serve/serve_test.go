@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -403,6 +405,58 @@ func TestHotReload(t *testing.T) {
 	}
 	if s.Artifact().Gen != 2 {
 		t.Errorf("generation advanced on failed reload: %d", s.Artifact().Gen)
+	}
+}
+
+// TestLoadFileRejectsLeakyLedger: an artifact whose bytes are valid but
+// whose funnel ledger leaks is refused at start-up with the same
+// structural error a reload of it rolls back on, and nothing is
+// installed.
+func TestLoadFileRejectsLeakyLedger(t *testing.T) {
+	dir := t.TempDir()
+	path, good := testArtifact(t, dir)
+	leaky := *good
+	ds := *good.Dataset
+	ds.Funnel = obs.NewFunnel("pipeline")
+	geoStage := ds.Funnel.Stage("geolocate").DeclareReasons("no_city_record")
+	geoStage.In(500)
+	geoStage.Drop("no_city_record", 40)
+	geoStage.Out(450) // 10 peers unaccounted for
+	leaky.Dataset = &ds
+	leakyPath := filepath.Join(dir, "leaky.snap")
+	if err := snapshot.WriteFile(leakyPath, &leaky); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.New()
+	s := New(Options{Gaz: testGaz, Obs: reg})
+	defer s.Close()
+	a, loadErr := s.LoadFile(leakyPath)
+	if loadErr == nil || !strings.Contains(loadErr.Error(), "leaks") {
+		t.Fatalf("LoadFile of a leaky artifact: got (%v, %v), want a leak error", a, loadErr)
+	}
+	if s.Artifact() != nil {
+		t.Errorf("leaky artifact installed as generation %d", s.Artifact().Gen)
+	}
+	if g := reg.Gauge("eyeball_serve_snapshot_generation").Value(); g != 0 {
+		t.Errorf("generation gauge = %v after a refused load, want 0", g)
+	}
+
+	// Reload applies the same check: serve the good file, then swap the
+	// leaky one in under its path.
+	if _, err := s.LoadFile(path); err != nil {
+		t.Fatalf("LoadFile: %v", err)
+	}
+	data, err := os.ReadFile(leakyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, reloadErr := s.Reload()
+	if !errors.Is(reloadErr, ErrReloadRolledBack) || !strings.Contains(reloadErr.Error(), loadErr.Error()) {
+		t.Errorf("Reload of the leaky file: %v, want a rollback on %q", reloadErr, loadErr)
 	}
 }
 

@@ -22,13 +22,39 @@ import (
 // Encode renders the snapshot to its canonical byte form. The output is
 // a pure function of the snapshot's contents: encoding the same dataset
 // twice — or a dataset and its Read-back copy — yields identical bytes.
+//
+// The artifact is sized exactly before any byte is written, so the
+// returned slice is the one allocation of its size (cap == len), and
+// every section is framed in place: its length is back-patched once the
+// payload is written and its CRC runs over that part of the buffer.
 func Encode(s *Snapshot) []byte {
-	var e enc
+	var lpm *ipnet.Compiled[astopo.ASN]
+	if s.Origins != nil {
+		lpm = s.Origins.Compiled()
+	}
+	var drops []obs.DropCount
+	if f := s.Dataset.Funnel; f != nil {
+		drops = f.Drops()
+	}
+	size := len(magic) + 1 +
+		frameSize + metaSize(s.Meta) +
+		frameSize + datasetSize(s.Dataset, drops) +
+		frameSize + lpmSize(lpm) +
+		1 + 8 + 4
+	e := enc{b: make([]byte, 0, size)}
 	e.b = append(e.b, magic...)
 	e.u8(Version)
-	e.section(secMeta, encodeMeta(s.Meta))
-	e.section(secDataset, encodeDataset(s.Dataset))
-	e.section(secLPM, encodeLPM(s.Origins))
+
+	at := e.open(secMeta)
+	encodeMeta(&e, s.Meta)
+	e.close(at)
+	at = e.open(secDataset)
+	encodeDataset(&e, s.Dataset, drops)
+	e.close(at)
+	at = e.open(secLPM)
+	encodeLPM(&e, lpm)
+	e.close(at)
+
 	e.u8(secEnd)
 	e.u64(0)
 	e.u32(crc32.Checksum(e.b, castagnoli))
@@ -50,15 +76,41 @@ func WriteFile(path string, s *Snapshot) error {
 	return WriteFileAtomic(path, s)
 }
 
-func encodeMeta(m Meta) []byte {
-	var e enc
+// strSize is the encoded size of a length-prefixed string.
+func strSize(s string) int { return 4 + len(s) }
+
+func metaSize(m Meta) int { return 8 + strSize(m.Label) }
+
+func encodeMeta(e *enc, m Meta) {
 	e.u64(m.Seed)
 	e.str(m.Label)
-	return e.b
 }
 
-func encodeDataset(ds *pipeline.Dataset) []byte {
-	var e enc
+// datasetSize is the encoded size of the dataset section's payload;
+// drops is the funnel's Drops (nil without a funnel).
+func datasetSize(ds *pipeline.Dataset, drops []obs.DropCount) int {
+	// Peer counts, degraded flag and reason, drop counters, the stream
+	// and funnel flags, and the AS count.
+	n := 8 + 8 + 1 + strSize(ds.DegradedReason) + 7*8 + 1 + 1 + 4
+	if ds.Stream != nil {
+		n += 5 * 8
+	}
+	if f := ds.Funnel; f != nil {
+		n += strSize(f.Name()) + 4
+		for _, s := range f.Stages() {
+			n += strSize(s.Name()) + 8 + 8 + 4
+		}
+		for _, row := range drops {
+			n += strSize(row.Reason) + 8
+		}
+	}
+	for _, asn := range ds.Order {
+		n += recordSize(ds.ASes[asn])
+	}
+	return n
+}
+
+func encodeDataset(e *enc, ds *pipeline.Dataset, drops []obs.DropCount) {
 	e.u64(uint64(ds.CrawledPeers))
 	e.u64(uint64(ds.TotalPeers))
 	e.bool(ds.Degraded)
@@ -79,24 +131,23 @@ func encodeDataset(ds *pipeline.Dataset) []byte {
 
 	e.bool(ds.Funnel != nil)
 	if ds.Funnel != nil {
-		encodeFunnel(&e, ds.Funnel)
+		encodeFunnel(e, ds.Funnel, drops)
 	}
 
 	e.u32(uint32(len(ds.Order)))
 	for _, asn := range ds.Order {
-		encodeRecord(&e, ds.ASes[asn])
+		encodeRecord(e, ds.ASes[asn])
 	}
-	return e.b
 }
 
 // encodeFunnel emits the ledger in declaration order: stages as the
 // funnel declared them, drop reasons as each stage declared them — the
 // same order Funnel.Drops exposes — so the encoding is deterministic
 // and the Read-side rebuild re-declares everything identically.
-func encodeFunnel(e *enc, f *obs.Funnel) {
+func encodeFunnel(e *enc, f *obs.Funnel, drops []obs.DropCount) {
 	e.str(f.Name())
 	byStage := make(map[string][]obs.DropCount)
-	for _, row := range f.Drops() {
+	for _, row := range drops {
 		byStage[row.Stage] = append(byStage[row.Stage], row)
 	}
 	stages := f.Stages()
@@ -112,6 +163,23 @@ func encodeFunnel(e *enc, f *obs.Funnel) {
 			e.u64(uint64(row.Count))
 		}
 	}
+}
+
+// recordSize is the encoded size of one AS record (see encodeRecord).
+func recordSize(rec *pipeline.ASRecord) int {
+	// ASN, users, p90 error, class level, place and share, region, and
+	// the app and sample counts.
+	n := 4 + 8 + 8 + 1 + strSize(rec.Class.Place) + 8 + strSize(string(rec.Region)) + 4 + 4
+	for _, app := range p2p.Apps {
+		if rec.PeersByApp[app] != 0 {
+			n += 1 + 8
+		}
+	}
+	for i := range rec.Samples {
+		s := &rec.Samples[i]
+		n += 8 + 8 + strSize(s.City) + strSize(s.State) + strSize(s.Country) + strSize(string(s.Region)) + 8
+	}
+	return n
 }
 
 func encodeRecord(e *enc, rec *pipeline.ASRecord) {
@@ -140,7 +208,8 @@ func encodeRecord(e *enc, rec *pipeline.ASRecord) {
 	}
 
 	e.u32(uint32(len(rec.Samples)))
-	for _, s := range rec.Samples {
+	for i := range rec.Samples {
+		s := &rec.Samples[i]
 		e.f64(s.Loc.Lat)
 		e.f64(s.Loc.Lon)
 		e.str(s.City)
@@ -151,18 +220,21 @@ func encodeRecord(e *enc, rec *pipeline.ASRecord) {
 	}
 }
 
-// encodeLPM emits the compiled flat LPM arrays (PR 2's frozen form):
-// the (prefix, origin-ASN) pairs in Walk order, then the flattened
-// segment list. The derived top-16-bit direct index is rebuilt on read.
-func encodeLPM(ot *bgp.OriginTable) []byte {
-	var e enc
-	var c *ipnet.Compiled[astopo.ASN]
-	if ot != nil {
-		c = ot.Compiled()
+// lpmSize is the encoded size of the LPM section's payload.
+func lpmSize(c *ipnet.Compiled[astopo.ASN]) int {
+	if c == nil {
+		return 1
 	}
+	return 1 + 4 + c.Len()*(4+1+4) + 4 + c.Segments()*(4+4)
+}
+
+// encodeLPM emits the compiled flat LPM arrays (nil: no table): the
+// (prefix, origin-ASN) pairs in Walk order, then the flattened segment
+// list. The derived top-16-bit direct index is rebuilt on read.
+func encodeLPM(e *enc, c *ipnet.Compiled[astopo.ASN]) {
 	e.bool(c != nil)
 	if c == nil {
-		return e.b
+		return
 	}
 	prefixes, values, starts, segIdx := c.Dump()
 	e.u32(uint32(len(prefixes)))
@@ -176,7 +248,6 @@ func encodeLPM(ot *bgp.OriginTable) []byte {
 		e.u32(uint32(start))
 		e.u32(uint32(segIdx[k]))
 	}
-	return e.b
 }
 
 // Read parses a snapshot from r, consuming it to EOF. Every failure
@@ -341,7 +412,7 @@ func (d *dec) intCounter(what string) int {
 }
 
 func decodeDataset(payload []byte) (*pipeline.Dataset, error) {
-	d := &dec{b: payload}
+	d := &dec{b: payload, intern: make(map[string]string)}
 	ds := &pipeline.Dataset{ASes: make(map[astopo.ASN]*pipeline.ASRecord)}
 	ds.CrawledPeers = d.intCounter("crawled peers")
 	ds.TotalPeers = d.intCounter("total peers")
@@ -423,9 +494,9 @@ func decodeRecord(d *dec) *pipeline.ASRecord {
 		d.fail(ErrCorrupt, "class level %d out of range", level)
 	}
 	rec.Class.Level = astopo.Level(level)
-	rec.Class.Place = d.str("class place")
+	rec.Class.Place = d.label("class place")
 	rec.Class.Share = d.f64("class share")
-	rec.Region = gazetteer.Region(d.str("AS region"))
+	rec.Region = gazetteer.Region(d.label("AS region"))
 
 	nApps := d.count(1+8, "per-app counter")
 	if nApps > 0 {
@@ -455,10 +526,10 @@ func decodeRecord(d *dec) *pipeline.ASRecord {
 	for i := 0; i < nSamples && d.err == nil; i++ {
 		var s core.Sample
 		s.Loc = geo.Point{Lat: d.f64("sample lat"), Lon: d.f64("sample lon")}
-		s.City = d.str("sample city")
-		s.State = d.str("sample state")
-		s.Country = d.str("sample country")
-		s.Region = gazetteer.Region(d.str("sample region"))
+		s.City = d.label("sample city")
+		s.State = d.label("sample state")
+		s.Country = d.label("sample country")
+		s.Region = gazetteer.Region(d.label("sample region"))
 		s.GeoErrKm = d.f64("sample geo error")
 		rec.Samples = append(rec.Samples, s)
 	}

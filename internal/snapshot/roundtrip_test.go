@@ -300,15 +300,7 @@ func TestWriteReadFile(t *testing.T) {
 // and proves the artifact reproduces its dataset and origin table —
 // the property the serving layer's bit-identical guarantee rests on.
 func TestRoundTripPipelineDataset(t *testing.T) {
-	w, err := astopo.Generate(astopo.SmallConfig(7))
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	ds, _, origins, err := pipeline.RunExport(nil, w, p2p.DefaultConfig(), pipeline.DefaultConfig(), 7)
-	if err != nil {
-		t.Fatalf("RunExport: %v", err)
-	}
-	snap := &Snapshot{Meta: Meta{Seed: 7, Label: "pipeline"}, Dataset: ds, Origins: origins}
+	snap := smallWorldSnapshot(t)
 	got, err := Decode(Encode(snap))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)

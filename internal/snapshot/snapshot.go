@@ -47,6 +47,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -180,22 +181,39 @@ func (e *enc) bool(v bool) {
 	}
 }
 
-// section frames a payload: tag, length, payload, payload CRC32-C.
-func (e *enc) section(tag byte, payload []byte) {
+// frameSize is a section's framing around its payload: tag, length
+// and payload CRC32-C.
+const frameSize = 1 + 8 + 4
+
+// open starts a section: its tag, then a length that close patches.
+// It returns where the payload begins.
+func (e *enc) open(tag byte) int {
 	e.u8(tag)
-	e.u64(uint64(len(payload)))
-	e.b = append(e.b, payload...)
+	e.u64(0)
+	return len(e.b)
+}
+
+// close ends the section whose payload began at start: it writes the
+// payload length into the header open left and appends the payload's
+// CRC32-C.
+func (e *enc) close(start int) {
+	payload := e.b[start:]
+	binary.LittleEndian.PutUint64(e.b[start-8:], uint64(len(payload)))
 	e.u32(crc32.Checksum(payload, castagnoli))
 }
 
 // dec is the sticky-error decoder over an in-memory artifact. The
 // first failure wins; every subsequent accessor is a no-op returning
 // zero values, so decode code reads straight-line and checks err once
-// per section.
+// per section. Field labels are joined and formatted only when a read
+// fails, so a successful read allocates nothing but its value.
 type dec struct {
 	b   []byte
 	off int
 	err *FormatError
+	// intern maps each label string the decoder has produced to itself
+	// (see label); nil outside the dataset section.
+	intern map[string]string
 }
 
 func (d *dec) fail(reason error, format string, args ...any) {
@@ -204,19 +222,21 @@ func (d *dec) fail(reason error, format string, args ...any) {
 	}
 }
 
-func (d *dec) need(n int, what string) bool {
+// need reports whether n more bytes remain. If not, it fails with
+// ErrTruncated, naming the field what+suffix.
+func (d *dec) need(n int, what, suffix string) bool {
 	if d.err != nil {
 		return false
 	}
 	if d.off+n > len(d.b) || d.off+n < d.off {
-		d.fail(ErrTruncated, "need %d bytes for %s, %d remain", n, what, len(d.b)-d.off)
+		d.fail(ErrTruncated, "need %d bytes for %s%s, %d remain", n, what, suffix, len(d.b)-d.off)
 		return false
 	}
 	return true
 }
 
 func (d *dec) u8(what string) byte {
-	if !d.need(1, what) {
+	if !d.need(1, what, "") {
 		return 0
 	}
 	v := d.b[d.off]
@@ -224,8 +244,11 @@ func (d *dec) u8(what string) byte {
 	return v
 }
 
-func (d *dec) u32(what string) uint32 {
-	if !d.need(4, what) {
+func (d *dec) u32(what string) uint32 { return d.u32Of(what, "") }
+
+// u32Of reads a u32 whose field is named what+suffix.
+func (d *dec) u32Of(what, suffix string) uint32 {
+	if !d.need(4, what, suffix) {
 		return 0
 	}
 	b := d.b[d.off:]
@@ -234,7 +257,7 @@ func (d *dec) u32(what string) uint32 {
 }
 
 func (d *dec) u64(what string) uint64 {
-	if !d.need(8, what) {
+	if !d.need(8, what, "") {
 		return 0
 	}
 	b := d.b[d.off:]
@@ -245,13 +268,29 @@ func (d *dec) u64(what string) uint64 {
 
 func (d *dec) f64(what string) float64 { return math.Float64frombits(d.u64(what)) }
 
-func (d *dec) str(what string) string {
-	n := d.u32(what + " length")
-	if !d.need(int(n), what) {
-		return ""
+// bytes reads a length-prefixed string's body, in place.
+func (d *dec) bytes(what string) []byte {
+	n := d.u32Of(what, " length")
+	if !d.need(int(n), what, "") {
+		return nil
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	b := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
+	return b
+}
+
+func (d *dec) str(what string) string { return string(d.bytes(what)) }
+
+// label reads a string drawn from a small vocabulary (place names,
+// country codes, regions) that repeats across every sample: each
+// distinct value is allocated once per decoder and shared after that.
+func (d *dec) label(what string) string {
+	b := d.bytes(what)
+	if s, ok := d.intern[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	d.intern[s] = s
 	return s
 }
 
@@ -261,7 +300,7 @@ func (d *dec) bool(what string) bool { return d.u8(what) != 0 }
 // possibly fit in the remaining bytes at minElemSize bytes per element —
 // the guard that keeps fuzzed inputs from driving huge allocations.
 func (d *dec) count(minElemSize int, what string) int {
-	n := d.u32(what + " count")
+	n := d.u32Of(what, " count")
 	if d.err != nil {
 		return 0
 	}
