@@ -14,10 +14,11 @@ import (
 // `eyeballpipe -small -seed 42 -quiet -snapshot out.snap` writes for
 // a clean build, one under a mixed fault plan, one that falls back to a
 // single geolocation database (the second locate pass), one whose crawl
-// repeats half its peers, and the same builds at other worker counts
-// and batch sizes. The artifact holds the crawl's per-AS samples and
-// the geolocated records, so these digests cover the crawl, both
-// geolocation databases and the grouping stage.
+// repeats half its peers, the capped path (-as-sample-cap: a per-AS
+// reservoir plus a quantile sketch) clean and dup-heavy, and the same
+// builds at other worker counts and batch sizes. The artifact holds the
+// crawl's per-AS samples and the geolocated records, so these digests
+// cover the crawl, both geolocation databases and the grouping stage.
 // The worker count never moves a digest; a batch size moves it only
 // through the batch ledger the artifact records (Dataset.Stream). Any
 // change here changes the dataset and must be deliberate: rerun the
@@ -46,6 +47,10 @@ var snapDigests = []struct {
 	{"workers-8", []string{"-workers", "8"}, "092e85de65138f71729532a3454e47fd962761b2af4cb1c0ad2a68581c8761a7"},
 	{"batch-1024", []string{"-batch", "1024"}, "313d0c2aee4b3a001414e7ea664d8c691c91308642cd51883b1108c9f0869982"},
 	{"dup-heavy", []string{"-faults", "crawl-dup=0.5", "-fault-seed", "7"}, "f4b17b0d36fc1d8b1d11166502c0446a92943fdb9d041f46de6884ff6da7fe69"},
+	{"sample-cap-25", []string{"-as-sample-cap", "25"}, "8dccb917beaf3bfd05c16eb89c635007c9d873c5f3910cb5d55a022731de207c"},
+	{"sample-cap-25-dup-heavy", []string{
+		"-as-sample-cap", "25", "-faults", "crawl-dup=0.5", "-fault-seed", "7",
+	}, "195aa4770e58734e6e60630bb20aee78d395d0c7c4ce3da448746573d0c3c24d"},
 }
 
 // TestSnapshotDigests is the gate on the build's output: each pinned

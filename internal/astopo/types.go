@@ -12,7 +12,6 @@ package astopo
 
 import (
 	"fmt"
-	"sort"
 
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/ipnet"
@@ -217,18 +216,6 @@ func (w *World) IXPs() []*IXP {
 	return out
 }
 
-// IXPsInCity returns the IXPs located in the named city/country.
-func (w *World) IXPsInCity(city, country string) []*IXP {
-	var out []*IXP
-	for _, id := range w.ixpOrder {
-		x := w.ixps[id]
-		if x.City.Name == city && x.City.Country == country {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // addAS registers an AS. It panics on a duplicate ASN (a generator bug).
 func (w *World) addAS(a *AS) {
 	if _, dup := w.ases[a.ASN]; dup {
@@ -334,15 +321,4 @@ func (w *World) Stats() Stats {
 		s.ProviderLinks += len(ps)
 	}
 	return s
-}
-
-// sortedASNs returns a sorted copy of a set of ASNs, for deterministic
-// iteration in generators.
-func sortedASNs(m map[ASN]bool) []ASN {
-	out := make([]ASN, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -13,25 +13,17 @@ import (
 // always loses the same addresses regardless of lookup order or worker
 // count.
 //
-// When the inner resolver also implements CheckedResolver the wrapper
-// does too, forwarding errors unchanged, so the pipeline's type
-// assertion keeps working through the wrap. A nil plan or a zero
-// origin-miss rate returns the inner resolver unchanged — zero faults
-// is the literal same Resolver.
+// A nil plan or a zero origin-miss rate returns the inner resolver
+// unchanged — zero faults is the literal same Resolver.
 func WithFaults(r Resolver, plan *faults.Plan) Resolver {
 	inj := plan.Injector(faults.OriginMiss)
 	if inj == nil {
 		return r
 	}
-	f := &faultyResolver{inner: r, miss: inj}
-	if cr, ok := r.(CheckedResolver); ok {
-		return &checkedFaultyResolver{faultyResolver: f, checked: cr}
-	}
-	return f
+	return &faultyResolver{inner: r, miss: inj}
 }
 
-// faultyResolver injects origin-lookup misses in front of an infallible
-// resolver.
+// faultyResolver injects origin-lookup misses in front of a resolver.
 type faultyResolver struct {
 	inner Resolver
 	miss  *faults.Injector
@@ -42,18 +34,4 @@ func (f *faultyResolver) OriginOf(a ipnet.Addr) (astopo.ASN, bool) {
 		return 0, false
 	}
 	return f.inner.OriginOf(a)
-}
-
-// checkedFaultyResolver additionally forwards the checked path, so a
-// wrapped CheckedResolver still surfaces lookup errors.
-type checkedFaultyResolver struct {
-	*faultyResolver
-	checked CheckedResolver
-}
-
-func (f *checkedFaultyResolver) OriginOfChecked(a ipnet.Addr) (astopo.ASN, bool, error) {
-	if f.miss.Hit(uint64(a)) {
-		return 0, false, nil
-	}
-	return f.checked.OriginOfChecked(a)
 }

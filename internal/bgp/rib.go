@@ -31,18 +31,6 @@ type Resolver interface {
 	OriginOf(a ipnet.Addr) (astopo.ASN, bool)
 }
 
-// CheckedResolver is an optional extension of Resolver for origin
-// sources whose lookups can fail (a remote table service, an mmap'd
-// dump that can go away mid-run). The pipeline's per-peer stage detects
-// it with a type assertion and propagates the error out of its worker
-// pool; plain Resolvers keep the infallible fast path.
-type CheckedResolver interface {
-	Resolver
-	// OriginOfChecked is OriginOf with an error channel; err != nil
-	// aborts the whole build.
-	OriginOfChecked(a ipnet.Addr) (astopo.ASN, bool, error)
-}
-
 // RIB is a routing table as observed from one vantage AS — the synthetic
 // analogue of one RouteViews peer's table dump.
 //

@@ -109,9 +109,6 @@ func (h *Histogram) BucketExemplar(i int) ExemplarSource {
 	return ex
 }
 
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(seconds float64) { h.Observe(seconds) }
-
 // Count returns the number of observations (0 for a nil receiver).
 func (h *Histogram) Count() int64 {
 	if h == nil {

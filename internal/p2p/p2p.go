@@ -7,12 +7,11 @@
 // every user.
 //
 // The models here are statistical summaries of the crawlers' outcomes,
-// which keeps the pipeline fast at millions of peers. The mechanisms
-// themselves are built and validated in sibling packages: internal/dht
-// (Kademlia overlay + zone crawler), internal/overlay (Gnutella two-tier
-// overlay + snowball crawler), and internal/swarm (BitTorrent
-// tracker/PEX scraper); their package tests confirm the coverage regimes
-// assumed here emerge from protocol-level behaviour.
+// which keeps the pipeline fast at millions of peers. One protocol-level
+// check backs them: internal/dht builds a Kademlia overlay and crawls it
+// zone by zone, and its TestCrawlCoverageMatchesStatisticalModel
+// confirms that the Kad coverage regime assumed here emerges from that
+// crawl. The Gnutella and BitTorrent regimes have no such check.
 package p2p
 
 import (

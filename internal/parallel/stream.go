@@ -21,20 +21,21 @@ const DefaultBatchSize = 8192
 // The two batch buffers are allocated once and reused, so the pump's
 // own footprint is O(batch) regardless of stream length. Determinism
 // matches the rest of the package: within a batch, work fans out over
-// Blocks (fixed decomposition, lowest-index-wins errors and panics) and
-// fold sees results in stream order, so the sequence of fold calls — and
-// anything accumulated across them — is byte-identical for every worker
-// count. Because batches are consumed strictly in order, the failure
-// that surfaces is the one at the lowest stream position for every
-// batch size too.
+// Blocks (fixed decomposition, lowest-index-wins panics) and fold sees
+// results in stream order, so the sequence of fold calls — and anything
+// accumulated across them — is byte-identical for every worker count.
+// Because batches are consumed strictly in order, the panic that
+// surfaces is the one at the lowest stream position for every batch
+// size too.
 //
 // fill follows the io.Reader convention: it returns the number of items
 // written into buf and io.EOF (possibly alongside n > 0) at end of
 // stream. Returning (0, nil) is reported as an error rather than
 // spinning — a stream with nothing to deliver must say io.EOF. Any
-// other error from fill, work, or fold aborts the pump; cancellation is
-// observed between batches and at the pool's block boundaries.
-func Batched[T, R any](ctx context.Context, workers, batch int, fill func(buf []T) (int, error), work func(i int, item T) (R, error), fold func(batch []T, results []R) error) error {
+// other error from fill, or a panic in work, aborts the pump;
+// cancellation is observed between batches and at the pool's block
+// boundaries.
+func Batched[T, R any](ctx context.Context, workers, batch int, fill func(buf []T) (int, error), work func(i int, item T) R, fold func(batch []T, results []R)) error {
 	if batch <= 0 {
 		batch = DefaultBatchSize
 	}
@@ -61,19 +62,13 @@ func Batched[T, R any](ctx context.Context, workers, batch int, fill func(buf []
 			items, res := buf[:n], results[:n]
 			if err := Blocks(ctx, workers, n, 0, func(lo, hi int) error {
 				for i := lo; i < hi; i++ {
-					r, err := work(i, items[i])
-					if err != nil {
-						return err
-					}
-					res[i] = r
+					res[i] = work(i, items[i])
 				}
 				return nil
 			}); err != nil {
 				return err
 			}
-			if err := fold(items, res); err != nil {
-				return err
-			}
+			fold(items, res)
 		}
 		if ferr == io.EOF {
 			return nil

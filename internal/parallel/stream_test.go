@@ -16,11 +16,9 @@ import (
 type intStream struct {
 	n, off      int
 	eofWithData bool
-	fills       int
 }
 
 func (s *intStream) fill(buf []int) (int, error) {
-	s.fills++
 	k := 0
 	for k < len(buf) && s.off < s.n {
 		buf[k] = s.off
@@ -40,11 +38,10 @@ func runBatched(t *testing.T, n, workers, batch int, eofWithData bool) (folds []
 	st := &intStream{n: n, eofWithData: eofWithData}
 	err := Batched(context.Background(), workers, batch,
 		st.fill,
-		func(i int, x int) (int, error) { return 3*x + 1, nil },
-		func(b []int, res []int) error {
+		func(i int, x int) int { return 3*x + 1 },
+		func(b []int, res []int) {
 			folds = append(folds, append([]int(nil), res...))
 			items = append(items, b...)
-			return nil
 		})
 	if err != nil {
 		t.Fatalf("n=%d workers=%d batch=%d: %v", n, workers, batch, err)
@@ -103,8 +100,8 @@ func TestBatchedEmptyStream(t *testing.T) {
 func TestBatchedZeroNilIsError(t *testing.T) {
 	err := Batched(context.Background(), 1, 4,
 		func(buf []int) (int, error) { return 0, nil },
-		func(i, x int) (int, error) { return x, nil },
-		func(b, r []int) error { return nil })
+		func(i, x int) int { return x },
+		func(b, r []int) {})
 	if err == nil || !strings.Contains(err.Error(), "io.EOF") {
 		t.Fatalf("got %v, want the (0, nil) contract error", err)
 	}
@@ -116,8 +113,8 @@ func TestBatchedFillRangeChecked(t *testing.T) {
 	for _, n := range []int{-1, 5} {
 		err := Batched(context.Background(), 1, 4,
 			func(buf []int) (int, error) { return n, io.EOF },
-			func(i, x int) (int, error) { return x, nil },
-			func(b, r []int) error { return nil })
+			func(i, x int) int { return x },
+			func(b, r []int) {})
 		if err == nil || !strings.Contains(err.Error(), "outside") {
 			t.Fatalf("n=%d: got %v, want range error", n, err)
 		}
@@ -130,31 +127,32 @@ func TestBatchedFillErrorPropagates(t *testing.T) {
 	boom := errors.New("disk on fire")
 	err := Batched(context.Background(), 1, 4,
 		func(buf []int) (int, error) { return 2, boom },
-		func(i, x int) (int, error) { return x, nil },
-		func(b, r []int) error { t.Fatal("fold ran on a failed fill"); return nil })
+		func(i, x int) int { return x },
+		func(b, r []int) { t.Fatal("fold ran on a failed fill") })
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want %v", err, boom)
 	}
 }
 
-// TestBatchedWorkErrorLowestPosition: when several items fail, the error
+// TestBatchedPanicLowestPosition: when several items panic, the panic
 // surfaced is the one at the lowest stream position — for every worker
-// count and even when the failures share a batch.
-func TestBatchedWorkErrorLowestPosition(t *testing.T) {
-	failing := map[int]bool{13: true, 17: true, 57: true, 91: true}
+// count and even when the panics share a batch.
+func TestBatchedPanicLowestPosition(t *testing.T) {
+	panicking := map[int]bool{13: true, 17: true, 57: true, 91: true}
 	for _, workers := range []int{1, 8} {
 		st := &intStream{n: 100}
 		err := Batched(context.Background(), workers, 10,
 			st.fill,
-			func(i, x int) (int, error) {
-				if failing[x] {
-					return 0, fmt.Errorf("item %d failed", x)
+			func(i, x int) int {
+				if panicking[x] {
+					panic(fmt.Sprintf("item %d panicked", x))
 				}
-				return x, nil
+				return x
 			},
-			func(b, r []int) error { return nil })
-		if err == nil || !strings.Contains(err.Error(), "item 13 failed") {
-			t.Fatalf("workers=%d: got %v, want the item-13 error", workers, err)
+			func(b, r []int) {})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "item 13 panicked" {
+			t.Fatalf("workers=%d: got %v, want the item-13 panic", workers, err)
 		}
 	}
 }
@@ -165,36 +163,19 @@ func TestBatchedPanicBecomesPanicError(t *testing.T) {
 	st := &intStream{n: 50}
 	err := Batched(context.Background(), 4, 8,
 		st.fill,
-		func(i, x int) (int, error) {
+		func(i, x int) int {
 			if x == 23 {
 				panic("injected")
 			}
-			return x, nil
+			return x
 		},
-		func(b, r []int) error { return nil })
+		func(b, r []int) {})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *PanicError", err)
 	}
 	if !strings.Contains(pe.Error(), "injected") {
 		t.Fatalf("panic error %q lacks the panic value", pe.Error())
-	}
-}
-
-// TestBatchedFoldErrorStopsPump: a fold error aborts before the next
-// fill call.
-func TestBatchedFoldErrorStopsPump(t *testing.T) {
-	boom := errors.New("fold rejected")
-	st := &intStream{n: 100}
-	err := Batched(context.Background(), 2, 10,
-		st.fill,
-		func(i, x int) (int, error) { return x, nil },
-		func(b, r []int) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want %v", err, boom)
-	}
-	if st.fills != 1 {
-		t.Fatalf("fill called %d times after the first fold failed", st.fills)
 	}
 }
 
@@ -206,8 +187,8 @@ func TestBatchedCancellation(t *testing.T) {
 	st := &intStream{n: 100}
 	err := Batched(ctx, 2, 10,
 		st.fill,
-		func(i, x int) (int, error) { return x, nil },
-		func(b, r []int) error { return nil })
+		func(i, x int) int { return x },
+		func(b, r []int) {})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

@@ -3,15 +3,11 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/bgp"
-	"eyeballas/internal/geodb"
-	"eyeballas/internal/ipnet"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/p2p"
 	"eyeballas/internal/parallel"
@@ -63,37 +59,6 @@ func TestFunnelInvariant(t *testing.T) {
 	}
 }
 
-// failingResolver implements bgp.CheckedResolver and fails on the Nth
-// checked lookup — the error-injection fixture for the Blocks-error
-// satellite.
-type failingResolver struct {
-	inner   bgp.Resolver
-	failAt  int64
-	lookups atomic.Int64
-}
-
-func (f *failingResolver) OriginOf(a ipnet.Addr) (astopo.ASN, bool) {
-	return f.inner.OriginOf(a)
-}
-
-func (f *failingResolver) OriginOfChecked(a ipnet.Addr) (astopo.ASN, bool, error) {
-	if f.lookups.Add(1) > f.failAt {
-		return 0, false, errors.New("injected resolver failure")
-	}
-	asn, ok := f.inner.OriginOf(a)
-	return asn, ok, nil
-}
-
-// infallibleChecked wraps a Resolver as a CheckedResolver that never
-// errors, to prove the checked path changes nothing.
-type infallibleChecked struct{ inner bgp.Resolver }
-
-func (r infallibleChecked) OriginOf(a ipnet.Addr) (astopo.ASN, bool) { return r.inner.OriginOf(a) }
-func (r infallibleChecked) OriginOfChecked(a ipnet.Addr) (astopo.ASN, bool, error) {
-	asn, ok := r.inner.OriginOf(a)
-	return asn, ok, nil
-}
-
 func buildOrigins(t *testing.T, w *astopo.World) *bgp.OriginTable {
 	t.Helper()
 	routing := bgp.ComputeRouting(w)
@@ -111,53 +76,6 @@ func buildOrigins(t *testing.T, w *astopo.World) *bgp.OriginTable {
 		}
 	}
 	return bgp.NewOriginTable(ribs...)
-}
-
-// TestBuildPropagatesResolverError is the satellite fix for the
-// discarded parallel.Blocks error: a failing origin lookup must abort
-// Build with the lookup's error, under both serial and parallel workers.
-func TestBuildPropagatesResolverError(t *testing.T) {
-	w, _, crawl := setup(t)
-	origins := buildOrigins(t, w)
-	dbA, dbB := geodb.NewGeoCity(w), geodb.NewIPLoc(w)
-
-	for _, workers := range []int{1, 8} {
-		// Serial mode fails mid-stream (failAt=10) to exercise the
-		// early-exit path; parallel mode fails on every lookup so the
-		// lowest-index-wins error rule is deterministic regardless of
-		// worker scheduling.
-		var failAt int64
-		if workers == 1 {
-			failAt = 10
-		}
-		_, err := Build(context.Background(), crawl, dbA, dbB, &failingResolver{inner: origins, failAt: failAt},
-			Config{MaxGeoErrKm: 100, MaxP90GeoErrKm: 80, MinPeers: 60, Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: Build swallowed the resolver error", workers)
-		}
-		if !strings.Contains(err.Error(), "injected resolver failure") {
-			t.Fatalf("workers=%d: wrong error: %v", workers, err)
-		}
-	}
-}
-
-// TestCheckedResolverMatchesPlainPath: routing lookups through the
-// checked interface (when it never fails) must be invisible — the
-// dataset is bit-identical to the plain-Resolver path.
-func TestCheckedResolverMatchesPlainPath(t *testing.T) {
-	w, _, crawl := setup(t)
-	origins := buildOrigins(t, w)
-	dbA, dbB := geodb.NewGeoCity(w), geodb.NewIPLoc(w)
-
-	plain, err := Build(context.Background(), crawl, dbA, dbB, struct{ bgp.Resolver }{origins}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := Build(context.Background(), crawl, dbA, dbB, infallibleChecked{origins}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertDatasetsIdentical(t, plain, checked)
 }
 
 // TestDatasetIdenticalWithRegistry extends the determinism proof to an

@@ -261,8 +261,8 @@ type StreamStats struct {
 	Batches int
 	// MaxBatch is the largest batch actually delivered by the source.
 	MaxBatch int
-	// DedupEntries is the number of distinct kept-peer IPs the sharded
-	// dedup set tracked (the O(kept users) term of peak memory).
+	// DedupEntries is the number of distinct kept-peer IPs the dedup
+	// set tracked (the O(kept users) term of peak memory).
 	DedupEntries int
 	// PeakLiveSamples is the high-watermark of samples held across all
 	// per-AS accumulators — equal to kept unique users when
@@ -346,14 +346,12 @@ func tally(results []located) passCounts {
 // origins is any bgp.Resolver; the whole-run entry points pass a
 // *bgp.OriginTable, whose lookups are served from the compiled flat LPM
 // form. The interface keeps the trie reference path substitutable for
-// differential testing. If origins additionally implements
-// bgp.CheckedResolver, the checked path is used and a lookup error
-// aborts the build (propagated out of the worker pool with
-// lowest-index-wins semantics).
+// differential testing. Lookups cannot fail: an address no prefix
+// covers is an "unmapped_ip" drop, not an error.
 //
 // ctx cancels the build at worker-pool block boundaries (nil means
-// context.Background()). On any failure — cancellation, lookup error,
-// blown budget, worker panic — the returned dataset is nil.
+// context.Background()). On any failure — cancellation, blown budget,
+// worker panic — the returned dataset is nil.
 func Build(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origins bgp.Resolver, cfg Config) (*Dataset, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -404,8 +402,6 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 		Funnel:       funnel,
 	}
 
-	// Optional checked path: detected once, outside the hot loop.
-	checked, _ := origins.(bgp.CheckedResolver)
 	// Shard-aggregated lookup counter: each work block accumulates a
 	// plain local count and flushes one atomic add, so the ~6 ns
 	// compiled OriginOf stays instruction-identical (see
@@ -419,7 +415,7 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 		ds.Degraded = true
 		ds.DegradedReason = "single-db mode requested (no cross-database error estimates)"
 	}
-	results, err := runLocate(ctx, crawl, dbA, secondary, origins, checked, cfg, wp, lookupsC)
+	results, err := runLocate(ctx, crawl, dbA, secondary, origins, cfg, wp, lookupsC)
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +451,7 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 				lostDB, lostFrac = dbA, fracA
 			}
 			_ = survivorMiss
-			results, err = runLocate(ctx, crawl, survivor, nil, origins, checked, cfg, wp, lookupsC)
+			results, err = runLocate(ctx, crawl, survivor, nil, origins, cfg, wp, lookupsC)
 			if err != nil {
 				return nil, err
 			}
@@ -540,7 +536,7 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 // error estimate). wp, when non-nil, is the armed worker-panic
 // injection: it panics at hit peers, which the pool converts into a
 // *parallel.PanicError with the captured stack.
-func runLocate(ctx context.Context, crawl *p2p.Crawl, primary, secondary *geodb.DB, origins bgp.Resolver, checked bgp.CheckedResolver, cfg Config, wp *faults.Injector, lookupsC *obs.Counter) ([]located, error) {
+func runLocate(ctx context.Context, crawl *p2p.Crawl, primary, secondary *geodb.DB, origins bgp.Resolver, cfg Config, wp *faults.Injector, lookupsC *obs.Counter) ([]located, error) {
 	results := make([]located, len(crawl.Peers))
 	err := parallel.Blocks(ctx, cfg.Workers, len(crawl.Peers), 0, func(lo, hi int) error {
 		var lookups int64
@@ -548,10 +544,7 @@ func runLocate(ctx context.Context, crawl *p2p.Crawl, primary, secondary *geodb.
 			if wp.Hit(uint64(crawl.Peers[i].IP)) {
 				panic(fmt.Sprintf("faults: injected worker panic at peer %s", crawl.Peers[i].IP))
 			}
-			r, err := locateOne(crawl.Peers[i], primary, secondary, origins, checked, cfg)
-			if err != nil {
-				return err
-			}
+			r := locateOne(crawl.Peers[i], primary, secondary, origins, cfg)
 			if r.drop == dropNone || r.drop == dropUnmappedIP {
 				lookups++ // an origin lookup was actually performed
 			}
@@ -578,9 +571,8 @@ func badCoord(lat, lon float64) bool {
 // estimation, the corruption and 100 km cuts, and origin-AS lookup.
 // secondary == nil is the single-database mode: no cross-database error
 // estimate exists, GeoErrKm is 0, and only the primary's record gates
-// the peer. checked is non-nil when origins supports fallible lookups;
-// a lookup error aborts the whole build.
-func locateOne(peer p2p.Peer, primary, secondary *geodb.DB, origins bgp.Resolver, checked bgp.CheckedResolver, cfg Config) (located, error) {
+// the peer.
+func locateOne(peer p2p.Peer, primary, secondary *geodb.DB, origins bgp.Resolver, cfg Config) located {
 	// Both databases snap the peer to the same nearest zips: one site
 	// runs that search once for the pair.
 	site := geodb.Site{Loc: peer.TrueLoc}
@@ -589,10 +581,10 @@ func locateOne(peer p2p.Peer, primary, secondary *geodb.DB, origins bgp.Resolver
 	var l located
 	if secondary == nil {
 		if !recA.HasCity {
-			return located{drop: dropNoCity, missA: true}, nil
+			return located{drop: dropNoCity, missA: true}
 		}
 		if badCoord(recA.Loc.Lat, recA.Loc.Lon) {
-			return located{drop: dropGarbage}, nil
+			return located{drop: dropGarbage}
 		}
 	} else {
 		recB := secondary.LocateAt(peer.IP, &site)
@@ -602,7 +594,7 @@ func locateOne(peer p2p.Peer, primary, secondary *geodb.DB, origins bgp.Resolver
 		geoErr, ok = geodb.CrossError(recA, recB)
 		if !ok {
 			l.drop = dropNoCity
-			return l, nil
+			return l
 		}
 		// Corrupt coordinates in either record: the cross-distance is
 		// meaningless (possibly NaN, which would sail past any >
@@ -610,27 +602,17 @@ func locateOne(peer p2p.Peer, primary, secondary *geodb.DB, origins bgp.Resolver
 		// error cut.
 		if badCoord(recA.Loc.Lat, recA.Loc.Lon) || badCoord(recB.Loc.Lat, recB.Loc.Lon) || math.IsNaN(geoErr) {
 			l.drop = dropGarbage
-			return l, nil
+			return l
 		}
 		if geoErr > cfg.MaxGeoErrKm {
 			l.drop = dropHighGeoErr
-			return l, nil
+			return l
 		}
 	}
-	var asn astopo.ASN
-	var ok bool
-	if checked != nil {
-		var err error
-		asn, ok, err = checked.OriginOfChecked(peer.IP)
-		if err != nil {
-			return located{}, fmt.Errorf("pipeline: origin lookup for %s: %w", peer.IP, err)
-		}
-	} else {
-		asn, ok = origins.OriginOf(peer.IP)
-	}
+	asn, ok := origins.OriginOf(peer.IP)
 	if !ok {
 		l.drop = dropUnmappedIP
-		return l, nil
+		return l
 	}
 	l.asn = asn
 	l.sample = core.Sample{
@@ -641,7 +623,7 @@ func locateOne(peer p2p.Peer, primary, secondary *geodb.DB, origins bgp.Resolver
 		Region:   recA.Region,
 		GeoErrKm: geoErr,
 	}
-	return l, nil
+	return l
 }
 
 // condition applies the AS-level filters and classification. The per-AS

@@ -10,6 +10,7 @@ import (
 	"eyeballas/internal/core"
 	"eyeballas/internal/faults"
 	"eyeballas/internal/geodb"
+	"eyeballas/internal/ipnet"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/p2p"
 	"eyeballas/internal/parallel"
@@ -23,18 +24,18 @@ import (
 // Peers are consumed in fixed-size batches (cfg.BatchSize) through the
 // worker pool: per-batch locate verdicts are index-addressed, then
 // folded serially in stream order into the dataset under construction —
-// a sharded unique-IP set for dedup and per-AS accumulators instead of
-// a crawl-sized verdict slice. Peak memory is therefore O(kept users +
+// one unique-IP set for dedup and per-AS accumulators instead of a
+// crawl-sized verdict slice. Peak memory is therefore O(kept users +
 // batch), not O(crawled peers); with cfg.MaxSamplesPerAS the kept-user
 // term shrinks further to O(ASes·cap + dedup set).
 //
 // Determinism is inherited, not re-argued: batch boundaries depend only
 // on the stream and BatchSize (never on workers), folds happen in
 // arrival order, fault-injection decisions are keyed by peer identity
-// (IP/app), and the error or panic that surfaces is the one at the
-// lowest stream position. The differential harness in
-// stream_diff_test.go pins the result bit-identical to the frozen batch
-// reference across batch sizes, worker counts, and fault plans.
+// (IP/app), and the panic that surfaces is the one at the lowest
+// stream position. The differential harness in stream_diff_test.go
+// pins the result bit-identical to the frozen batch reference across
+// batch sizes, worker counts, and fault plans.
 //
 // src must be replayable (see p2p.PeerSource): the single-DB fallback
 // re-opens the stream for its rescue pass instead of re-reading a
@@ -78,7 +79,6 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 
 	ds := &Dataset{Funnel: funnel}
 
-	checked, _ := origins.(bgp.CheckedResolver)
 	lookupsC := cfg.Obs.Counter("eyeball_bgp_origin_lookups_total")
 
 	secondary := dbB
@@ -90,7 +90,7 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 
 	agg := newStreamAgg(cfg)
 	locSpan := span.Child("locate")
-	err := streamPass(ctx, locSpan, src, dbA, secondary, origins, checked, cfg, wp, lookupsC, agg)
+	err := streamPass(ctx, locSpan, src, dbA, secondary, origins, cfg, wp, lookupsC, agg)
 	locSpan.SetInt("crawled", int64(agg.crawled))
 	locSpan.End()
 	if err != nil {
@@ -126,7 +126,7 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 			}
 			fbSpan := span.Child("locate_single_db_fallback")
 			agg = newStreamAgg(cfg)
-			err = streamPass(ctx, fbSpan, src, survivor, nil, origins, checked, cfg, wp, lookupsC, agg)
+			err = streamPass(ctx, fbSpan, src, survivor, nil, origins, cfg, wp, lookupsC, agg)
 			fbSpan.End()
 			if err != nil {
 				return nil, err
@@ -204,7 +204,7 @@ func BuildStream(ctx context.Context, src p2p.PeerSource, dbA, dbB *geodb.DB, or
 // runLocate + the aggregation loop, fused so no crawl-sized state ever
 // exists. A non-nil span receives the pass's time inside the source as
 // "source_ns"; with a nil span no clock is read.
-func streamPass(ctx context.Context, span *trace.Span, src p2p.PeerSource, primary, secondary *geodb.DB, origins bgp.Resolver, checked bgp.CheckedResolver, cfg Config, wp *faults.Injector, lookupsC *obs.Counter, agg *streamAgg) error {
+func streamPass(ctx context.Context, span *trace.Span, src p2p.PeerSource, primary, secondary *geodb.DB, origins bgp.Resolver, cfg Config, wp *faults.Injector, lookupsC *obs.Counter, agg *streamAgg) error {
 	st, err := src.Stream(ctx)
 	if err != nil {
 		return err
@@ -216,14 +216,14 @@ func streamPass(ctx context.Context, span *trace.Span, src p2p.PeerSource, prima
 	}
 	return parallel.Batched(ctx, cfg.Workers, cfg.BatchSize,
 		func(buf []p2p.Peer) (int, error) { return st.Next(buf) },
-		func(i int, peer p2p.Peer) (located, error) {
+		func(i int, peer p2p.Peer) located {
 			if wp.Hit(uint64(peer.IP)) {
 				panic(fmt.Sprintf("faults: injected worker panic at peer %s", peer.IP))
 			}
-			return locateOne(peer, primary, secondary, origins, checked, cfg)
+			return locateOne(peer, primary, secondary, origins, cfg)
 		},
-		func(batch []p2p.Peer, results []located) error {
-			return agg.fold(batch, results, lookupsC)
+		func(batch []p2p.Peer, results []located) {
+			agg.fold(batch, results, lookupsC)
 		})
 }
 
@@ -250,12 +250,12 @@ type asAcc struct {
 }
 
 // streamAgg accumulates one locate pass: drop tallies, the dataset's
-// AS records, the sharded dedup set, and the deterministic memory
-// watermarks. All mutation happens in fold, serially, in stream order.
+// AS records, the dedup set, and the deterministic memory watermarks.
+// All mutation happens in fold, serially, in stream order.
 type streamAgg struct {
 	cfg     Config
 	ases    map[astopo.ASN]*ASRecord
-	seen    *shardedSet
+	seen    map[ipnet.Addr]struct{}
 	accs    map[astopo.ASN]*asAcc // nil in exact mode
 	counts  passCounts
 	crawled int
@@ -269,7 +269,7 @@ func newStreamAgg(cfg Config) *streamAgg {
 	g := &streamAgg{
 		cfg:  cfg,
 		ases: make(map[astopo.ASN]*ASRecord),
-		seen: newShardedSet(defaultDedupShards),
+		seen: make(map[ipnet.Addr]struct{}),
 	}
 	if cfg.MaxSamplesPerAS > 0 {
 		g.accs = make(map[astopo.ASN]*asAcc)
@@ -281,7 +281,7 @@ func newStreamAgg(cfg Config) *streamAgg {
 // batch path's aggregation loop exactly — same drop tallies, same
 // first-seen-keeps-sample dedup rule, same per-app counting — plus the
 // origin-lookup counter flush runLocate did per block.
-func (g *streamAgg) fold(batch []p2p.Peer, results []located, lookupsC *obs.Counter) error {
+func (g *streamAgg) fold(batch []p2p.Peer, results []located, lookupsC *obs.Counter) {
 	g.crawled += len(batch)
 	g.batches++
 	if len(batch) > g.maxBatch {
@@ -318,7 +318,7 @@ func (g *streamAgg) fold(batch []p2p.Peer, results []located, lookupsC *obs.Coun
 			rec = &ASRecord{ASN: r.asn, PeersByApp: make(map[p2p.App]int)}
 			g.ases[r.asn] = rec
 		}
-		if !g.seen.Add(peer.IP) {
+		if _, dup := g.seen[peer.IP]; dup {
 			// Unique-IP semantics (§2: "89.1 million unique IP
 			// addresses"): the sample is stored once but still counts in
 			// this app's column.
@@ -326,6 +326,7 @@ func (g *streamAgg) fold(batch []p2p.Peer, results []located, lookupsC *obs.Coun
 			g.dup++
 			continue
 		}
+		g.seen[peer.IP] = struct{}{}
 		rec.PeersByApp[peer.App]++
 		g.addSample(rec, r.asn, r.sample)
 	}
@@ -333,7 +334,6 @@ func (g *streamAgg) fold(batch []p2p.Peer, results []located, lookupsC *obs.Coun
 	if g.liveSamples > g.peakLive {
 		g.peakLive = g.liveSamples
 	}
-	return nil
 }
 
 // addSample stores one kept sample: appended outright in exact mode, or
@@ -376,12 +376,12 @@ func (g *streamAgg) finish(ds *Dataset, cfg Config) {
 		BatchSize:       batch,
 		Batches:         g.batches,
 		MaxBatch:        g.maxBatch,
-		DedupEntries:    g.seen.Len(),
+		DedupEntries:    len(g.seen),
 		PeakLiveSamples: g.peakLive,
 	}
 	if cfg.Obs != nil {
 		cfg.Obs.Gauge("eyeball_pipeline_stream_peak_live_samples").SetMax(float64(g.peakLive))
-		cfg.Obs.Gauge("eyeball_pipeline_stream_dedup_entries").SetMax(float64(g.seen.Len()))
+		cfg.Obs.Gauge("eyeball_pipeline_stream_dedup_entries").SetMax(float64(len(g.seen)))
 		cfg.Obs.Counter("eyeball_pipeline_stream_batches_total").Add(int64(g.batches))
 	}
 }

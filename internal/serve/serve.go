@@ -790,7 +790,11 @@ func (s *Server) countFootprint(result string) {
 // that render's result under their own deadlines. Returns the body,
 // the cache result label, and the render's (or the wait's) error.
 // Bodies are immutable; callers write them to the wire uncopied.
-func (s *Server) footprint(ctx context.Context, a *Artifact, rec *pipeline.ASRecord, bw float64) ([]byte, string, error) {
+//
+// sp is the request's span (nil for warm renders and untraced
+// requests). Only a leader's render reads it, so the context carries it
+// only there and a cache hit allocates nothing for tracing.
+func (s *Server) footprint(ctx context.Context, sp *trace.Span, a *Artifact, rec *pipeline.ASRecord, bw float64) ([]byte, string, error) {
 	key := cacheKey{gen: a.Gen, asn: rec.ASN, bw: math.Float64bits(bw)}
 	if body, ok := s.cache.get(key); ok {
 		return body, cacheHit, nil
@@ -800,7 +804,7 @@ func (s *Server) footprint(ctx context.Context, a *Artifact, rec *pipeline.ASRec
 		body, err := c.wait(ctx)
 		return body, cacheCoalesced, err
 	}
-	body, err := s.render(ctx, s.opts.Gaz, rec, bw, s.opts.Workers, s.opts.Obs)
+	body, err := s.render(trace.NewContext(ctx, sp), s.opts.Gaz, rec, bw, s.opts.Workers, s.opts.Obs)
 	if err == nil {
 		s.cache.add(key, body)
 	}
@@ -815,12 +819,12 @@ func (s *Server) footprint(ctx context.Context, a *Artifact, rec *pipeline.ASRec
 // reached). The bulk endpoint streams these same bytes as lines, which
 // is what makes bulk output the concatenation of single responses,
 // byte for byte.
-func (s *Server) footprintBody(ctx context.Context, a *Artifact, asn astopo.ASN, bw float64) ([]byte, int, string) {
+func (s *Server) footprintBody(ctx context.Context, sp *trace.Span, a *Artifact, asn astopo.ASN, bw float64) ([]byte, int, string) {
 	rec := a.Snap.Dataset.AS(asn)
 	if rec == nil {
 		return errorBody("AS%d not in dataset", asn), http.StatusNotFound, ""
 	}
-	body, result, err := s.footprint(ctx, a, rec, bw)
+	body, result, err := s.footprint(ctx, sp, a, rec, bw)
 	s.countFootprint(result)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -847,7 +851,7 @@ func (s *Server) handleFootprint(w http.ResponseWriter, r *http.Request) {
 	sp := spanOf(w)
 	sp.SetInt("asn", int64(asn))
 	sp.SetInt("generation", int64(a.Gen))
-	body, code, result := s.footprintBody(trace.NewContext(r.Context(), sp), a, asn, bw)
+	body, code, result := s.footprintBody(r.Context(), sp, a, asn, bw)
 	if result != "" {
 		sp.SetStr("cache", result)
 	}
@@ -901,11 +905,10 @@ func (s *Server) handleFootprints(w http.ResponseWriter, r *http.Request) {
 	sp := spanOf(w)
 	sp.SetInt("asns", int64(len(asns)))
 	sp.SetInt("generation", int64(a.Gen))
-	ctx := trace.NewContext(r.Context(), sp)
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	for _, asn := range asns {
-		body, _, _ := s.footprintBody(ctx, a, asn, bw)
+		body, _, _ := s.footprintBody(r.Context(), sp, a, asn, bw)
 		if _, err := w.Write(body); err != nil {
 			return // client went away; nothing useful left to do
 		}

@@ -324,6 +324,34 @@ func TestDebugEndpointsAbsentWithoutTracer(t *testing.T) {
 	}
 }
 
+// TestTracedFootprintHitAllocs: a traced cache hit allocates no more
+// than an untraced one. The request's span is carved from a shared slab
+// and reaches the context only when the request leads a render, so a
+// hit pays nothing per request for tracing.
+func TestTracedFootprintHitAllocs(t *testing.T) {
+	hitAllocs := func(opts Options) float64 {
+		s, _, _ := newTestServer(t, opts)
+		h := s.Handler()
+		req := httptest.NewRequest(http.MethodGet, "/v1/footprint/64500", nil)
+		h.ServeHTTP(httptest.NewRecorder(), req) // prime the cache
+		return testing.AllocsPerRun(200, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("HTTP %d", rec.Code)
+			}
+		})
+	}
+	untraced := hitAllocs(Options{})
+	traced := hitAllocs(Options{Tracer: trace.New(trace.Options{
+		Seed:     42,
+		Recorder: trace.NewRecorder(trace.RecorderOptions{Recent: 128, SlowThreshold: time.Hour}),
+	})})
+	if traced > untraced {
+		t.Errorf("traced cache hit allocates %.0f/op, untraced %.0f/op", traced, untraced)
+	}
+}
+
 // TestResponsesBitIdenticalTracingOnOff serves the same artifact with
 // tracing+logging on and fully off, and requires every data response —
 // status, headers, body — to be byte-identical. Tracing is a read-only

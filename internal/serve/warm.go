@@ -147,7 +147,7 @@ func (w *Warmer) run() {
 					return
 				}
 				w.srv.warmYield(w.ctx)
-				_, _, _ = w.srv.footprint(w.ctx, w.art, rec, w.srv.opts.BandwidthKm)
+				_, _, _ = w.srv.footprint(w.ctx, nil, w.art, rec, w.srv.opts.BandwidthKm)
 				if w.ctx.Err() != nil {
 					// A cancelled render did not warm anything; leaving
 					// done short of total is what marks the pass

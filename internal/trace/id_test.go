@@ -36,11 +36,11 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"00",
-		valid[:54],                        // truncated
-		valid + "0",                       // too long
-		"ff" + valid[2:],                  // reserved version
-		"0x" + valid[2:],                  // non-hex version
-		strings.ToUpper(valid),            // uppercase hex (W3C requires lower)
+		valid[:54],             // truncated
+		valid + "0",            // too long
+		"ff" + valid[2:],       // reserved version
+		"0x" + valid[2:],       // non-hex version
+		strings.ToUpper(valid), // uppercase hex (W3C requires lower)
 		strings.Replace(valid, "-", "_", 3),
 		"00-00000000000000000000000000000000-b7ad6b7169203331-01", // zero trace id
 		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", // zero span id
