@@ -8,6 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"eyeballas"
+	"eyeballas/internal/serve"
+	"eyeballas/internal/snapshot"
 )
 
 // snapDigests pins the SHA-256 of the `.snap` artifact that
@@ -72,5 +76,42 @@ func TestSnapshotDigests(t *testing.T) {
 				t.Errorf("sha256 %s, pinned %s", got, tc.digest)
 			}
 		})
+	}
+}
+
+// footprintDigest pins one SHA-256 over the served footprint bodies
+// (serve.RenderFootprint, the bytes /v1/footprint and -footprint emit) of
+// every AS in the clean `-small -seed 42` artifact, at the paper's 40 km
+// kernel and the 60, 80 and 100 km kernels its experiments sweep, in
+// dataset order with the bandwidths innermost. It covers the whole §3–4
+// footprint path: KDE binning and blur, peak search, partitions and the
+// peak→city mapping. Like snapDigests, any change here must be
+// deliberate.
+const footprintDigest = "b61fc1ad48b60a2fc0916a9d8a766b00f9b5d70ce4d6de2f364e55c4a988f9b0"
+
+// TestFootprintDigests is the gate on the served footprint bytes: the
+// estimator kernels may change how they compute, never what.
+func TestFootprintDigests(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.snap")
+	if err := run(context.Background(), []string{"-small", "-seed", "42", "-quiet", "-snapshot", path}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := snap.Dataset
+	h := sha256.New()
+	for _, asn := range ds.Order {
+		for _, bw := range []float64{40, 60, 80, 100} {
+			body, err := serve.RenderFootprint(context.Background(), eyeball.Gazetteer(), ds.AS(asn), bw, 1, nil)
+			if err != nil {
+				t.Fatalf("AS%d at %v km: %v", asn, bw, err)
+			}
+			h.Write(body)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != footprintDigest {
+		t.Errorf("sha256 %s over %d ASes, pinned %s", got, len(ds.Order), footprintDigest)
 	}
 }

@@ -14,7 +14,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/geo"
@@ -110,6 +112,10 @@ type PeakGeo struct {
 	Value float64
 }
 
+// xyPool holds the projected-sample buffers of finished estimates, at
+// 16 B per sample, so a cold render does not allocate one per call.
+var xyPool = sync.Pool{New: func() any { return new([]geo.XY) }}
+
 // EstimateFootprint runs the §3–§4 procedure for one AS. It is
 // EstimateFootprintCtx under context.Background() — the signature every
 // experiment and example uses when cancellation is not in play.
@@ -125,20 +131,33 @@ func EstimateFootprintCtx(ctx context.Context, gaz *gazetteer.Gazetteer, samples
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: no samples")
 	}
-	pts := make([]geo.Point, len(samples))
-	for i, s := range samples {
-		pts[i] = s.Loc
+	// The centroid sums in sample order, as geo.Centroid would over the
+	// locations, so the projection (and every float after it) is the
+	// same without a []geo.Point copy.
+	var sLat, sLon float64
+	for _, s := range samples {
+		sLat += s.Loc.Lat
+		sLon += s.Loc.Lon
 	}
-	centroid, _ := geo.Centroid(pts)
-	proj := geo.NewProjection(centroid)
-	xys := proj.ProjectAll(pts)
-
+	n := float64(len(samples))
+	proj := geo.NewProjection(geo.Point{Lat: sLat / n, Lon: sLon / n})
+	// kde.Estimate only reads the projected samples, so their buffer
+	// goes back to the pool as soon as it returns.
+	xysp := xyPool.Get().(*[]geo.XY)
+	if cap(*xysp) < len(samples) {
+		*xysp = make([]geo.XY, len(samples))
+	}
+	xys := (*xysp)[:len(samples)]
+	for i, s := range samples {
+		xys[i] = proj.ToXY(s.Loc)
+	}
 	g, err := kde.Estimate(ctx, xys, kde.Options{
 		BandwidthKm: o.BandwidthKm,
 		CellKm:      o.CellKm,
 		Workers:     o.Workers,
 		Obs:         o.Obs,
 	})
+	xyPool.Put(xysp)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -156,47 +175,51 @@ func EstimateFootprintCtx(ctx context.Context, gaz *gazetteer.Gazetteer, samples
 
 	floor := o.Alpha * dmax
 	rawPeaks := g.Peaks(floor)
-	for _, p := range rawPeaks {
-		fp.Peaks = append(fp.Peaks, PeakGeo{Loc: proj.ToGeo(p.XY), Value: p.Value})
+	if len(rawPeaks) > 0 {
+		fp.Peaks = make([]PeakGeo, len(rawPeaks))
+	}
+	for i, p := range rawPeaks {
+		fp.Peaks[i] = PeakGeo{Loc: proj.ToGeo(p.XY), Value: p.Value}
 	}
 	fp.Partitions = g.Components(floor)
 
 	// Peak → city mapping (§4.2), deduplicated per city keeping the
-	// densest peak.
-	byCity := map[string]*PoP{}
-	var order []string
+	// densest peak. byCity indexes fp.PoPs, which keeps first-mapped
+	// order until the sort below.
+	type cityKey struct{ name, country string }
+	byCity := map[cityKey]int{}
 	for _, pk := range fp.Peaks {
 		city, ok := gaz.MostPopulousWithin(pk.Loc, o.CityRadiusKm)
 		if !ok {
 			fp.NoCityPeaks++
 			continue
 		}
-		key := city.Name + "/" + city.Country
+		key := cityKey{city.Name, city.Country}
 		mass := massNear(g, proj, pk.Loc, o.BandwidthKm)
-		if pop, exists := byCity[key]; exists {
-			if pk.Value > pop.PeakValue {
+		if i, exists := byCity[key]; exists {
+			if pop := &fp.PoPs[i]; pk.Value > pop.PeakValue {
 				pop.PeakLoc = pk.Loc
 				pop.PeakValue = pk.Value
 				pop.Density = mass
 			}
 			continue
 		}
-		byCity[key] = &PoP{City: city, PeakLoc: pk.Loc, PeakValue: pk.Value, Density: mass}
-		order = append(order, key)
-	}
-	for _, key := range order {
-		fp.PoPs = append(fp.PoPs, *byCity[key])
+		byCity[key] = len(fp.PoPs)
+		fp.PoPs = append(fp.PoPs, PoP{City: city, PeakLoc: pk.Loc, PeakValue: pk.Value, Density: mass})
 	}
 	if o.Obs != nil {
 		o.Obs.Counter("eyeball_core_peaks_total").Add(int64(len(fp.Peaks)))
 		o.Obs.Counter("eyeball_core_pops_total").Add(int64(len(fp.PoPs)))
 		o.Obs.Counter("eyeball_core_unmapped_peaks_total").Add(int64(fp.NoCityPeaks))
 	}
-	sort.SliceStable(fp.PoPs, func(i, j int) bool {
-		if fp.PoPs[i].Density != fp.PoPs[j].Density {
-			return fp.PoPs[i].Density > fp.PoPs[j].Density
+	slices.SortStableFunc(fp.PoPs, func(a, b PoP) int {
+		if a.Density != b.Density {
+			if a.Density > b.Density {
+				return -1
+			}
+			return 1
 		}
-		return fp.PoPs[i].City.Name < fp.PoPs[j].City.Name
+		return strings.Compare(a.City.Name, b.City.Name)
 	})
 	return fp, nil
 }

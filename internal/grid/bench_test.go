@@ -25,11 +25,23 @@ func benchGrid() *Grid {
 func BenchmarkPeaks(b *testing.B) {
 	g := benchGrid()
 	max, _, _ := g.Max()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if len(g.Peaks(max*0.01)) == 0 {
 			b.Fatal("no peaks")
 		}
+	}
+}
+
+// TestPeaksAllocs pins BenchmarkPeaks' allocations: one visited slice,
+// the growth of one shared stack, plateau and peak list — not a stack
+// and plateau per cell above the floor (17,554 allocations here).
+func TestPeaksAllocs(t *testing.T) {
+	g := benchGrid()
+	max, _, _ := g.Max()
+	if allocs := testing.AllocsPerRun(20, func() { g.Peaks(max * 0.01) }); allocs > 16 {
+		t.Errorf("Peaks: %.0f allocs/op, budget 16", allocs)
 	}
 }
 

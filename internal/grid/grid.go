@@ -118,43 +118,68 @@ var neighbours = [8][2]int{{-1, -1}, {0, -1}, {1, -1}, {-1, 0}, {1, 0}, {-1, 1},
 // is strictly lower; plateaus (connected equal-valued regions whose entire
 // border is lower) contribute a single representative cell each. Cells
 // with value <= floor are ignored.
+//
+// A cell with a strictly higher neighbour is rejected before any flood:
+// its plateau cannot be a peak, and a peak plateau holds no such cell, so
+// every peak plateau is still flooded from its first cell in row-major
+// order and keeps the representative a flood of every cell would pick.
+// One stack and one plateau slice serve every flood of a call, and the
+// visited marks are allocated only once a cell has an equal neighbour.
 func (g *Grid) Peaks(floor float64) []Peak {
-	visited := make([]bool, len(g.Data))
-	var peaks []Peak
+	var (
+		peaks          []Peak
+		visited        []bool
+		stack, plateau []int
+	)
 	for j := 0; j < g.H; j++ {
 		for i := 0; i < g.W; i++ {
-			idx := g.Index(i, j)
-			if visited[idx] || g.Data[idx] <= floor {
+			idx := j*g.W + i
+			v := g.Data[idx]
+			if v <= floor || (visited != nil && visited[idx]) {
 				continue
 			}
-			v := g.Data[idx]
+			higher, equal, lower := g.neighbourOrder(i, j, v)
+			if higher {
+				continue
+			}
+			if !equal {
+				// A one-cell plateau is its own representative.
+				if lower {
+					peaks = append(peaks, Peak{I: i, J: j, XY: g.Center(i, j), Value: v})
+				}
+				continue
+			}
 			// Flood-fill the plateau of equal value containing (i, j),
 			// checking that nothing around it is higher.
-			stack := [][2]int{{i, j}}
+			if visited == nil {
+				visited = make([]bool, len(g.Data))
+			}
 			visited[idx] = true
-			var plateau [][2]int
+			stack = append(stack[:0], idx)
+			plateau = plateau[:0]
 			isPeak := true
 			hasLower := false
 			for len(stack) > 0 {
 				c := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				plateau = append(plateau, c)
+				ci, cj := c%g.W, c/g.W
 				for _, d := range neighbours {
-					ni, nj := c[0]+d[0], c[1]+d[1]
+					ni, nj := ci+d[0], cj+d[1]
 					if ni < 0 || ni >= g.W || nj < 0 || nj >= g.H {
 						continue
 					}
-					nv := g.At(ni, nj)
+					nidx := nj*g.W + ni
+					nv := g.Data[nidx]
 					switch {
 					case nv > v:
 						isPeak = false
 					case nv < v:
 						hasLower = true
 					default:
-						nidx := g.Index(ni, nj)
 						if !visited[nidx] {
 							visited[nidx] = true
-							stack = append(stack, [2]int{ni, nj})
+							stack = append(stack, nidx)
 						}
 					}
 				}
@@ -166,24 +191,48 @@ func (g *Grid) Peaks(floor float64) []Peak {
 			// nearest to it, keeping the peak on the plateau.
 			var cx, cy float64
 			for _, c := range plateau {
-				cx += float64(c[0])
-				cy += float64(c[1])
+				cx += float64(c % g.W)
+				cy += float64(c / g.W)
 			}
 			cx /= float64(len(plateau))
 			cy /= float64(len(plateau))
 			best := plateau[0]
 			bestD := math.Inf(1)
 			for _, c := range plateau {
-				d := (float64(c[0])-cx)*(float64(c[0])-cx) + (float64(c[1])-cy)*(float64(c[1])-cy)
-				if d < bestD {
+				dx, dy := float64(c%g.W)-cx, float64(c/g.W)-cy
+				if d := dx*dx + dy*dy; d < bestD {
 					bestD, best = d, c
 				}
 			}
-			peaks = append(peaks, Peak{I: best[0], J: best[1], XY: g.Center(best[0], best[1]), Value: v})
+			bi, bj := best%g.W, best/g.W
+			peaks = append(peaks, Peak{I: bi, J: bj, XY: g.Center(bi, bj), Value: v})
 		}
 	}
 	sortPeaks(peaks)
 	return peaks
+}
+
+// neighbourOrder compares cell (i, j), of value v, with its in-grid
+// 8-neighbours: whether any is strictly higher, any compares neither
+// higher nor lower (equal), and any is strictly lower. It stops at the
+// first higher neighbour, the answer that rejects the cell.
+func (g *Grid) neighbourOrder(i, j int, v float64) (higher, equal, lower bool) {
+	for _, d := range neighbours {
+		ni, nj := i+d[0], j+d[1]
+		if ni < 0 || ni >= g.W || nj < 0 || nj >= g.H {
+			continue
+		}
+		nv := g.Data[nj*g.W+ni]
+		switch {
+		case nv > v:
+			return true, false, false
+		case nv < v:
+			lower = true
+		default:
+			equal = true
+		}
+	}
+	return false, equal, lower
 }
 
 func sortPeaks(ps []Peak) {
@@ -225,7 +274,10 @@ type Component struct {
 // largest mass first.
 func (g *Grid) Components(level float64) []Component {
 	visited := make([]bool, len(g.Data))
-	var comps []Component
+	var (
+		comps []Component
+		stack [][2]int // reused by every component's flood
+	)
 	for j := 0; j < g.H; j++ {
 		for i := 0; i < g.W; i++ {
 			idx := g.Index(i, j)
@@ -233,7 +285,7 @@ func (g *Grid) Components(level float64) []Component {
 				continue
 			}
 			c := Component{MinI: i, MinJ: j, MaxI: i, MaxJ: j}
-			stack := [][2]int{{i, j}}
+			stack = append(stack[:0], [2]int{i, j})
 			visited[idx] = true
 			for len(stack) > 0 {
 				cur := stack[len(stack)-1]

@@ -1,0 +1,146 @@
+package kde
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"eyeballas/internal/grid"
+)
+
+// referenceBlur is the two-buffer blur that blurSeparable replaced, run
+// serially (its bytes never depended on the worker count): every row of
+// g convolves into a temporary grid, then every column of that grid,
+// copied out into a column buffer, convolves back into g.
+func referenceBlur(g *grid.Grid, bandwidthKm, truncSigma float64) {
+	radius := int(math.Ceil(truncSigma * bandwidthKm / g.Cell))
+	kernel := make([]float64, 2*radius+1)
+	sum := 0.0
+	for i := -radius; i <= radius; i++ {
+		d := float64(i) * g.Cell
+		kernel[i+radius] = math.Exp(-d * d / (2 * bandwidthKm * bandwidthKm))
+		sum += kernel[i+radius]
+	}
+	for i := range kernel {
+		kernel[i] /= sum
+	}
+	tmp := make([]float64, len(g.Data))
+	for j := 0; j < g.H; j++ {
+		convolveRow(tmp[j*g.W:(j+1)*g.W], g.Data[j*g.W:(j+1)*g.W], kernel, radius)
+	}
+	col := make([]float64, g.H)
+	outCol := make([]float64, g.H)
+	for i := 0; i < g.W; i++ {
+		for j := 0; j < g.H; j++ {
+			col[j] = tmp[j*g.W+i]
+		}
+		convolveRow(outCol, col, kernel, radius)
+		for j := 0; j < g.H; j++ {
+			g.Data[j*g.W+i] = outCol[j]
+		}
+	}
+}
+
+// blurMatchesReference blurs a copy of src with blurSeparable at the
+// given worker count and with referenceBlur, and reports the first cell
+// whose bits differ ("" when none does).
+func blurMatchesReference(src *grid.Grid, bandwidthKm float64, workers int) string {
+	got := grid.New(src.MinX, src.MinY, src.Cell, src.W, src.H)
+	copy(got.Data, src.Data)
+	want := grid.New(src.MinX, src.MinY, src.Cell, src.W, src.H)
+	copy(want.Data, src.Data)
+	if err := blurSeparable(context.Background(), got, bandwidthKm, 4, workers, nil); err != nil {
+		return err.Error()
+	}
+	referenceBlur(want, bandwidthKm, 4)
+	for k := range want.Data {
+		if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
+			return fmt.Sprintf("cell (%d,%d) = %.17g, reference %.17g",
+				k%src.W, k/src.W, got.Data[k], want.Data[k])
+		}
+	}
+	return ""
+}
+
+// countsGrid places counts on a w×h grid of 1 km cells at a stride that
+// spreads them over rows and columns; every other cell is zero.
+func countsGrid(w, h, stride int, counts ...float64) *grid.Grid {
+	g := grid.New(0, 0, 1, w, h)
+	for k, c := range counts {
+		g.Data[(k*stride)%len(g.Data)] += c
+	}
+	return g
+}
+
+func TestBlurMatchesReference(t *testing.T) {
+	zeroLines := countsGrid(40, 30, 7, 1, 3, 2, 5, 1, 1, 4, 2, 9, 1, 2, 6, 3)
+	for j := 0; j < zeroLines.H; j++ {
+		zeroLines.Data[j*zeroLines.W+11] = 0 // an all-zero column
+	}
+	for i := 0; i < zeroLines.W; i++ {
+		zeroLines.Data[17*zeroLines.W+i] = 0 // and an all-zero row
+	}
+	binned := grid.New(0, 0, 10, 301, 233) // several blocks per pass
+	samples := determinismSamples(4000, 2000)
+	for _, s := range samples {
+		if i, j, ok := binned.CellOf(s); ok {
+			binned.Add(i, j, 1)
+		}
+	}
+	cases := []struct {
+		name string
+		g    *grid.Grid
+		bw   float64 // km; with 1 km cells the radius is 4·bw
+	}{
+		{"binned-samples", binned, 40},
+		{"binned-samples-wide-kernel", binned, 250},
+		{"zero-row-and-column", zeroLines, 2},
+		{"row-1xN", countsGrid(50, 1, 3, 1, 2, 3, 4, 5, 6), 2},
+		{"column-Nx1", countsGrid(1, 50, 3, 1, 2, 3, 4, 5, 6), 2},
+		{"narrower-than-radius", countsGrid(5, 60, 11, 2, 1, 7, 1, 3, 8), 3},
+		{"shorter-than-radius", countsGrid(60, 5, 11, 2, 1, 7, 1, 3, 8), 3},
+		{"smaller-than-radius", countsGrid(3, 4, 5, 1, 2, 3), 10},
+		{"single-cell", countsGrid(1, 1, 1, 7), 1},
+		{"all-zero", grid.New(0, 0, 1, 20, 20), 2},
+		{"long-row-many-blocks", countsGrid(40000, 2, 997, 1, 2, 3, 4, 5), 1},
+		{"tall-column-many-blocks", countsGrid(2, 40000, 997, 1, 2, 3, 4, 5), 1},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
+				if diff := blurMatchesReference(tc.g, tc.bw, workers); diff != "" {
+					t.Fatalf("%dx%d grid, bw %v: %s", tc.g.W, tc.g.H, tc.bw, diff)
+				}
+			})
+		}
+	}
+}
+
+// FuzzBlurMatchesReference checks the in-place blur against the
+// reference, bit for bit, on fuzzed grids: 1–256 cells a side (so 1×N,
+// N×1 and grids past one convolution block), kernel radii 1–40 (so grids
+// narrower or shorter than the radius), sparse counts that leave
+// all-zero rows and columns, and 1, 2 or 8 workers.
+func FuzzBlurMatchesReference(f *testing.F) {
+	f.Add([]byte{30, 20, 7, 0, 1, 5, 3, 9, 2})
+	f.Add([]byte{255, 0, 15, 1, 4, 4, 4})
+	f.Add([]byte{0, 255, 39, 2, 1, 200, 3})
+	f.Add([]byte{255, 200, 3, 1, 9, 0, 0, 7, 1, 1, 1, 250})
+	f.Add([]byte{2, 3, 20, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		w, h := 1+int(data[0]), 1+int(data[1])
+		radius := 1 + int(data[2]%40)
+		workers := []int{1, 2, 8}[int(data[3])%3]
+		g := grid.New(0, 0, 1, w, h)
+		for k, b := range data[4:] {
+			g.Data[(k*7919)%len(g.Data)] += float64(b)
+		}
+		if diff := blurMatchesReference(g, float64(radius)/4, workers); diff != "" {
+			t.Fatalf("%dx%d grid, radius %d, workers %d: %s", w, h, radius, workers, diff)
+		}
+	})
+}

@@ -120,11 +120,24 @@ func Estimate(ctx context.Context, samples []geo.XY, opts Options) (*grid.Grid, 
 	minY -= o.PadKm
 	maxX += o.PadKm
 	maxY += o.PadKm
-	w := int(math.Ceil((maxX-minX)/o.CellKm)) + 1
-	h := int(math.Ceil((maxY-minY)/o.CellKm)) + 1
-	if w*h > o.MaxCells {
-		return nil, fmt.Errorf("kde: domain needs %d cells (cap %d); increase CellKm", w*h, o.MaxCells)
+	// Size the domain in floating point: a cell small enough to overflow
+	// an int, or one that underflowed to 0, must fail the cap check
+	// rather than reach the conversion.
+	fw := math.Ceil((maxX-minX)/o.CellKm) + 1
+	fh := math.Ceil((maxY-minY)/o.CellKm) + 1
+	if cells := fw * fh; !(o.CellKm > 0) || !(cells <= float64(o.MaxCells)) {
+		if !(o.CellKm > 0) || math.IsNaN(cells) {
+			cells = math.Inf(1)
+		}
+		// Counts a float holds exactly print in full, as the int product
+		// did; larger ones in short scientific form.
+		n := fmt.Sprintf("%.0f", cells)
+		if cells >= 1<<53 {
+			n = fmt.Sprintf("%.3g", cells)
+		}
+		return nil, fmt.Errorf("kde: domain needs %s cells (cap %d); increase CellKm", n, o.MaxCells)
 	}
+	w, h := int(fw), int(fh)
 	g := grid.New(minX, minY, o.CellKm, w, h)
 	span.SetInt("samples", int64(len(samples)))
 	span.SetInt("cells", int64(w*h))
@@ -170,19 +183,36 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
+// blurBlockCells is the grid area one convolution block covers: enough
+// work to amortize a block's scratch and span, while a continental-scale
+// grid still splits into dozens of blocks for the pool.
+const blurBlockCells = 1 << 15
+
+// blurBlock returns the block size for a pass over n lines (rows or
+// columns) of the given length: ceil(n·length/blurBlockCells) blocks of
+// near-equal size. It depends on the grid's dimensions alone.
+func blurBlock(n, length int) int {
+	blocks := (n*length + blurBlockCells - 1) / blurBlockCells
+	return (n + blocks - 1) / blocks
+}
+
 // blurSeparable convolves the grid in place with a truncated Gaussian,
-// normalized to preserve total mass.
+// normalized to preserve total mass. It needs no second grid: the
+// horizontal pass convolves each row from one row of scratch, and the
+// vertical pass is an ascending gather that keeps, per block, only the
+// source rows it has already overwritten (see gatherColumns).
 //
-// Both passes fan out over the shared worker pool. Rows (and columns) are
-// convolved independently into disjoint slices, and the block
-// decomposition is a fixed function of the grid dimensions, so the result
-// is byte-identical for every worker count — including workers == 1,
-// which runs inline with zero synchronization. parent (nil when tracing
-// is off) receives one child span per pass, each with one span per
-// convolution block, keyed by the block's low index so the rendered
-// trace is deterministic regardless of worker scheduling. A cancelled
-// ctx stops the fan-out at a block boundary and surfaces ctx.Err(); the
-// grid is then partially blurred and must be discarded by the caller.
+// Both passes fan out over the shared worker pool in blocks whose
+// boundaries are a fixed function of the grid dimensions, and every
+// output cell sums its sources in ascending order wherever its block
+// ends, so the result is byte-identical for every worker count —
+// including workers == 1, which runs inline with zero synchronization.
+// parent (nil when tracing is off) receives one child span per pass,
+// each with one span per convolution block, keyed by the block's low
+// index so the rendered trace is deterministic regardless of worker
+// scheduling. A cancelled ctx stops the fan-out at a block boundary and
+// surfaces ctx.Err(); the grid is then partially blurred and must be
+// discarded by the caller.
 func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma float64, workers int, parent *trace.Span) error {
 	radius := int(math.Ceil(truncSigma * bandwidthKm / g.Cell))
 	kernel := make([]float64, 2*radius+1)
@@ -196,11 +226,10 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma fl
 		kernel[i] /= sum
 	}
 
-	tmp := make([]float64, len(g.Data))
-	// Horizontal pass: each row of g.Data convolves into the same row of
-	// tmp; rows in a block are processed in order, blocks never overlap.
+	// Horizontal pass: each row convolves from a copy of itself; rows in
+	// a block are processed in order, blocks never overlap.
 	hSpan := parent.Child("blur_horizontal")
-	err := parallel.Blocks(ctx, workers, g.H, 0, func(lo, hi int) error {
+	err := parallel.Blocks(ctx, workers, g.H, blurBlock(g.H, g.W), func(lo, hi int) error {
 		// Per-block trace spans are created and attributed by this
 		// worker goroutine (the package's ownership contract); ChildSeq
 		// keys them by lo so sibling order is schedule-independent.
@@ -210,10 +239,11 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma fl
 			bs.SetInt("lo", int64(lo))
 			bs.SetInt("hi", int64(hi))
 		}
+		src := make([]float64, g.W)
 		for j := lo; j < hi; j++ {
 			row := g.Data[j*g.W : (j+1)*g.W]
-			out := tmp[j*g.W : (j+1)*g.W]
-			convolveRow(out, row, kernel, radius)
+			copy(src, row)
+			convolveRow(row, src, kernel, radius)
 		}
 		bs.End()
 		return nil
@@ -222,33 +252,93 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma fl
 	if err != nil {
 		return err
 	}
-	// Vertical pass: convolve columns of tmp back into g.Data. Each
-	// block owns a contiguous span of columns and its own scratch
-	// buffers; writes target disjoint strided cells.
+	// Vertical pass: each block owns a contiguous span of columns and
+	// its own ring; writes target disjoint cells.
 	vSpan := parent.Child("blur_vertical")
-	err = parallel.Blocks(ctx, workers, g.W, 0, func(lo, hi int) error {
+	err = parallel.Blocks(ctx, workers, g.W, blurBlock(g.W, g.H), func(lo, hi int) error {
 		var bs *trace.Span
 		if vSpan != nil {
 			bs = vSpan.ChildSeq("cols", lo)
 			bs.SetInt("lo", int64(lo))
 			bs.SetInt("hi", int64(hi))
 		}
-		col := make([]float64, g.H)
-		outCol := make([]float64, g.H)
-		for i := lo; i < hi; i++ {
-			for j := 0; j < g.H; j++ {
-				col[j] = tmp[j*g.W+i]
-			}
-			convolveRow(outCol, col, kernel, radius)
-			for j := 0; j < g.H; j++ {
-				g.Data[j*g.W+i] = outCol[j]
-			}
-		}
+		gatherColumns(g, lo, hi, kernel, radius)
 		bs.End()
 		return nil
 	})
 	vSpan.End()
 	return err
+}
+
+// gatherColumns convolves columns [lo, hi) of g in place along y. Output
+// row j is the sum over source rows s = j-radius … j+radius, ascending,
+// of row s times kernel[j-s+radius] — the order in which convolveRow's
+// scatter adds them — so each cell gets bit for bit what convolving its
+// column would give. Rows are produced in ascending order: sources at or
+// below j are still in g, and the radius rows above it that were already
+// overwritten are kept in a ring.
+//
+// Each source row contributes only over its nonzero extent within the
+// block, as convolveRow skips zero cells; an output row is written only
+// over the union of its sources' extents. Neither can change a bit: a sum
+// starts at +0, can never become −0, and adding ±0 to anything else
+// returns it; outside the union the row was zero and stays zero (the
+// horizontal pass leaves no −0).
+func gatherColumns(g *grid.Grid, lo, hi int, kernel []float64, radius int) {
+	w := hi - lo
+	slots := min(radius, g.H)
+	buf := make([]float64, (slots+1)*w)
+	acc, ring := buf[:w], buf[w:]
+	// ext[j] is row j's nonzero extent [first, end) in block columns;
+	// first == end for a row that is zero across the block.
+	ext := make([][2]int, g.H)
+	for j := range ext {
+		row := g.Data[j*g.W+lo : j*g.W+hi]
+		first, end := 0, 0
+		for x, v := range row {
+			if v != 0 {
+				if first == end {
+					first = x
+				}
+				end = x + 1
+			}
+		}
+		ext[j] = [2]int{first, end}
+	}
+	for j := 0; j < g.H; j++ {
+		s0, s1 := max(0, j-radius), min(g.H-1, j+radius)
+		ulo, uhi := w, 0
+		for s := s0; s <= s1; s++ {
+			if e := ext[s]; e[0] < e[1] {
+				ulo, uhi = min(ulo, e[0]), max(uhi, e[1])
+			}
+		}
+		if ulo >= uhi {
+			continue // every source is zero, and so is row j
+		}
+		clear(acc[ulo:uhi])
+		for s := s0; s <= s1; s++ {
+			e := ext[s]
+			if e[0] == e[1] {
+				continue
+			}
+			src := g.Data[s*g.W+lo+e[0] : s*g.W+lo+e[1]]
+			if s < j {
+				src = ring[s%slots*w+e[0] : s%slots*w+e[1]]
+			}
+			k := kernel[j-s+radius]
+			a := acc[e[0]:e[1]]
+			src = src[:len(a)]
+			for x, v := range src {
+				a[x] += v * k
+			}
+		}
+		row := g.Data[j*g.W+lo : j*g.W+hi]
+		if e := ext[j]; e[0] < e[1] && slots > 0 {
+			copy(ring[j%slots*w+e[0]:], row[e[0]:e[1]])
+		}
+		copy(row[ulo:uhi], acc[ulo:uhi])
+	}
 }
 
 // convolveRow writes the 1-D convolution of src with kernel into dst.

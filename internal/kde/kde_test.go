@@ -2,6 +2,7 @@ package kde
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -20,6 +21,37 @@ func TestEstimateErrors(t *testing.T) {
 	big := []geo.XY{{X: 0, Y: 0}, {X: 1e6, Y: 1e6}}
 	if _, err := Estimate(context.Background(), big, Options{BandwidthKm: 1, MaxCells: 1000}); err == nil {
 		t.Error("oversized domain should error")
+	}
+}
+
+// TestEstimateTinyBandwidthErrors: a bandwidth small enough that the
+// cell count overflows an int (1e-300), or that the cell underflows to 0
+// (5e-324, the smallest positive float), is an oversized domain — the
+// same error a merely too-fine bandwidth gets — and never a panic in
+// grid.New.
+func TestEstimateTinyBandwidthErrors(t *testing.T) {
+	samples := []geo.XY{{X: 0, Y: 0}, {X: 300, Y: 200}}
+	cases := []struct {
+		bw   float64
+		want string
+	}{
+		{0.001, "kde: domain needs 960066801122 cells (cap 16777216); increase CellKm"},
+		{1e-150, "kde: domain needs 9.6e+305 cells (cap 16777216); increase CellKm"},
+		{1e-300, "kde: domain needs +Inf cells (cap 16777216); increase CellKm"},
+		{5e-324, "kde: domain needs +Inf cells (cap 16777216); increase CellKm"},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprint(tc.bw), func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("bw=%v panicked: %v", tc.bw, r)
+				}
+			}()
+			g, err := Estimate(context.Background(), samples, Options{BandwidthKm: tc.bw})
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("bw=%v: got grid %v, err %v; want %q", tc.bw, g != nil, err, tc.want)
+			}
+		})
 	}
 }
 

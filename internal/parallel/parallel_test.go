@@ -344,28 +344,38 @@ func TestPreCancelledContext(t *testing.T) {
 
 // TestCancellationStopsWithinOneBlock: once the context is cancelled,
 // workers must stop claiming new blocks — the pool returns ctx.Err()
-// having run only the blocks already in flight plus at most one more
-// claim race per worker, never the whole input.
+// having started, after cancel returned, at most one block per other
+// worker, never the whole input. Only blocks that start after cancel
+// returns are counted: a worker preempted before it calls cancel lets
+// the others keep claiming, so a bound on all blocks run would depend on
+// scheduling. Each other worker can have passed its ctx.Err() check
+// before the cancel at most once; the cancelling worker checks after it.
 func TestCancellationStopsWithinOneBlock(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			const n, block = 10000, 1
-			var ran int32
+			var (
+				ran, late atomic.Int32
+				cancelled atomic.Bool
+			)
 			err := Blocks(ctx, workers, n, block, func(lo, hi int) error {
-				if atomic.AddInt32(&ran, 1) == 5 {
+				if cancelled.Load() {
+					late.Add(1)
+				}
+				if ran.Add(1) == 5 {
 					cancel() // cancel from inside the 5th block
+					cancelled.Store(true)
 				}
 				return nil
 			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("got %v, want context.Canceled", err)
 			}
-			// Each worker may have claimed one more block before seeing
-			// the cancellation; anything near n means it never stopped.
-			if got := atomic.LoadInt32(&ran); int(got) > 5+workers+1 {
-				t.Fatalf("ran %d blocks after cancellation at block 5 (workers=%d)", got, workers)
+			if got := late.Load(); int(got) > workers-1 {
+				t.Fatalf("%d blocks started after cancel returned (workers=%d, ran %d), want at most %d",
+					got, workers, ran.Load(), workers-1)
 			}
 		})
 	}

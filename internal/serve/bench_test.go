@@ -57,6 +57,26 @@ func BenchmarkFootprintCold(b *testing.B) {
 	}
 }
 
+// TestFootprintColdAllocs pins the allocations of one cold render through
+// the full handler — the request BenchmarkFootprintCold makes, with the
+// cache disabled so every run pays the KDE, peaks, partitions and city
+// mapping. The budget is a tenth of the 1,066 the render made when each
+// flood, blur pass and projection allocated afresh.
+func TestFootprintColdAllocs(t *testing.T) {
+	s, _, _ := newTestServer(t, Options{CacheSize: -1})
+	h := s.Handler()
+	allocs := testing.AllocsPerRun(50, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/footprint/64500", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("HTTP %d", rec.Code)
+		}
+	})
+	if allocs > 106 {
+		t.Errorf("cold footprint render: %.0f allocs/op, budget 106", allocs)
+	}
+}
+
 // BenchmarkFlightWaiter measures the coalesced-path overhead a waiter
 // pays on top of the render it skips: one join (map lookup under the
 // group mutex) plus one wait on an already-closed done channel. The

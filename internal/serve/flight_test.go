@@ -298,3 +298,93 @@ func TestFlightGroupSemantics(t *testing.T) {
 		t.Fatalf("error call published %v, want %v", err, wantErr)
 	}
 }
+
+// inFlight returns how many flight calls the server still holds.
+func inFlight(s *Server) int {
+	s.flight.mu.Lock()
+	defer s.flight.mu.Unlock()
+	return len(s.flight.calls)
+}
+
+// TestFootprintTinyBandwidthFailsAtOnce: ?bw=1e-300 passes parseBW's
+// (0, 5000] envelope but needs more grid cells than an int holds. Both
+// requests for the key get the estimator's "domain needs" error as a
+// plain 500 — no panic, no 504 for a second request parked on an
+// abandoned flight — and nothing stays in flight.
+func TestFootprintTinyBandwidthFailsAtOnce(t *testing.T) {
+	reg := obs.New()
+	s, _, _ := newTestServer(t, Options{Obs: reg, Timeout: 300 * time.Millisecond})
+	h := s.Handler()
+	first := get(t, h, "/v1/footprint/64500?bw=1e-300")
+	second := get(t, h, "/v1/footprint/64500?bw=1e-300")
+	for i, rec := range []*httptest.ResponseRecorder{first, second} {
+		if rec.Code != http.StatusInternalServerError || !strings500(rec.Body.String()) ||
+			!bytes.Contains(rec.Body.Bytes(), []byte("domain needs")) {
+			t.Errorf("request %d: HTTP %d %s, want 500 with the domain-size error", i, rec.Code, rec.Body.String())
+		}
+	}
+	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+		t.Errorf("bodies differ:\n%s\n%s", first.Body.String(), second.Body.String())
+	}
+	if n := inFlight(s); n != 0 {
+		t.Errorf("%d flight calls left after the requests", n)
+	}
+	if n := reg.Counter("eyeball_serve_panics_total", "endpoint", "footprint").Value(); n != 0 {
+		t.Errorf("panics_total = %d, want 0", n)
+	}
+}
+
+// TestFootprintRenderPanicReleasesWaiters: a leader whose render panics
+// completes its flight call before the panic continues. The waiter
+// parked on the call gets an error at once instead of sitting out its
+// deadline, no call is left in flight, and recoverPanic still turns the
+// leader's panic into a counted 500.
+func TestFootprintRenderPanicReleasesWaiters(t *testing.T) {
+	defer leakcheck.Check(t)()
+	reg := obs.New()
+	s, _, _ := newTestServer(t, Options{Obs: reg, Timeout: 2 * time.Second})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	s.render = func(context.Context, *gazetteer.Gazetteer, *pipeline.ASRecord, float64, int, *obs.Registry) ([]byte, error) {
+		close(started)
+		<-release
+		panic("render exploded")
+	}
+	h := s.Handler()
+
+	var leader, waiter *httptest.ResponseRecorder
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		leader = get(t, h, "/v1/footprint/64500")
+	}()
+	<-started
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		waiter = get(t, h, "/v1/footprint/64500")
+	}()
+	key := cacheKey{gen: s.Artifact().Gen, asn: 64500, bw: math.Float64bits(s.opts.BandwidthKm)}
+	waitFor(t, 2*time.Second, "the waiter to join the flight", func() bool {
+		s.flight.mu.Lock()
+		defer s.flight.mu.Unlock()
+		c := s.flight.calls[key]
+		return c != nil && c.waiters.Load() == 1
+	})
+	close(release)
+	wg.Wait()
+
+	if leader.Code != http.StatusInternalServerError || !bytes.Contains(leader.Body.Bytes(), []byte("handler panicked")) {
+		t.Errorf("leader: HTTP %d %s, want the recovered-panic 500", leader.Code, leader.Body.String())
+	}
+	if waiter.Code != http.StatusInternalServerError || !bytes.Contains(waiter.Body.Bytes(), []byte("render panicked: render exploded")) {
+		t.Errorf("waiter: HTTP %d %s, want a 500 naming the render panic", waiter.Code, waiter.Body.String())
+	}
+	if n := inFlight(s); n != 0 {
+		t.Errorf("%d flight calls left after a panicking render", n)
+	}
+	if n := reg.Counter("eyeball_serve_panics_total", "endpoint", "footprint").Value(); n != 1 {
+		t.Errorf("panics_total = %d, want 1", n)
+	}
+}

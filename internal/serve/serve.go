@@ -107,10 +107,11 @@ type Options struct {
 	BandwidthKm float64
 	// Warm enables the background footprint warmer: after every
 	// artifact install (startup load, reload, rollback) a Warmer
-	// renders every dataset AS at the default bandwidth in descending
-	// user-count order, so steady-state traffic starts on a hot cache
-	// instead of a 504 storm. The warmer is cancelled by the next swap
-	// and by Close.
+	// renders, at the default bandwidth, the top min(CacheSize, ASes)
+	// dataset ASes by user count, most-used first, so steady-state
+	// traffic starts on a cache holding the ASes it asks for most
+	// instead of a 504 storm. With caching disabled it renders nothing.
+	// The warmer is cancelled by the next swap and by Close.
 	Warm bool
 	// WarmWorkers bounds concurrent warm renders (default 1). This is
 	// the warmer's low-priority semaphore: warm renders bypass the
@@ -804,12 +805,28 @@ func (s *Server) footprint(ctx context.Context, sp *trace.Span, a *Artifact, rec
 		body, err := c.wait(ctx)
 		return body, cacheCoalesced, err
 	}
+	body, err := s.lead(ctx, sp, key, c, rec, bw)
+	return body, cacheMiss, err
+}
+
+// lead is the leader's half of a flight: it renders, caches a success,
+// and completes the call on every path. A panicking render completes the
+// call with an error before the panic continues, so its waiters get an
+// answer at once and the key does not stay in flight for good;
+// recoverPanic still sees the panic.
+func (s *Server) lead(ctx context.Context, sp *trace.Span, key cacheKey, c *flightCall, rec *pipeline.ASRecord, bw float64) ([]byte, error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.flight.complete(key, c, nil, fmt.Errorf("render panicked: %v", r))
+			panic(r)
+		}
+	}()
 	body, err := s.render(trace.NewContext(ctx, sp), s.opts.Gaz, rec, bw, s.opts.Workers, s.opts.Obs)
 	if err == nil {
 		s.cache.add(key, body)
 	}
 	s.flight.complete(key, c, body, err)
-	return body, cacheMiss, err
+	return body, err
 }
 
 // footprintBody resolves one AS to the exact bytes the single-footprint

@@ -11,13 +11,15 @@ import (
 )
 
 // Warmer is one background cache-warming pass over one installed
-// artifact: it renders every dataset AS's footprint at the server's
-// default bandwidth, most-used ASes first, so the ASes that dominate
-// traffic are hot before the first request asks for them. A pass runs
-// after every artifact install — startup load, successful reload, and
-// rollback — and the next install (or Server.Close) cancels it;
-// cancelled renders stop at KDE block boundaries, so teardown is
-// prompt and leak-free.
+// artifact: it renders, at the server's default bandwidth, the
+// footprints of the most-used ASes the cache can hold — the top
+// min(CacheSize, ASes) by user count, most-used first — so the ASes
+// that dominate traffic are hot before the first request asks for them.
+// Rendering more would only evict those ASes in favour of the least
+// used; a server without a cache warms nothing. A pass runs after every
+// artifact install — startup load, successful reload, and rollback —
+// and the next install (or Server.Close) cancels it; cancelled renders
+// stop at KDE block boundaries, so teardown is prompt and leak-free.
 //
 // Warm renders run outside the admission limiter: they must never
 // consume a slot a live request could have had, and they must keep
@@ -32,13 +34,15 @@ import (
 // increment none of the request-funnel counters.
 //
 // Progress is visible as two gauges, reset at the start of each pass:
-// eyeball_serve_warm_total (ASes this pass will attempt) and
-// eyeball_serve_warm_done (attempts completed, successful or not).
+// eyeball_serve_warm_total (ASes this pass will attempt, the warm set's
+// size) and eyeball_serve_warm_done (attempts completed, successful or
+// not).
 // done == total with total > 0 means the pass finished.
 type Warmer struct {
-	srv *Server
-	art *Artifact
-	ctx context.Context
+	srv   *Server
+	art   *Artifact
+	ctx   context.Context
+	order []*pipeline.ASRecord // the warm set, in render order
 
 	cancel context.CancelFunc
 	done   chan struct{} // closed when every worker has exited
@@ -91,8 +95,10 @@ func newWarmer(s *Server, a *Artifact) *Warmer {
 	} else {
 		ctx, cancel = context.WithCancel(context.Background())
 	}
-	w := &Warmer{srv: s, art: a, ctx: ctx, cancel: cancel, done: make(chan struct{})}
-	s.opts.Obs.Gauge("eyeball_serve_warm_total").Set(float64(len(a.Snap.Dataset.Order)))
+	order := warmOrder(a.Snap.Dataset)
+	order = order[:min(len(order), max(s.opts.CacheSize, 0))]
+	w := &Warmer{srv: s, art: a, ctx: ctx, order: order, cancel: cancel, done: make(chan struct{})}
+	s.opts.Obs.Gauge("eyeball_serve_warm_total").Set(float64(len(order)))
 	s.opts.Obs.Gauge("eyeball_serve_warm_done").Set(0)
 	return w
 }
@@ -114,11 +120,10 @@ func warmOrder(ds *pipeline.Dataset) []*pipeline.ASRecord {
 }
 
 // run executes the pass: WarmWorkers goroutines pull the next AS off
-// the priority order until it is exhausted or the context dies.
+// the warm set until it is exhausted or the context dies.
 func (w *Warmer) run() {
 	defer close(w.done)
 	defer w.cancel() // releases the budget timer when the pass finishes early
-	order := warmOrder(w.art.Snap.Dataset)
 	doneG := w.srv.opts.Obs.Gauge("eyeball_serve_warm_done")
 
 	var (
@@ -128,10 +133,10 @@ func (w *Warmer) run() {
 	take := func() *pipeline.ASRecord {
 		mu.Lock()
 		defer mu.Unlock()
-		if next >= len(order) {
+		if next >= len(w.order) {
 			return nil
 		}
-		rec := order[next]
+		rec := w.order[next]
 		next++
 		return rec
 	}

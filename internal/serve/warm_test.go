@@ -119,6 +119,63 @@ func TestWarmRendersInPriorityOrderThenHits(t *testing.T) {
 	assertFootprintFunnel(t, reg)
 }
 
+// TestWarmOnlyWhatTheCacheHolds: the pass warms the top
+// min(CacheSize, ASes) by users. With room for one footprint it renders
+// AS64500 (300 users) alone, so the first request for it is a hit;
+// rendering AS64501 too would have evicted it. Without a cache the pass
+// renders nothing.
+func TestWarmOnlyWhatTheCacheHolds(t *testing.T) {
+	for _, tc := range []struct {
+		cacheSize int
+		want      []astopo.ASN
+	}{
+		{1, []astopo.ASN{64500}},
+		{-1, nil},
+	} {
+		t.Run(fmt.Sprintf("cache%d", tc.cacheSize), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			reg := obs.New()
+			path, _ := testArtifact(t, t.TempDir())
+			s := New(Options{Warm: true, CacheSize: tc.cacheSize, Obs: reg, Gaz: testGaz})
+			defer s.Close()
+			var mu sync.Mutex
+			var order []astopo.ASN
+			s.render = func(_ context.Context, _ *gazetteer.Gazetteer, rec *pipeline.ASRecord, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+				mu.Lock()
+				order = append(order, rec.ASN)
+				mu.Unlock()
+				return []byte(fmt.Sprintf("{\"asn\":%d}\n", rec.ASN)), nil
+			}
+			if _, err := s.LoadFile(path); err != nil {
+				t.Fatalf("LoadFile: %v", err)
+			}
+			awaitWarm(t, s.warmer())
+			mu.Lock()
+			got := append([]astopo.ASN(nil), order...)
+			mu.Unlock()
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("warm rendered %v, want %v", got, tc.want)
+			}
+			n := float64(len(tc.want))
+			if v := reg.Gauge("eyeball_serve_warm_total").Value(); v != n {
+				t.Errorf("warm_total = %v, want %v", v, n)
+			}
+			if v := reg.Gauge("eyeball_serve_warm_done").Value(); v != n {
+				t.Errorf("warm_done = %v, want %v", v, n)
+			}
+			if tc.cacheSize < 1 {
+				return
+			}
+			if rec := get(t, s.Handler(), "/v1/footprint/64500"); rec.Code != http.StatusOK {
+				t.Fatalf("GET AS64500: %d %s", rec.Code, rec.Body.String())
+			}
+			if n := reg.Counter("eyeball_serve_footprint_cache_total", "result", cacheHit).Value(); n != 1 {
+				t.Errorf("hit = %d, want 1: the most-used AS must be the one left cached", n)
+			}
+		})
+	}
+}
+
 // TestWarmCancelOnSwapAndClose: installing a new artifact cancels the
 // running pass before starting its own (at most one pass ever runs),
 // Close cancels and waits out the current pass, and a closed server
