@@ -31,7 +31,7 @@ func writeTestSnapshot(t *testing.T) string {
 				Lat: milan.Loc.Lat + 0.02*float64(i%7) - 0.06,
 				Lon: milan.Loc.Lon + 0.02*float64(i%5) - 0.04,
 			},
-			City: "Milan", Country: "IT", GeoErrKm: float64(i % 25),
+			Place: &core.Place{City: "Milan", Country: "IT"}, GeoErrKm: float64(i % 25),
 		})
 	}
 	rec := &pipeline.ASRecord{

@@ -76,10 +76,11 @@ func WriteSamplesCSV(w io.Writer, rec *ASRecord) error {
 		return err
 	}
 	for _, s := range rec.Samples {
+		p := s.Labels()
 		row := []string{
 			fmt.Sprintf("%.5f", s.Loc.Lat),
 			fmt.Sprintf("%.5f", s.Loc.Lon),
-			s.City, s.State, s.Country, string(s.Region),
+			p.City, p.State, p.Country, string(p.Region),
 			fmt.Sprintf("%.2f", s.GeoErrKm),
 		}
 		if err := cw.Write(row); err != nil {

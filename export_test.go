@@ -76,6 +76,16 @@ func TestWriteSamplesCSV(t *testing.T) {
 	if rows[0][0] != "lat" {
 		t.Errorf("header = %v", rows[0])
 	}
+
+	// A label-less sample (nil Place) writes four empty labels.
+	buf.Reset()
+	bare := &ASRecord{Samples: []Sample{{Loc: GeoPoint{Lat: 1, Lon: 2}, GeoErrKm: 3}}}
+	if err := WriteSamplesCSV(&buf, bare); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "lat,lon,city,state,country,region,geoerr_km\n1.00000,2.00000,,,,,3.00\n"; got != want {
+		t.Errorf("label-less sample: got %q, want %q", got, want)
+	}
 }
 
 func TestWriteWorldJSON(t *testing.T) {

@@ -59,6 +59,9 @@ type (
 
 	// Sample is one usable peer observation (geolocated IP).
 	Sample = core.Sample
+	// Place is a sample's database labels (city, state, country,
+	// region), shared by every sample of a dataset with the same labels.
+	Place = core.Place
 	// Footprint is an estimated geo- and PoP-level footprint.
 	Footprint = core.Footprint
 	// PoP is one inferred Point of Presence.

@@ -49,7 +49,7 @@ func e2eArtifact(t testing.TB, dir string) string {
 				Lat: center.Lat + 0.02*float64(i%7) - 0.06,
 				Lon: center.Lon + 0.02*float64(i%5) - 0.04,
 			},
-			City: city, Country: country, GeoErrKm: float64(i % 20),
+			Place: &core.Place{City: city, Country: country}, GeoErrKm: float64(i % 20),
 		}
 	}
 	milan := loc("IT", "Milan")

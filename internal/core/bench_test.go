@@ -9,14 +9,18 @@ import (
 	"eyeballas/internal/rng"
 )
 
+// benchSamplesItaly scatters n samples over eight Italian metros, with
+// their labels interned in one table as a build or a decoder holds them.
 func benchSamplesItaly(n int) ([]Sample, *gazetteer.Gazetteer) {
 	gaz := gazetteer.Default()
 	src := rng.New(9100)
 	cities := gaz.MajorInCountry("IT")[:8]
+	places := Places{}
 	out := make([]Sample, n)
 	for i := range out {
 		c := cities[src.Intn(len(cities))]
 		out[i] = cloudAround(src, c, 1)[0]
+		out[i].Place = places.Intern(*out[i].Place)
 	}
 	return out, gaz
 }
@@ -46,6 +50,7 @@ func BenchmarkMultiScaleFootprint(b *testing.B) {
 
 func BenchmarkClassifyLevel(b *testing.B) {
 	samples, _ := benchSamplesItaly(10000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ClassifyLevel(samples)

@@ -26,14 +26,46 @@ import (
 )
 
 // Sample is one usable peer observation: the reference database's answer
-// for one IP.
+// for one IP. Its labels sit in a Place that every sample with the same
+// labels shares, so a sample is 32 bytes however long the names are; the
+// embedded pointer keeps reads such as s.City working. A nil Place is a
+// label-less sample: Labels reads it as four empty labels.
 type Sample struct {
-	Loc      geo.Point
-	City     string
-	State    string
-	Country  string
-	Region   gazetteer.Region
+	Loc geo.Point
+	*Place
 	GeoErrKm float64 // cross-database geolocation error estimate
+}
+
+// Place is the label tuple a geolocation database reports for a sample.
+type Place struct {
+	City    string
+	State   string
+	Country string
+	Region  gazetteer.Region
+}
+
+// Labels returns the sample's label tuple, all empty when its Place is
+// nil.
+func (s Sample) Labels() Place {
+	if s.Place == nil {
+		return Place{}
+	}
+	return *s.Place
+}
+
+// Places interns label tuples: Intern hands out one shared *Place per
+// distinct tuple. A build keeps one table for all of its samples, so
+// equal labels share one pointer within a dataset, never across two.
+type Places map[Place]*Place
+
+// Intern returns the table's Place equal to p, adding it on first sight.
+func (t Places) Intern(p Place) *Place {
+	if q, ok := t[p]; ok {
+		return q
+	}
+	q := &p
+	t[p] = q
+	return q
 }
 
 // Options configure footprint estimation. Zero fields take the paper's

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/geo"
@@ -17,11 +18,8 @@ func cloudAround(src *rng.Source, c gazetteer.City, n int) []Sample {
 	for i := range out {
 		dist := c.RadiusKm() * src.Float64()
 		out[i] = Sample{
-			Loc:     geo.Destination(c.Loc, src.Range(0, 360), dist),
-			City:    c.Name,
-			State:   c.State,
-			Country: c.Country,
-			Region:  c.Region,
+			Loc:   geo.Destination(c.Loc, src.Range(0, 360), dist),
+			Place: &Place{City: c.Name, State: c.State, Country: c.Country, Region: c.Region},
 		}
 	}
 	return out
@@ -34,6 +32,14 @@ func mustCity(t *testing.T, gaz *gazetteer.Gazetteer, name, cc string) gazetteer
 		t.Fatalf("city %s/%s missing", name, cc)
 	}
 	return c
+}
+
+// TestSampleIs32Bytes pins the compact layout: a location, one shared
+// Place pointer and the error estimate.
+func TestSampleIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Sample{}); got != 32 {
+		t.Errorf("Sample is %d bytes, want 32", got)
+	}
 }
 
 func TestEstimateFootprintEmpty(t *testing.T) {

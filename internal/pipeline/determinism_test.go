@@ -13,6 +13,17 @@ import (
 	"eyeballas/internal/p2p"
 )
 
+// sameSample reports whether two samples from separate builds are
+// identical: the same Float64bits in Loc and GeoErrKm, and equal Place
+// values. Each build interns its labels in its own table, so the Place
+// pointers of two builds never match.
+func sameSample(a, b core.Sample) bool {
+	return math.Float64bits(a.Loc.Lat) == math.Float64bits(b.Loc.Lat) &&
+		math.Float64bits(a.Loc.Lon) == math.Float64bits(b.Loc.Lon) &&
+		math.Float64bits(a.GeoErrKm) == math.Float64bits(b.GeoErrKm) &&
+		(a.Place == nil) == (b.Place == nil) && a.Labels() == b.Labels()
+}
+
 // assertDatasetsIdentical is the bit-level dataset comparison shared by
 // the determinism tests: same AS order, same drop counters, same
 // per-sample fields bit-for-bit.
@@ -45,8 +56,9 @@ func assertDatasetsIdentical(t *testing.T, serial, wide *Dataset) {
 			t.Fatalf("AS %d sample counts differ: %d vs %d", asn, len(a.Samples), len(b.Samples))
 		}
 		for i := range a.Samples {
-			if a.Samples[i] != b.Samples[i] {
-				t.Fatalf("AS %d sample %d differs: %+v vs %+v", asn, i, a.Samples[i], b.Samples[i])
+			if sa, sb := a.Samples[i], b.Samples[i]; !sameSample(sa, sb) {
+				t.Fatalf("AS %d sample %d differs: %v %+v %v vs %v %+v %v",
+					asn, i, sa.Loc, sa.Labels(), sa.GeoErrKm, sb.Loc, sb.Labels(), sb.GeoErrKm)
 			}
 		}
 		if len(a.PeersByApp) != len(b.PeersByApp) {

@@ -28,8 +28,13 @@ func equalDatasets(t *testing.T, label string, a, b *Dataset) {
 	}
 	for _, asn := range a.Order {
 		ra, rb := a.AS(asn), b.AS(asn)
-		if !reflect.DeepEqual(ra.Samples, rb.Samples) {
-			t.Fatalf("%s: AS %d samples differ", label, asn)
+		if len(ra.Samples) != len(rb.Samples) {
+			t.Fatalf("%s: AS %d sample counts differ: %d vs %d", label, asn, len(ra.Samples), len(rb.Samples))
+		}
+		for i := range ra.Samples {
+			if !sameSample(ra.Samples[i], rb.Samples[i]) {
+				t.Fatalf("%s: AS %d sample %d differs", label, asn, i)
+			}
 		}
 		if ra.Class != rb.Class {
 			t.Errorf("%s: AS %d classification differs", label, asn)

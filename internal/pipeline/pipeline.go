@@ -283,8 +283,11 @@ func (d *Dataset) Records() []*ASRecord {
 }
 
 // located is the per-peer result of the (parallel) geolocation stage.
+// Its sample has no Place yet: the serial aggregation interns place into
+// the build's table, so workers never share a map.
 type located struct {
 	sample core.Sample
+	place  core.Place
 	asn    astopo.ASN
 	drop   dropKind
 	// missA/missB record which database lacked a city-level record for
@@ -483,6 +486,7 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 	}
 
 	seenIP := make(map[ipnet.Addr]astopo.ASN, len(crawl.Peers))
+	places := core.Places{}
 	var dup int
 	for i, peer := range crawl.Peers {
 		r := results[i]
@@ -504,7 +508,9 @@ func buildBatch(ctx context.Context, crawl *p2p.Crawl, dbA, dbB *geodb.DB, origi
 		}
 		seenIP[peer.IP] = r.asn
 		rec.PeersByApp[peer.App]++
-		rec.Samples = append(rec.Samples, r.sample)
+		s := r.sample
+		s.Place = places.Intern(r.place)
+		rec.Samples = append(rec.Samples, s)
 	}
 
 	// Flush the peer-level funnel stages once per reason (the loops
@@ -615,14 +621,8 @@ func locateOne(peer p2p.Peer, primary, secondary *geodb.DB, origins bgp.Resolver
 		return l
 	}
 	l.asn = asn
-	l.sample = core.Sample{
-		Loc:      recA.Loc,
-		City:     recA.City,
-		State:    recA.State,
-		Country:  recA.Country,
-		Region:   recA.Region,
-		GeoErrKm: geoErr,
-	}
+	l.sample = core.Sample{Loc: recA.Loc, GeoErrKm: geoErr}
+	l.place = core.Place{City: recA.City, State: recA.State, Country: recA.Country, Region: recA.Region}
 	return l
 }
 

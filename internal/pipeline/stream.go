@@ -250,12 +250,14 @@ type asAcc struct {
 }
 
 // streamAgg accumulates one locate pass: drop tallies, the dataset's
-// AS records, the dedup set, and the deterministic memory watermarks.
-// All mutation happens in fold, serially, in stream order.
+// AS records, the dedup set, the label intern table, and the
+// deterministic memory watermarks. All mutation happens in fold,
+// serially, in stream order.
 type streamAgg struct {
 	cfg     Config
 	ases    map[astopo.ASN]*ASRecord
 	seen    map[ipnet.Addr]struct{}
+	places  core.Places
 	accs    map[astopo.ASN]*asAcc // nil in exact mode
 	counts  passCounts
 	crawled int
@@ -267,9 +269,10 @@ type streamAgg struct {
 
 func newStreamAgg(cfg Config) *streamAgg {
 	g := &streamAgg{
-		cfg:  cfg,
-		ases: make(map[astopo.ASN]*ASRecord),
-		seen: make(map[ipnet.Addr]struct{}),
+		cfg:    cfg,
+		ases:   make(map[astopo.ASN]*ASRecord),
+		seen:   make(map[ipnet.Addr]struct{}),
+		places: core.Places{},
 	}
 	if cfg.MaxSamplesPerAS > 0 {
 		g.accs = make(map[astopo.ASN]*asAcc)
@@ -279,8 +282,9 @@ func newStreamAgg(cfg Config) *streamAgg {
 
 // fold merges one batch of verdicts, in stream order. It reproduces the
 // batch path's aggregation loop exactly — same drop tallies, same
-// first-seen-keeps-sample dedup rule, same per-app counting — plus the
-// origin-lookup counter flush runLocate did per block.
+// first-seen-keeps-sample dedup rule, same per-app counting, same label
+// interning — plus the origin-lookup counter flush runLocate did per
+// block.
 func (g *streamAgg) fold(batch []p2p.Peer, results []located, lookupsC *obs.Counter) {
 	g.crawled += len(batch)
 	g.batches++
@@ -328,7 +332,9 @@ func (g *streamAgg) fold(batch []p2p.Peer, results []located, lookupsC *obs.Coun
 		}
 		g.seen[peer.IP] = struct{}{}
 		rec.PeersByApp[peer.App]++
-		g.addSample(rec, r.asn, r.sample)
+		s := r.sample
+		s.Place = g.places.Intern(r.place)
+		g.addSample(rec, r.asn, s)
 	}
 	lookupsC.Add(lookups)
 	if g.liveSamples > g.peakLive {

@@ -8,9 +8,45 @@ import (
 	"time"
 
 	"eyeballas/internal/astopo"
+	"eyeballas/internal/core"
 	"eyeballas/internal/geodb"
 	"eyeballas/internal/p2p"
 )
+
+// TestBuildSharesOnePlacePerLabelTuple: a build interns its samples'
+// labels, so the dataset holds exactly one *Place per distinct label
+// tuple, in the streaming build and in the frozen batch reference alike.
+func TestBuildSharesOnePlacePerLabelTuple(t *testing.T) {
+	w, _, crawl := setup(t)
+	origins := buildOrigins(t, w)
+	dbA, dbB := geodb.NewGeoCity(w), geodb.NewIPLoc(w)
+	cfg := DefaultConfig()
+	stream, err := Build(context.Background(), crawl, dbA, dbB, origins, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := buildBatch(context.Background(), crawl, dbA, dbB, origins, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ds := range map[string]*Dataset{"stream": stream, "batch": batch} {
+		ptrs := map[*core.Place]bool{}
+		tuples := map[core.Place]bool{}
+		for _, rec := range ds.Records() {
+			for _, s := range rec.Samples {
+				if s.Place == nil {
+					t.Fatalf("%s: AS %d holds a sample without a Place", name, rec.ASN)
+				}
+				ptrs[s.Place] = true
+				tuples[*s.Place] = true
+			}
+		}
+		if len(ptrs) != len(tuples) {
+			t.Errorf("%s: %d distinct Place pointers for %d distinct label tuples", name, len(ptrs), len(tuples))
+		}
+		t.Logf("%s: %d samples share %d Places", name, ds.TotalPeers, len(ptrs))
+	}
+}
 
 // TestStreamStatsAccounting pins the deterministic memory ledger of an
 // exact-mode streaming build: the dedup set holds exactly the kept
@@ -126,13 +162,24 @@ func TestCappedModeBoundedAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestBuildStreamPeakHeapBounded is the satellite's live-heap assertion:
-// a generative streaming build over a 10× crawl, sampled with
+// Peak live heap budget of TestBuildStreamPeakHeapBounded: the heap
+// before the build, plus peakBytesPerKeptUser for every kept user, plus
+// peakSlackBytes for GC float and batch buffers.
+const (
+	peakBytesPerKeptUser = 128
+	peakSlackBytes       = 48 << 20
+)
+
+// TestBuildStreamPeakHeapBounded is the live-heap assertion: a
+// generative streaming build over a 10× crawl, sampled with
 // runtime.ReadMemStats, must peak under a fixed per-kept-user byte
 // budget plus a constant — i.e. memory tracks what is kept, not what is
-// crawled. The budget (512 B/user + 48 MiB) is several times the true
-// footprint, so the test fails only when ingestion regresses to
-// materializing crawl-sized state, not from allocator noise.
+// crawled. A kept user costs a 32-byte sample (its labels are interned)
+// plus its dedup-set entry and the slice and map growth around both;
+// the budget leaves at least 1.3× headroom over the measured peak, so
+// the test fails when ingestion regresses to materializing crawl-sized
+// state, or samples to carrying their own labels, not from allocator
+// noise. It logs the budget formula it checked on a line of its own.
 func TestBuildStreamPeakHeapBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10× crawl memory probe skipped in -short")
@@ -164,16 +211,14 @@ func TestBuildStreamPeakHeapBounded(t *testing.T) {
 	if kept == 0 {
 		t.Fatal("10× crawl kept no users")
 	}
-	// Fixed multiple of the kept-user count: 512 B per kept user (the
-	// true live footprint is a Sample plus dedup/AS-map entries, well
-	// under half that) plus a constant for GC float and batch buffers.
-	budget := base.HeapAlloc + uint64(kept)*512 + 48<<20
+	budget := base.HeapAlloc + uint64(kept)*peakBytesPerKeptUser + peakSlackBytes
 	if peak > budget {
 		t.Fatalf("peak live heap %.1f MiB over budget %.1f MiB (base %.1f MiB, %d kept users of %d crawled)",
 			float64(peak)/(1<<20), float64(budget)/(1<<20), float64(base.HeapAlloc)/(1<<20), kept, ds.CrawledPeers)
 	}
 	t.Logf("crawled=%d kept=%d base=%.1f MiB peak=%.1f MiB budget=%.1f MiB",
 		ds.CrawledPeers, kept, float64(base.HeapAlloc)/(1<<20), float64(peak)/(1<<20), float64(budget)/(1<<20))
+	t.Logf("budget formula: base + %d B per kept user + %d MiB", peakBytesPerKeptUser, peakSlackBytes>>20)
 }
 
 func benchStream(b *testing.B, batch bool) {

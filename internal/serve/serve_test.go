@@ -109,7 +109,7 @@ func sampleAt(center geo.Point, i int, city, country string) core.Sample {
 			Lat: center.Lat + 0.02*float64(i%7) - 0.06,
 			Lon: center.Lon + 0.02*float64(i%5) - 0.04,
 		},
-		City: city, Country: country, GeoErrKm: float64(i % 30),
+		Place: &core.Place{City: city, Country: country}, GeoErrKm: float64(i % 30),
 	}
 }
 

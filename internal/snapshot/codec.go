@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -176,8 +177,8 @@ func recordSize(rec *pipeline.ASRecord) int {
 		}
 	}
 	for i := range rec.Samples {
-		s := &rec.Samples[i]
-		n += 8 + 8 + strSize(s.City) + strSize(s.State) + strSize(s.Country) + strSize(string(s.Region)) + 8
+		p := rec.Samples[i].Labels()
+		n += 8 + 8 + strSize(p.City) + strSize(p.State) + strSize(p.Country) + strSize(string(p.Region)) + 8
 	}
 	return n
 }
@@ -210,12 +211,13 @@ func encodeRecord(e *enc, rec *pipeline.ASRecord) {
 	e.u32(uint32(len(rec.Samples)))
 	for i := range rec.Samples {
 		s := &rec.Samples[i]
+		p := s.Labels()
 		e.f64(s.Loc.Lat)
 		e.f64(s.Loc.Lon)
-		e.str(s.City)
-		e.str(s.State)
-		e.str(s.Country)
-		e.str(string(s.Region))
+		e.str(p.City)
+		e.str(p.State)
+		e.str(p.Country)
+		e.str(string(p.Region))
 		e.f64(s.GeoErrKm)
 	}
 }
@@ -412,7 +414,7 @@ func (d *dec) intCounter(what string) int {
 }
 
 func decodeDataset(payload []byte) (*pipeline.Dataset, error) {
-	d := &dec{b: payload, intern: make(map[string]string)}
+	d := &dec{b: payload, intern: make(map[string]string), places: make(map[string]*core.Place)}
 	ds := &pipeline.Dataset{ASes: make(map[astopo.ASN]*pipeline.ASRecord)}
 	ds.CrawledPeers = d.intCounter("crawled peers")
 	ds.TotalPeers = d.intCounter("total peers")
@@ -526,14 +528,54 @@ func decodeRecord(d *dec) *pipeline.ASRecord {
 	for i := 0; i < nSamples && d.err == nil; i++ {
 		var s core.Sample
 		s.Loc = geo.Point{Lat: d.f64("sample lat"), Lon: d.f64("sample lon")}
-		s.City = d.label("sample city")
-		s.State = d.label("sample state")
-		s.Country = d.label("sample country")
-		s.Region = gazetteer.Region(d.label("sample region"))
+		s.Place = d.place()
 		s.GeoErrKm = d.f64("sample geo error")
 		rec.Samples = append(rec.Samples, s)
 	}
 	return rec
+}
+
+// place reads a sample's four labels (city, state, country, region) as
+// one *Place shared by every sample with the same labels. The labels sit
+// side by side on the wire, so their raw bytes, length prefixes included,
+// are the key: the prefixes keep distinct tuples apart, and a tuple seen
+// before costs one map lookup and no allocation. Only a new tuple, or
+// labels that run past the input, take the field-by-field reads, which
+// report the failing field and its offset.
+func (d *dec) place() *core.Place {
+	start := d.off
+	if end, ok := labelsEnd(d.b, start); ok && d.err == nil {
+		if p, ok := d.places[string(d.b[start:end])]; ok {
+			d.off = end
+			return p
+		}
+	}
+	p := &core.Place{
+		City:    d.label("sample city"),
+		State:   d.label("sample state"),
+		Country: d.label("sample country"),
+		Region:  gazetteer.Region(d.label("sample region")),
+	}
+	if d.err == nil {
+		d.places[string(d.b[start:d.off])] = p
+	}
+	return p
+}
+
+// labelsEnd returns the offset just past the four length-prefixed
+// strings that start at off in b, or false if they run past its end.
+func labelsEnd(b []byte, off int) (int, bool) {
+	for k := 0; k < 4; k++ {
+		if len(b)-off < 4 {
+			return 0, false
+		}
+		n := binary.LittleEndian.Uint32(b[off:])
+		if uint64(n) > uint64(len(b)-off-4) {
+			return 0, false
+		}
+		off += 4 + int(n)
+	}
+	return off, true
 }
 
 func decodeLPM(payload []byte) (*bgp.OriginTable, error) {

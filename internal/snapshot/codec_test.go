@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"eyeballas/internal/astopo"
+	"eyeballas/internal/core"
 	"eyeballas/internal/p2p"
 	"eyeballas/internal/pipeline"
 )
@@ -158,6 +159,44 @@ func TestDecodeAllocsPerSample(t *testing.T) {
 	}
 	if perSample := allocs / float64(samples); perSample > 0.05 {
 		t.Errorf("Decode made %.0f allocations for %d samples (%.3f per sample)", allocs, samples, perSample)
+	}
+}
+
+// TestDecodeKeepsTuplesApart: the decoder keys a sample's four labels by
+// their wire bytes, length prefixes included, so tuples whose labels
+// run together into the same text stay distinct Places, and a repeated
+// tuple shares the first one's.
+func TestDecodeKeepsTuplesApart(t *testing.T) {
+	snap := testSnapshot(t)
+	tuples := []core.Place{
+		{City: "AB", State: "C"},
+		{City: "A", State: "BC"},
+		{City: "A", State: "B", Country: "C"},
+		{City: "A", State: "B", Region: "C"},
+		{City: "AB", State: "C"},
+	}
+	rec := snap.Dataset.ASes[9]
+	rec.Samples = nil
+	for i := range tuples {
+		rec.Samples = append(rec.Samples, core.Sample{Place: &tuples[i]})
+	}
+	got, err := Decode(Encode(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := got.Dataset.ASes[9].Samples
+	if len(samples) != len(tuples) {
+		t.Fatalf("%d samples, want %d", len(samples), len(tuples))
+	}
+	for i, s := range samples {
+		if *s.Place != tuples[i] {
+			t.Errorf("sample %d: labels %+v, want %+v", i, *s.Place, tuples[i])
+		}
+		for j := 0; j < i; j++ {
+			if same := s.Place == samples[j].Place; same != (tuples[i] == tuples[j]) {
+				t.Errorf("samples %d and %d: shared Place %v, equal labels %v", j, i, same, tuples[i] == tuples[j])
+			}
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package snapshot
 import (
 	"errors"
 	"testing"
+
+	"eyeballas/internal/core"
 )
 
 // FuzzReadSnapshot is the reader's never-panic guarantee: whatever
@@ -34,8 +36,22 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 			return
 		}
-		// Accepted input: the snapshot must be internally consistent
-		// enough to re-encode and re-read without error.
+		// Accepted input: every sample has a Place, and equal label
+		// tuples share one.
+		shared := map[core.Place]*core.Place{}
+		for _, rec := range snap.Dataset.ASes {
+			for i, s := range rec.Samples {
+				if s.Place == nil {
+					t.Fatalf("AS %d sample %d has no Place", rec.ASN, i)
+				}
+				if p, ok := shared[*s.Place]; ok && p != s.Place {
+					t.Fatalf("AS %d sample %d: labels %+v held in a second Place", rec.ASN, i, *s.Place)
+				}
+				shared[*s.Place] = s.Place
+			}
+		}
+		// It must also be internally consistent enough to re-encode and
+		// re-read without error.
 		re := Encode(snap)
 		if _, err := Decode(re); err != nil {
 			t.Fatalf("re-encode of accepted input fails to decode: %v", err)

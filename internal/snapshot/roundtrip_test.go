@@ -40,9 +40,9 @@ func testSnapshot(t testing.TB) *Snapshot {
 		ASN:   7,
 		Users: 600,
 		Samples: []core.Sample{
-			{Loc: geo.Point{Lat: 45.4642, Lon: 9.19}, City: "Milan", State: "MI", Country: "IT", Region: gazetteer.EU, GeoErrKm: 12.5},
-			{Loc: geo.Point{Lat: math.Copysign(0, -1), Lon: -180}, City: "Null Island W", Country: "XX", Region: gazetteer.Other, GeoErrKm: math.Inf(1)},
-			{Loc: geo.Point{Lat: math.NaN(), Lon: math.NaN()}, Region: gazetteer.Other, GeoErrKm: math.NaN()},
+			{Loc: geo.Point{Lat: 45.4642, Lon: 9.19}, Place: &core.Place{City: "Milan", State: "MI", Country: "IT", Region: gazetteer.EU}, GeoErrKm: 12.5},
+			{Loc: geo.Point{Lat: math.Copysign(0, -1), Lon: -180}, Place: &core.Place{City: "Null Island W", Country: "XX", Region: gazetteer.Other}, GeoErrKm: math.Inf(1)},
+			{Loc: geo.Point{Lat: math.NaN(), Lon: math.NaN()}, Place: &core.Place{Region: gazetteer.Other}, GeoErrKm: math.NaN()},
 		},
 		PeersByApp:  map[p2p.App]int{p2p.Kad: 400, p2p.BitTorrent: 200},
 		Class:       core.Classification{Level: astopo.LevelCity, Place: "Milan/IT", Share: 0.971},
@@ -52,7 +52,7 @@ func testSnapshot(t testing.TB) *Snapshot {
 	recB := &pipeline.ASRecord{
 		ASN:         9,
 		Users:       200,
-		Samples:     []core.Sample{{Loc: geo.Point{Lat: -33.87, Lon: 151.21}, City: "Sydney", Country: "AU", Region: gazetteer.OC}},
+		Samples:     []core.Sample{{Loc: geo.Point{Lat: -33.87, Lon: 151.21}, Place: &core.Place{City: "Sydney", Country: "AU", Region: gazetteer.OC}}},
 		PeersByApp:  map[p2p.App]int{p2p.Gnutella: 200},
 		Class:       core.Classification{Level: astopo.LevelGlobal, Share: math.NaN()},
 		Region:      gazetteer.OC,

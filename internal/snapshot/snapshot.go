@@ -26,10 +26,15 @@
 //
 //   - Bit-identical round trip. Write→Read reproduces the dataset
 //     exactly: sample coordinates and error estimates compare equal
-//     under math.Float64bits, funnel and drop ledgers match count for
-//     count, and the reconstructed origin table answers every lookup
-//     identically to the one serialized (property-tested in
-//     roundtrip_test.go, never-panic fuzzed in fuzz_test.go).
+//     under math.Float64bits, sample labels compare equal by value,
+//     funnel and drop ledgers match count for count, and the
+//     reconstructed origin table answers every lookup identically to
+//     the one serialized (property-tested in roundtrip_test.go,
+//     never-panic fuzzed in fuzz_test.go). The reader interns each
+//     sample's four labels, so every decoded sample has a core.Place
+//     and equal labels share one. A sample with a nil Place is written
+//     as four empty labels and reads back with an empty Place, so
+//     Encode(Decode(artifact)) reproduces the artifact byte for byte.
 //
 // # Wire layout
 //
@@ -54,6 +59,7 @@ import (
 	"math"
 
 	"eyeballas/internal/bgp"
+	"eyeballas/internal/core"
 	"eyeballas/internal/faults"
 	"eyeballas/internal/pipeline"
 )
@@ -212,8 +218,11 @@ type dec struct {
 	off int
 	err *FormatError
 	// intern maps each label string the decoder has produced to itself
-	// (see label); nil outside the dataset section.
+	// (see label), and places maps each sample label tuple's wire bytes
+	// to its shared Place (see place); both are nil outside the dataset
+	// section.
 	intern map[string]string
+	places map[string]*core.Place
 }
 
 func (d *dec) fail(reason error, format string, args ...any) {

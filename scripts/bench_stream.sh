@@ -21,7 +21,8 @@ GOMAXPROCS=1 go test -run '^$' \
   -benchtime "$benchtime" ./internal/pipeline/ | tee "$tmp"
 
 # The 10× crawl probe: peak live heap must stay under the fixed
-# per-kept-user budget (the test fails the script if it regresses).
+# per-kept-user budget (the test fails the script if it regresses). The
+# test logs the budget formula it checked, which lands in the JSON as is.
 go test -run 'TestBuildStreamPeakHeapBounded$' -v -count=1 \
   ./internal/pipeline/ | tee "$memlog"
 
@@ -36,9 +37,12 @@ awk '
       if (split($i, kv, "=") == 2) mem[kv[1]] = kv[2]
     }
   }
+  file == 2 && /budget formula: / {
+    formula = $0; sub(/.*budget formula: /, "", formula)
+  }
   END {
     if (n < 2) { print "benchmark output not parsed" > "/dev/stderr"; exit 1 }
-    if (!("crawled" in mem)) { print "memory probe log not parsed" > "/dev/stderr"; exit 1 }
+    if (!("crawled" in mem) || formula == "") { print "memory probe log not parsed" > "/dev/stderr"; exit 1 }
     printf "{\n"
     printf "  \"pr\": 6,\n"
     printf "  \"gomaxprocs\": 1,\n"
@@ -55,7 +59,7 @@ awk '
     printf "    \"base_mib\": %s,\n",      mem["base"]
     printf "    \"peak_mib\": %s,\n",      mem["peak"]
     printf "    \"budget_mib\": %s,\n",    mem["budget"]
-    printf "    \"budget\": \"base + 512 B per kept user + 48 MiB\"\n"
+    printf "    \"budget\": \"%s\"\n", formula
     printf "  },\n"
     printf "  \"gate\": { \"stream_bytes_per_op_max_ratio\": 1.10, \"stream_alloc_ok\": %s }\n", (ratio <= 1.10 ? "true" : "false")
     printf "}\n"
