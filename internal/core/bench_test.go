@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"eyeballas/internal/gazetteer"
@@ -25,6 +26,19 @@ func benchSamplesItaly(n int) ([]Sample, *gazetteer.Gazetteer) {
 	return out, gaz
 }
 
+// benchSamplesItalyZip is benchSamplesItaly with every location snapped
+// to a 0.05° lattice, about the spacing of zip centroids, so samples
+// share locations as geolocated ones do; benchSamplesItaly's all lie
+// apart, the worst case for Prepare.
+func benchSamplesItalyZip(n int) ([]Sample, *gazetteer.Gazetteer) {
+	samples, gaz := benchSamplesItaly(n)
+	for i := range samples {
+		samples[i].Loc.Lat = math.Round(samples[i].Loc.Lat*20) / 20
+		samples[i].Loc.Lon = math.Round(samples[i].Loc.Lon*20) / 20
+	}
+	return samples, gaz
+}
+
 func BenchmarkEstimateFootprint(b *testing.B) {
 	for _, n := range []int{1000, 10000, 50000} {
 		samples, gaz := benchSamplesItaly(n)
@@ -40,6 +54,28 @@ func BenchmarkEstimateFootprint(b *testing.B) {
 
 func BenchmarkMultiScaleFootprint(b *testing.B) {
 	samples, gaz := benchSamplesItaly(10000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MultiScaleFootprint(gaz, samples, MultiScaleOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEstimateFootprintZip is BenchmarkEstimateFootprint's n10000
+// case at zip resolution.
+func BenchmarkEstimateFootprintZip(b *testing.B) {
+	samples, gaz := benchSamplesItalyZip(10000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EstimateFootprint(gaz, samples, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMultiScaleFootprintZip(b *testing.B) {
+	samples, gaz := benchSamplesItalyZip(10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := MultiScaleFootprint(gaz, samples, MultiScaleOptions{}); err != nil {

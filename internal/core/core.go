@@ -16,7 +16,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/geo"
@@ -144,9 +143,58 @@ type PeakGeo struct {
 	Value float64
 }
 
-// xyPool holds the projected-sample buffers of finished estimates, at
-// 16 B per sample, so a cold render does not allocate one per call.
-var xyPool = sync.Pool{New: func() any { return new([]geo.XY) }}
+// Points is a sample set prepared for estimation: the projection centred
+// on the samples' centroid, and each distinct location, projected once,
+// with the number of samples there. Geolocation databases answer at
+// zip-code resolution, so an AS's samples pile up on few locations and
+// an estimate over its Points bins far fewer points than samples. Points
+// are immutable once prepared; any number of estimates may share them.
+type Points struct {
+	N          int             // samples: the sum of Count
+	Projection *geo.Projection // centred on the samples' centroid
+	XY         []geo.XY        // distinct locations, projected, in first-occurrence order
+	Count      []uint32        // samples at XY[i]
+}
+
+// Prepare projects a sample set for EstimatePoints. Two samples share a
+// point when their latitudes and their longitudes have the same bits. The
+// centroid sums in sample order, as geo.Centroid would over the locations,
+// so the projection is the one a per-sample estimate uses; XY and Count
+// are allocated at their exact length. Each sample costs one map lookup:
+// less than the projection and binning it saves when locations repeat,
+// as geolocated ones do, and more when they never do.
+func Prepare(samples []Sample) (*Points, error) {
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("core: no samples")
+	}
+	var sLat, sLon float64
+	index := map[[2]uint64]int{}
+	var count []uint32 // grows; copied to an exact-sized slice below
+	for _, s := range samples {
+		sLat += s.Loc.Lat
+		sLon += s.Loc.Lon
+		key := [2]uint64{math.Float64bits(s.Loc.Lat), math.Float64bits(s.Loc.Lon)}
+		i, ok := index[key]
+		if !ok {
+			i = len(count)
+			index[key] = i
+			count = append(count, 0)
+		}
+		count[i]++
+	}
+	n := float64(len(samples))
+	p := &Points{
+		N:          len(samples),
+		Projection: geo.NewProjection(geo.Point{Lat: sLat / n, Lon: sLon / n}),
+		XY:         make([]geo.XY, len(count)),
+		Count:      make([]uint32, len(count)),
+	}
+	copy(p.Count, count)
+	for key, i := range index {
+		p.XY[i] = p.Projection.ToXY(geo.Point{Lat: math.Float64frombits(key[0]), Lon: math.Float64frombits(key[1])})
+	}
+	return p, nil
+}
 
 // EstimateFootprint runs the §3–§4 procedure for one AS. It is
 // EstimateFootprintCtx under context.Background() — the signature every
@@ -158,44 +206,38 @@ func EstimateFootprint(gaz *gazetteer.Gazetteer, samples []Sample, opts Options)
 // EstimateFootprintCtx is EstimateFootprint with cooperative
 // cancellation: ctx is observed at the KDE convolution's block
 // boundaries, and a cancelled run returns ctx.Err() with no footprint.
+// It is Prepare followed by EstimatePoints.
 func EstimateFootprintCtx(ctx context.Context, gaz *gazetteer.Gazetteer, samples []Sample, opts Options) (*Footprint, error) {
+	pts, err := Prepare(samples)
+	if err != nil {
+		return nil, err
+	}
+	return EstimatePoints(ctx, gaz, pts, opts)
+}
+
+// EstimatePoints runs the §3–§4 procedure over prepared points. Its
+// footprint is bit for bit the one a per-sample estimate of the same
+// samples gives: the KDE bins each point with its count, and N and every
+// normalization count samples, not points. A nil pts stands for the
+// empty sample set Prepare refuses, and fails the same way.
+func EstimatePoints(ctx context.Context, gaz *gazetteer.Gazetteer, pts *Points, opts Options) (*Footprint, error) {
 	o := opts.withDefaults()
-	if len(samples) == 0 {
+	if pts == nil {
 		return nil, fmt.Errorf("core: no samples")
 	}
-	// The centroid sums in sample order, as geo.Centroid would over the
-	// locations, so the projection (and every float after it) is the
-	// same without a []geo.Point copy.
-	var sLat, sLon float64
-	for _, s := range samples {
-		sLat += s.Loc.Lat
-		sLon += s.Loc.Lon
-	}
-	n := float64(len(samples))
-	proj := geo.NewProjection(geo.Point{Lat: sLat / n, Lon: sLon / n})
-	// kde.Estimate only reads the projected samples, so their buffer
-	// goes back to the pool as soon as it returns.
-	xysp := xyPool.Get().(*[]geo.XY)
-	if cap(*xysp) < len(samples) {
-		*xysp = make([]geo.XY, len(samples))
-	}
-	xys := (*xysp)[:len(samples)]
-	for i, s := range samples {
-		xys[i] = proj.ToXY(s.Loc)
-	}
-	g, err := kde.Estimate(ctx, xys, kde.Options{
+	proj := pts.Projection
+	g, err := kde.EstimateWeighted(ctx, pts.XY, pts.Count, kde.Options{
 		BandwidthKm: o.BandwidthKm,
 		CellKm:      o.CellKm,
 		Workers:     o.Workers,
 		Obs:         o.Obs,
 	})
-	xyPool.Put(xysp)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	dmax, _, _ := g.Max()
 	fp := &Footprint{
-		N:          len(samples),
+		N:          pts.N,
 		Bandwidth:  o.BandwidthKm,
 		Projection: proj,
 		Grid:       g,

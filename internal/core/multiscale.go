@@ -88,8 +88,10 @@ func MultiScaleFootprintCtx(ctx context.Context, gaz *gazetteer.Gazetteer, sampl
 	o := opts.withDefaults()
 	bws := append([]float64(nil), o.Bandwidths...)
 	sort.Float64s(bws)
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: no samples")
+	// Every bandwidth estimates from the same prepared points.
+	pts, err := Prepare(samples)
+	if err != nil {
+		return nil, err
 	}
 
 	// The per-bandwidth footprints are independent; fan them out over
@@ -97,10 +99,10 @@ func MultiScaleFootprintCtx(ctx context.Context, gaz *gazetteer.Gazetteer, sampl
 	// still honors o.Base.Workers for its own convolution, so the same
 	// knob bounds both levels of the fan-out.
 	fpList := make([]*Footprint, len(bws))
-	err := parallel.ForEach(ctx, o.Base.Workers, bws, func(i int, bw float64) error {
+	err = parallel.ForEach(ctx, o.Base.Workers, bws, func(i int, bw float64) error {
 		base := o.Base
 		base.BandwidthKm = bw
-		fp, err := EstimateFootprintCtx(ctx, gaz, samples, base)
+		fp, err := EstimatePoints(ctx, gaz, pts, base)
 		if err != nil {
 			return fmt.Errorf("core: multiscale bw %.0f: %w", bw, err)
 		}

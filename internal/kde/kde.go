@@ -89,11 +89,36 @@ func (o Options) withDefaults() (Options, error) {
 // (the only expensive part); a cancelled estimate returns ctx.Err() and
 // the partial surface is discarded. A nil ctx means context.Background().
 func Estimate(ctx context.Context, samples []geo.XY, opts Options) (*grid.Grid, error) {
+	return estimate(ctx, samples, nil, len(samples), opts)
+}
+
+// EstimateWeighted is Estimate over samples that share locations: point
+// i stands for counts[i] ≥ 1 samples, so it is binned with weight
+// counts[i] and the surface is normalized by the sum of the counts. The
+// grid is bit for bit the one Estimate computes over the samples
+// themselves, in any order: each cell sums whole numbers, exact below
+// 2^53, and the sample bounds are a min and max over the same set of
+// locations.
+func EstimateWeighted(ctx context.Context, points []geo.XY, counts []uint32, opts Options) (*grid.Grid, error) {
+	if len(counts) != len(points) {
+		return nil, fmt.Errorf("kde: %d counts for %d points", len(counts), len(points))
+	}
+	n := 0
+	for _, c := range counts {
+		n += int(c)
+	}
+	return estimate(ctx, points, counts, n, opts)
+}
+
+// estimate bins points (with weight 1 when counts is nil) and blurs
+// them into a surface normalized by n, the number of samples they stand
+// for.
+func estimate(ctx context.Context, points []geo.XY, counts []uint32, n int, opts Options) (*grid.Grid, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if len(samples) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("kde: no samples")
 	}
 	// The latency histogram needs a clock read; take it only when a
@@ -108,9 +133,9 @@ func Estimate(ctx context.Context, samples []geo.XY, opts Options) (*grid.Grid, 
 	// is nil otherwise and every use below is a branch-only no-op.
 	span := trace.FromContext(ctx).Child("kde.estimate")
 	defer span.End()
-	minX, minY := samples[0].X, samples[0].Y
+	minX, minY := points[0].X, points[0].Y
 	maxX, maxY := minX, minY
-	for _, s := range samples[1:] {
+	for _, s := range points[1:] {
 		minX = math.Min(minX, s.X)
 		maxX = math.Max(maxX, s.X)
 		minY = math.Min(minY, s.Y)
@@ -131,25 +156,26 @@ func Estimate(ctx context.Context, samples []geo.XY, opts Options) (*grid.Grid, 
 		}
 		// Counts a float holds exactly print in full, as the int product
 		// did; larger ones in short scientific form.
-		n := fmt.Sprintf("%.0f", cells)
+		need := fmt.Sprintf("%.0f", cells)
 		if cells >= 1<<53 {
-			n = fmt.Sprintf("%.3g", cells)
+			need = fmt.Sprintf("%.3g", cells)
 		}
-		return nil, fmt.Errorf("kde: domain needs %s cells (cap %d); increase CellKm", n, o.MaxCells)
+		return nil, fmt.Errorf("kde: domain needs %s cells (cap %d); increase CellKm", need, o.MaxCells)
 	}
 	w, h := int(fw), int(fh)
 	g := grid.New(minX, minY, o.CellKm, w, h)
-	span.SetInt("samples", int64(len(samples)))
+	span.SetInt("samples", int64(n))
+	span.SetInt("points", int64(len(points)))
 	span.SetInt("cells", int64(w*h))
 	if o.Obs != nil {
 		o.Obs.Counter("eyeball_kde_estimates_total").Inc()
-		o.Obs.Counter("eyeball_kde_samples_total").Add(int64(len(samples)))
+		o.Obs.Counter("eyeball_kde_samples_total").Add(int64(n))
 		o.Obs.Gauge("eyeball_kde_grid_cells").Set(float64(w * h))
 	}
 
-	// Bin samples.
+	// Bin points.
 	binSpan := span.Child("bin")
-	for _, s := range samples {
+	for k, s := range points {
 		i, j, ok := g.CellOf(s)
 		if !ok {
 			// Padding guarantees containment up to floating-point edge
@@ -157,7 +183,11 @@ func Estimate(ctx context.Context, samples []geo.XY, opts Options) (*grid.Grid, 
 			i = clamp(i, 0, w-1)
 			j = clamp(j, 0, h-1)
 		}
-		g.Add(i, j, 1)
+		wt := 1.0
+		if counts != nil {
+			wt = float64(counts[k])
+		}
+		g.Add(i, j, wt)
 	}
 	binSpan.End()
 
@@ -166,7 +196,7 @@ func Estimate(ctx context.Context, samples []geo.XY, opts Options) (*grid.Grid, 
 	}
 
 	// counts → density: divide by N·cell² so the surface integrates to 1.
-	g.Scale(1 / (float64(len(samples)) * o.CellKm * o.CellKm))
+	g.Scale(1 / (float64(n) * o.CellKm * o.CellKm))
 	if o.Obs != nil {
 		o.Obs.Histogram("eyeball_kde_estimate_seconds", obs.LatencyBuckets()).Observe(time.Since(start).Seconds())
 	}

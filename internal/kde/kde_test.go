@@ -55,6 +55,49 @@ func TestEstimateTinyBandwidthErrors(t *testing.T) {
 	}
 }
 
+// TestEstimateWeightedMatchesSamples: points binned with their counts
+// give bit for bit the surface of the samples they stand for, listed in
+// another order; a count list of the wrong length, or one that sums to
+// no samples, is an error.
+func TestEstimateWeightedMatchesSamples(t *testing.T) {
+	src := rng.New(17)
+	points := make([]geo.XY, 60)
+	counts := make([]uint32, len(points))
+	var samples []geo.XY
+	for i := range points {
+		points[i] = geo.XY{X: src.Range(-300, 300), Y: src.Range(-200, 200)}
+		counts[i] = uint32(1 + src.Intn(20))
+		for c := uint32(0); c < counts[i]; c++ {
+			samples = append(samples, points[i])
+		}
+	}
+	src.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
+	opts := Options{BandwidthKm: 40, Workers: 1}
+	want, err := Estimate(context.Background(), samples, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EstimateWeighted(context.Background(), points, counts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.W != want.W || got.H != want.H || got.MinX != want.MinX || got.MinY != want.MinY {
+		t.Fatalf("grid %dx%d at (%v,%v), per-sample %dx%d at (%v,%v)", got.W, got.H, got.MinX, got.MinY, want.W, want.H, want.MinX, want.MinY)
+	}
+	for k := range want.Data {
+		if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
+			t.Fatalf("cell %d = %.17g, per-sample %.17g", k, got.Data[k], want.Data[k])
+		}
+	}
+
+	if _, err := EstimateWeighted(context.Background(), points, counts[1:], opts); err == nil || err.Error() != "kde: 59 counts for 60 points" {
+		t.Errorf("short counts: err %v", err)
+	}
+	if _, err := EstimateWeighted(context.Background(), points[:1], []uint32{0}, opts); err == nil || err.Error() != "kde: no samples" {
+		t.Errorf("zero counts: err %v", err)
+	}
+}
+
 func TestEstimateIntegratesToOne(t *testing.T) {
 	src := rng.New(5)
 	samples := make([]geo.XY, 500)

@@ -40,8 +40,8 @@ func estimateTraced(t *testing.T, workers int) (*trace.Span, obs.TreeNode) {
 }
 
 // TestEstimateTraceTree pins the block-granularity span shape one
-// traced estimate hangs under a request: kde.estimate (samples/cells
-// attrs) → bin, blur_horizontal (rows blocks), blur_vertical (cols
+// traced estimate hangs under a request: kde.estimate (samples/points/
+// cells attrs) → bin, blur_horizontal (rows blocks), blur_vertical (cols
 // blocks), with every block span carrying its lo/hi range.
 func TestEstimateTraceTree(t *testing.T) {
 	_, tree := estimateTraced(t, 4)
@@ -53,11 +53,11 @@ func TestEstimateTraceTree(t *testing.T) {
 	for _, a := range est.Attrs {
 		attrs = append(attrs, a.Key)
 	}
-	if len(attrs) != 2 || attrs[0] != "samples" || attrs[1] != "cells" {
-		t.Fatalf("kde.estimate attrs = %v, want [samples cells]", attrs)
+	if strings.Join(attrs, ",") != "samples,points,cells" {
+		t.Fatalf("kde.estimate attrs = %v, want [samples points cells]", attrs)
 	}
-	if est.Attrs[0].Val != "300" {
-		t.Errorf("samples attr = %q, want 300", est.Attrs[0].Val)
+	if est.Attrs[0].Val != "300" || est.Attrs[1].Val != "300" {
+		t.Errorf("samples, points attrs = %q, %q, want 300, 300", est.Attrs[0].Val, est.Attrs[1].Val)
 	}
 	var names []string
 	for _, c := range est.Children {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"eyeballas/internal/core"
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/leakcheck"
 	"eyeballas/internal/obs"
@@ -65,7 +66,7 @@ func TestFootprintCoalescesConcurrentMisses(t *testing.T) {
 	release := make(chan struct{})
 	var renders atomic.Int32
 	want := []byte(`{"fake":"footprint"}` + "\n")
-	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
 		if renders.Add(1) == 1 {
 			close(started)
 		}
@@ -175,7 +176,7 @@ func TestCoalescedWaiterSeesLeaderError(t *testing.T) {
 	release := make(chan struct{})
 	renderErr := errors.New("kde exploded")
 	var calls atomic.Int32
-	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
 		if calls.Add(1) == 1 {
 			close(started)
 			<-release
@@ -345,7 +346,7 @@ func TestFootprintRenderPanicReleasesWaiters(t *testing.T) {
 	s, _, _ := newTestServer(t, Options{Obs: reg, Timeout: 2 * time.Second})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.render = func(context.Context, *gazetteer.Gazetteer, *pipeline.ASRecord, float64, int, *obs.Registry) ([]byte, error) {
+	s.render = func(context.Context, *gazetteer.Gazetteer, *pipeline.ASRecord, *core.Points, float64, int, *obs.Registry) ([]byte, error) {
 		close(started)
 		<-release
 		panic("render exploded")

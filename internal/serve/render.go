@@ -11,7 +11,8 @@ import (
 )
 
 // FootprintResponse is the canonical JSON shape of a served footprint.
-// The same struct — and the same RenderFootprint function — backs both
+// The same struct — and the same renderPoints function, which
+// RenderFootprint calls after preparing the samples — backs both
 // eyeballserve's /v1/footprint endpoint and eyeballpipe's -footprint
 // offline export, which is what makes the CI byte-diff between the two
 // meaningful: any divergence is a real dataset or estimator divergence,
@@ -47,7 +48,17 @@ type PoPResponse struct {
 // record came from a live pipeline build or a snapshot read back from
 // disk, and regardless of worker count.
 func RenderFootprint(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, bwKm float64, workers int, reg *obs.Registry) ([]byte, error) {
-	fp, err := core.EstimateFootprintCtx(ctx, gaz, rec.Samples, core.Options{
+	pts, err := core.Prepare(rec.Samples)
+	if err != nil {
+		return nil, err
+	}
+	return renderPoints(ctx, gaz, rec, pts, bwKm, workers, reg)
+}
+
+// renderPoints is RenderFootprint over the record's prepared points, the
+// server's render: an artifact's points are prepared once at install.
+func renderPoints(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, workers int, reg *obs.Registry) ([]byte, error) {
+	fp, err := core.EstimatePoints(ctx, gaz, pts, core.Options{
 		BandwidthKm: bwKm,
 		Workers:     workers,
 		Obs:         reg,

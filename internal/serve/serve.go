@@ -54,7 +54,8 @@
 //     a semaphore slot forever.
 //
 // Every response the data endpoints produce is rendered by the same
-// code paths the offline tools use (RenderFootprint in particular), so
+// code paths the offline tools use (RenderFootprint's, over points
+// prepared at install, in particular), so
 // served bytes are bit-identical to eyeballpipe's exports for the same
 // dataset — proven end to end in CI.
 package serve
@@ -74,6 +75,7 @@ import (
 	"time"
 
 	"eyeballas/internal/astopo"
+	"eyeballas/internal/core"
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/ipnet"
 	"eyeballas/internal/obs"
@@ -172,6 +174,27 @@ type Artifact struct {
 	Snap *snapshot.Snapshot
 	Path string
 	Gen  uint64
+
+	// points holds every AS's samples prepared for estimation, built
+	// once at install and shared by every render of this generation at
+	// every bandwidth. An AS with no samples has no entry.
+	points map[astopo.ASN]*core.Points
+}
+
+// preparePoints prepares the samples of every AS in ds. It walks the
+// record map rather than the order, which validate has not yet checked
+// when a reload installs.
+func preparePoints(ds *pipeline.Dataset) map[astopo.ASN]*core.Points {
+	points := make(map[astopo.ASN]*core.Points, len(ds.ASes))
+	for asn, rec := range ds.ASes {
+		if rec == nil {
+			continue
+		}
+		if pts, err := core.Prepare(rec.Samples); err == nil {
+			points[asn] = pts
+		}
+	}
+	return points
 }
 
 // Server answers queries from the currently installed Artifact. Create
@@ -186,10 +209,10 @@ type Server struct {
 	flight *flightGroup
 	chaos  atomic.Pointer[Chaos]
 
-	// render is the footprint-render seam: RenderFootprint in
+	// render is the footprint-render seam: renderPoints in
 	// production, an instrumented hook in tests that count or stall
 	// renders. Every render — handler leader, bulk line, warm pass —
-	// goes through it.
+	// goes through it, with the AS's prepared points.
 	render renderFunc
 
 	// reloadMu serializes Load/Reload so two concurrent reloads cannot
@@ -207,14 +230,16 @@ type Server struct {
 }
 
 // renderFunc is the signature of the footprint renderer the server
-// dispatches to (RenderFootprint unless a test overrides it).
-type renderFunc func(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, bwKm float64, workers int, reg *obs.Registry) ([]byte, error)
+// dispatches to (renderPoints unless a test overrides it). pts is the
+// AS's entry in its artifact's prepared points, nil for an AS without
+// samples.
+type renderFunc func(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, workers int, reg *obs.Registry) ([]byte, error)
 
 // New creates a server with no artifact installed (healthz reports 503
 // until Load succeeds).
 func New(opts Options) *Server {
 	o := opts.withDefaults()
-	s := &Server{opts: o, flight: newFlightGroup(), render: RenderFootprint}
+	s := &Server{opts: o, flight: newFlightGroup(), render: renderPoints}
 	if o.MaxInflight > 0 {
 		s.lim = newLimiter(DefaultController(o.MaxInflight, o.TargetLatency))
 	}
@@ -261,7 +286,7 @@ func (s *Server) Load(snap *snapshot.Snapshot, path string) *Artifact {
 
 func (s *Server) install(snap *snapshot.Snapshot, path string) *Artifact {
 	s.nextGen++
-	a := &Artifact{Snap: snap, Path: path, Gen: s.nextGen}
+	a := &Artifact{Snap: snap, Path: path, Gen: s.nextGen, points: preparePoints(snap.Dataset)}
 	s.art.Store(a)
 	s.opts.Obs.Gauge("eyeball_serve_snapshot_generation").Set(float64(a.Gen))
 	s.opts.Obs.Gauge("eyeball_serve_snapshot_ases").Set(float64(len(snap.Dataset.Order)))
@@ -805,7 +830,7 @@ func (s *Server) footprint(ctx context.Context, sp *trace.Span, a *Artifact, rec
 		body, err := c.wait(ctx)
 		return body, cacheCoalesced, err
 	}
-	body, err := s.lead(ctx, sp, key, c, rec, bw)
+	body, err := s.lead(ctx, sp, key, c, rec, a.points[rec.ASN], bw)
 	return body, cacheMiss, err
 }
 
@@ -814,14 +839,14 @@ func (s *Server) footprint(ctx context.Context, sp *trace.Span, a *Artifact, rec
 // call with an error before the panic continues, so its waiters get an
 // answer at once and the key does not stay in flight for good;
 // recoverPanic still sees the panic.
-func (s *Server) lead(ctx context.Context, sp *trace.Span, key cacheKey, c *flightCall, rec *pipeline.ASRecord, bw float64) ([]byte, error) {
+func (s *Server) lead(ctx context.Context, sp *trace.Span, key cacheKey, c *flightCall, rec *pipeline.ASRecord, pts *core.Points, bw float64) ([]byte, error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.flight.complete(key, c, nil, fmt.Errorf("render panicked: %v", r))
 			panic(r)
 		}
 	}()
-	body, err := s.render(trace.NewContext(ctx, sp), s.opts.Gaz, rec, bw, s.opts.Workers, s.opts.Obs)
+	body, err := s.render(trace.NewContext(ctx, sp), s.opts.Gaz, rec, pts, bw, s.opts.Workers, s.opts.Obs)
 	if err == nil {
 		s.cache.add(key, body)
 	}
@@ -900,11 +925,13 @@ func (s *Server) handleFootprints(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing asns query parameter (comma-separated AS numbers)")
 		return
 	}
-	parts := strings.Split(raw, ",")
-	if len(parts) > maxBulkASNs {
-		writeError(w, http.StatusBadRequest, "too many ASNs: %d (max %d)", len(parts), maxBulkASNs)
+	// Count before splitting: an over-long list is refused without
+	// allocating a string header per entry.
+	if n := strings.Count(raw, ",") + 1; n > maxBulkASNs {
+		writeError(w, http.StatusBadRequest, "too many ASNs: %d (max %d)", n, maxBulkASNs)
 		return
 	}
+	parts := strings.Split(raw, ",")
 	asns := make([]astopo.ASN, 0, len(parts))
 	for _, p := range parts {
 		n, err := strconv.Atoi(p)

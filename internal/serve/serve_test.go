@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -270,12 +271,16 @@ func TestFootprintEndpointAndCache(t *testing.T) {
 }
 
 // TestFootprintConcurrentIdentical hammers one footprint from many
-// goroutines through cache misses and hits; every response must be
+// goroutines through cache misses and hits, at two bandwidths whose
+// renders share the AS's prepared points; every response must be
 // byte-identical (run under -race in CI).
 func TestFootprintConcurrentIdentical(t *testing.T) {
 	s, _, _ := newTestServer(t, Options{CacheSize: 2})
 	h := s.Handler()
-	want := get(t, h, "/v1/footprint/64500").Body.Bytes()
+	want := map[int][]byte{}
+	for _, bw := range []int{40, 80} {
+		want[bw] = get(t, h, fmt.Sprintf("/v1/footprint/64500?bw=%d", bw)).Body.Bytes()
+	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -283,20 +288,21 @@ func TestFootprintConcurrentIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			bw := []int{40, 80}[g%2]
 			for k := 0; k < 4; k++ {
 				asn := 64500
-				if (g+k)%2 == 1 {
+				if (g/2+k)%2 == 1 {
 					asn = 64501 // churn the 2-entry cache
 				}
-				req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/footprint/%d", asn), nil)
+				req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/footprint/%d?bw=%d", asn, bw), nil)
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, req)
 				if rec.Code != http.StatusOK {
 					errs <- fmt.Errorf("goroutine %d: HTTP %d", g, rec.Code)
 					return
 				}
-				if asn == 64500 && !bytes.Equal(rec.Body.Bytes(), want) {
-					errs <- fmt.Errorf("goroutine %d: bytes diverged", g)
+				if asn == 64500 && !bytes.Equal(rec.Body.Bytes(), want[bw]) {
+					errs <- fmt.Errorf("goroutine %d: bytes diverged at bw %d", g, bw)
 					return
 				}
 			}
@@ -611,6 +617,55 @@ func TestBulkFootprints(t *testing.T) {
 	}
 }
 
+// TestFootprintOfASWithoutSamples: an AS with no samples gets no prepared
+// points at install, and its render fails as the estimator fails on an
+// empty sample set, single and bulk.
+func TestFootprintOfASWithoutSamples(t *testing.T) {
+	_, snap := testArtifact(t, t.TempDir())
+	snap.Dataset.ASes[64502] = &pipeline.ASRecord{ASN: 64502}
+	snap.Dataset.Order = append(snap.Dataset.Order, 64502)
+	s := New(Options{Gaz: testGaz})
+	s.Load(snap, "")
+	h := s.Handler()
+	const want = `{"error":"footprint render failed: core: no samples"}` + "\n"
+	if rec := get(t, h, "/v1/footprint/64502"); rec.Code != http.StatusInternalServerError || rec.Body.String() != want {
+		t.Errorf("single: HTTP %d %q, want 500 %q", rec.Code, rec.Body.String(), want)
+	}
+	if rec := get(t, h, "/v1/footprints?asns=64502"); rec.Code != http.StatusOK || rec.Body.String() != want {
+		t.Errorf("bulk: HTTP %d %q, want 200 %q", rec.Code, rec.Body.String(), want)
+	}
+}
+
+// TestBulkFootprintsTooManyASNsAllocs: a list past maxBulkASNs is refused
+// with the usual body without being split first. Splitting this
+// 400,001-entry (0.76 MiB) list allocated 6.1 MiB of string headers
+// before the count was checked; the handler now allocates a few KiB
+// whatever the list's length. The least of five runs is taken, so a
+// stray goroutine from another test cannot fail it.
+func TestBulkFootprintsTooManyASNsAllocs(t *testing.T) {
+	s, _, _ := newTestServer(t, Options{CacheSize: -1})
+	h := s.Handler()
+	list := "1" + strings.Repeat(",1", 400000)
+	const want = `{"error":"too many ASNs: 400001 (max 1024)"}` + "\n"
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		req := httptest.NewRequest(http.MethodGet, "/v1/footprints?asns="+list, nil)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+			t.Fatalf("HTTP %d %q, want 400 %q", rec.Code, rec.Body.String(), want)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > uint64(len(list)/16) {
+		t.Errorf("refusing a %d-byte list allocated %d B, want at most %d", len(list), least, len(list)/16)
+	}
+	t.Logf("refusing a %d-byte list allocated %d B", len(list), least)
+}
+
 // TestBulkFootprintsStreamsOverTheWire stalls the second AS's render and
 // reads the first line from a real connection before releasing it: the
 // handler must push each line out as it is written, not when it returns.
@@ -621,7 +676,7 @@ func TestBulkFootprintsStreamsOverTheWire(t *testing.T) {
 	var once sync.Once
 	unblock := func() { once.Do(func() { close(release) }) }
 	render := s.render
-	s.render = func(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, bw float64, workers int, reg *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, pts *core.Points, bw float64, workers int, reg *obs.Registry) ([]byte, error) {
 		if rec.ASN == 64501 {
 			select {
 			case <-release:
@@ -629,7 +684,7 @@ func TestBulkFootprintsStreamsOverTheWire(t *testing.T) {
 				return nil, ctx.Err()
 			}
 		}
-		return render(ctx, gaz, rec, bw, workers, reg)
+		return render(ctx, gaz, rec, pts, bw, workers, reg)
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

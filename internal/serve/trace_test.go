@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -137,6 +139,33 @@ func TestTraceMiddlewareFootprint(t *testing.T) {
 	}
 	if findChild(hit, "kde.estimate") != nil {
 		t.Error("cache-hit trace grew a kde.estimate child")
+	}
+}
+
+// TestTracedColdRenderBinsPoints: a cold render bins the AS's distinct
+// locations, prepared at install, not its samples. The fixture's 300
+// samples sit on a few dozen jittered points, so the kde.estimate span
+// reads points below samples, and samples, like
+// eyeball_kde_samples_total, still counts every sample.
+func TestTracedColdRenderBinsPoints(t *testing.T) {
+	s, rec, reg := tracedServer(t, nil, Options{})
+	distinct := map[[2]uint64]bool{}
+	for _, smp := range s.Artifact().Snap.Dataset.AS(64500).Samples {
+		distinct[[2]uint64{math.Float64bits(smp.Loc.Lat), math.Float64bits(smp.Loc.Lon)}] = true
+	}
+	if w := getWithHeader(t, s.Handler(), "/v1/footprint/64500", ""); w.Code != http.StatusOK {
+		t.Fatalf("footprint: %d %s", w.Code, w.Body.String())
+	}
+	kde := findChild(rec.Recent()[0].Tree(), "kde.estimate")
+	if kde == nil {
+		t.Fatal("cold render has no kde.estimate span")
+	}
+	samples, points := attrVal(*kde, "samples"), attrVal(*kde, "points")
+	if samples != "300" || points != strconv.Itoa(len(distinct)) || len(distinct) >= 300 {
+		t.Errorf("kde.estimate samples %q points %q, want 300 and %d (< 300)", samples, points, len(distinct))
+	}
+	if n := reg.Counter("eyeball_kde_samples_total").Value(); n != 300 {
+		t.Errorf("eyeball_kde_samples_total = %d, want 300", n)
 	}
 }
 

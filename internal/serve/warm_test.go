@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"eyeballas/internal/astopo"
+	"eyeballas/internal/core"
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/leakcheck"
 	"eyeballas/internal/obs"
@@ -74,7 +75,7 @@ func TestWarmRendersInPriorityOrderThenHits(t *testing.T) {
 
 	var mu sync.Mutex
 	var order []astopo.ASN
-	s.render = func(_ context.Context, _ *gazetteer.Gazetteer, rec *pipeline.ASRecord, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+	s.render = func(_ context.Context, _ *gazetteer.Gazetteer, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
 		mu.Lock()
 		order = append(order, rec.ASN)
 		mu.Unlock()
@@ -140,7 +141,7 @@ func TestWarmOnlyWhatTheCacheHolds(t *testing.T) {
 			defer s.Close()
 			var mu sync.Mutex
 			var order []astopo.ASN
-			s.render = func(_ context.Context, _ *gazetteer.Gazetteer, rec *pipeline.ASRecord, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+			s.render = func(_ context.Context, _ *gazetteer.Gazetteer, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
 				mu.Lock()
 				order = append(order, rec.ASN)
 				mu.Unlock()
@@ -187,7 +188,7 @@ func TestWarmCancelOnSwapAndClose(t *testing.T) {
 	s := New(Options{Warm: true, Obs: reg, Gaz: testGaz})
 
 	var renders atomic.Int32
-	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
 		renders.Add(1)
 		<-ctx.Done() // park until the pass is cancelled
 		return nil, ctx.Err()
@@ -258,7 +259,7 @@ func TestWarmBudgetBoundsPass(t *testing.T) {
 	s := New(Options{Warm: true, WarmBudget: time.Nanosecond, Obs: reg, Gaz: testGaz})
 	defer s.Close()
 
-	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
 		<-ctx.Done() // the budget is the only cancel source in this test
 		return nil, ctx.Err()
 	}
