@@ -210,8 +210,8 @@ func MultiScaleFootprintCtx(ctx context.Context, gaz *gazetteer.Gazetteer, sampl
 	return out, nil
 }
 
-// PoPs extracts the plain PoP list from a multi-scale result, for use
-// with MatchPoPs.
+// MultiScalePoPs extracts the plain PoP list from a multi-scale result,
+// for use with MatchPoPs.
 func MultiScalePoPs(ms []MultiScalePoP) []PoP {
 	out := make([]PoP, len(ms))
 	for i, m := range ms {

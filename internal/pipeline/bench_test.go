@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eyeballas/internal/astopo"
+	"eyeballas/internal/benchgate"
 	"eyeballas/internal/bgp"
 	"eyeballas/internal/geodb"
 	"eyeballas/internal/obs"
@@ -51,30 +52,75 @@ var benchSetupOnce = sync.OnceValues(func() (*benchEnv, error) {
 	}, nil
 })
 
-func benchBuild(b *testing.B, reg *obs.Registry) {
-	b.Helper()
+func benchEnvOf(tb testing.TB) *benchEnv {
+	tb.Helper()
 	env, err := benchSetupOnce()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return env
+}
+
+// build returns one build of crawl with reg as its registry: the
+// streaming Build, or with batch the frozen buildBatch reference.
+// Workers=1 isolates the scalar stage cost from pool scheduling.
+func (env *benchEnv) build(tb testing.TB, crawl *p2p.Crawl, reg *obs.Registry, batch bool) func() {
 	cfg := DefaultConfig()
-	cfg.Workers = 1 // isolate the scalar stage cost from pool scheduling
+	cfg.Workers = 1
 	cfg.Obs = reg
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(context.Background(), env.crawl, env.dbA, env.dbB, env.origins, cfg); err != nil {
-			b.Fatal(err)
+	build := Build
+	if batch {
+		build = buildBatch
+	}
+	return func() {
+		ds, err := build(context.Background(), crawl, env.dbA, env.dbB, env.origins, cfg)
+		if err != nil {
+			tb.Fatal(err)
 		}
+		sinkTotal += int64(ds.TotalPeers)
 	}
 }
 
-// BenchmarkBuildObsOff / BenchmarkBuildObsOn are the acceptance pair for
-// the observability overhead budget: the full geolocate → origin → dedup
-// → condition stage chain with no registry vs. a live one (funnel,
-// spans, histograms, shard-aggregated lookup counter all armed). The
-// ratio on/off is the end-to-end instrumentation overhead and must stay
-// ≤3% (see scripts/bench_obs.sh, which computes it into BENCH_pr3.json).
-func BenchmarkBuildObsOff(b *testing.B) { benchBuild(b, nil) }
+var sinkTotal int64
 
-func BenchmarkBuildObsOn(b *testing.B) { benchBuild(b, obs.New()) }
+func benchBuild(b *testing.B, reg *obs.Registry, batch bool) {
+	env := benchEnvOf(b)
+	build := env.build(b, env.crawl, reg, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+}
+
+// BenchmarkBuildObsOff / BenchmarkBuildObsOn report the full geolocate →
+// origin → dedup → condition stage chain with no registry and with a
+// live one (funnel, spans, histograms, shard-aggregated lookup counter
+// all armed). BenchmarkPairedObs gates their ratio.
+func BenchmarkBuildObsOff(b *testing.B) { benchBuild(b, nil, false) }
+
+func BenchmarkBuildObsOn(b *testing.B) { benchBuild(b, obs.New(), false) }
+
+// obsSchedule: a build of the crawl's first 1/64 takes about 7 ms, so a
+// round is one build a side. Single rounds differ by several percent, so
+// it takes 1,200 of them, about 17 s, for the median to hold within a
+// hundredth of 1 from run to run, well inside the 3% budget.
+var obsSchedule = benchgate.Schedule{Rounds: 1200, Ops: 1}
+
+// BenchmarkPairedObs is the observability budget: a build with a live
+// registry against the same build with none, in alternating rounds. The
+// ratio must stay at or under 1.03. Both sides build the first 1/64 of
+// the bench crawl's peers, so a round takes milliseconds, not a second;
+// the registry's per-build costs weigh more on the smaller build, so
+// the ratio errs high, if anything.
+func BenchmarkPairedObs(b *testing.B) {
+	env := benchEnvOf(b)
+	head := &p2p.Crawl{Peers: env.crawl.Peers[:len(env.crawl.Peers)/64]}
+	on, off := env.build(b, head, obs.New(), false), env.build(b, head, nil, false)
+	on()
+	off()
+	b.ResetTimer()
+	if r := benchgate.Ratio(b, obsSchedule, "obs-on/off", on, off); r > 1.03 {
+		b.Errorf("obs-on/off %.3f, bound 1.03", r)
+	}
+}

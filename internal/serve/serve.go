@@ -274,7 +274,7 @@ func (s *Server) Close() {
 // entry. The chaos e2e harness uses this to model fault recovery.
 func (s *Server) SetChaos(c *Chaos) { s.chaos.Store(c) }
 
-// Chaos returns the currently armed injector (nil when chaos is off).
+// ChaosState returns the currently armed injector (nil when chaos is off).
 func (s *Server) ChaosState() *Chaos { return s.chaos.Load() }
 
 // Load installs a parsed snapshot as the serving artifact.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"eyeballas/internal/benchgate"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/trace"
 )
@@ -353,31 +354,46 @@ func TestDebugEndpointsAbsentWithoutTracer(t *testing.T) {
 	}
 }
 
-// TestTracedFootprintHitAllocs: a traced cache hit allocates no more
-// than an untraced one. The request's span is carved from a shared slab
-// and reaches the context only when the request leads a render, so a
-// hit pays nothing per request for tracing.
+// TestTracedFootprintHitAllocs bounds what tracing adds to the two hot
+// paths, a cache hit and a lookup: at most one allocation and 1 KiB per
+// request (measured: none, and the 576 B slab share the request's span
+// is carved from). A cache hit is held tighter, to no allocation at all:
+// its span reaches the context only when the request leads a render.
 func TestTracedFootprintHitAllocs(t *testing.T) {
-	hitAllocs := func(opts Options) float64 {
+	measure := func(opts Options, url string) (allocs, bytes float64) {
 		s, _, _ := newTestServer(t, opts)
 		h := s.Handler()
-		req := httptest.NewRequest(http.MethodGet, "/v1/footprint/64500", nil)
+		req := httptest.NewRequest(http.MethodGet, url, nil)
 		h.ServeHTTP(httptest.NewRecorder(), req) // prime the cache
-		return testing.AllocsPerRun(200, func() {
+		serve := func() {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 			if rec.Code != http.StatusOK {
-				t.Fatalf("HTTP %d", rec.Code)
+				t.Fatalf("GET %s: HTTP %d", url, rec.Code)
 			}
-		})
+		}
+		return testing.AllocsPerRun(200, serve), benchgate.BytesPerRun(200, serve)
 	}
-	untraced := hitAllocs(Options{})
-	traced := hitAllocs(Options{Tracer: trace.New(trace.Options{
-		Seed:     42,
-		Recorder: trace.NewRecorder(trace.RecorderOptions{Recent: 128, SlowThreshold: time.Hour}),
-	})})
-	if traced > untraced {
-		t.Errorf("traced cache hit allocates %.0f/op, untraced %.0f/op", traced, untraced)
+	for _, c := range []struct {
+		path        string
+		extraAllocs float64
+	}{
+		{"/v1/footprint/64500", 0},
+		{"/v1/lookup?ip=10.1.2.3", 1},
+	} {
+		untracedAllocs, untracedBytes := measure(Options{}, c.path)
+		tracedAllocs, tracedBytes := measure(Options{Tracer: trace.New(trace.Options{
+			Seed:     42,
+			Recorder: trace.NewRecorder(trace.RecorderOptions{Recent: 128, SlowThreshold: time.Hour}),
+		})}, c.path)
+		if tracedAllocs > untracedAllocs+c.extraAllocs {
+			t.Errorf("GET %s: traced %.0f allocs/op, untraced %.0f, at most %.0f more allowed",
+				c.path, tracedAllocs, untracedAllocs, c.extraAllocs)
+		}
+		if tracedBytes > untracedBytes+1024 {
+			t.Errorf("GET %s: traced %.0f B/op, untraced %.0f, at most 1024 more allowed",
+				c.path, tracedBytes, untracedBytes)
+		}
 	}
 }
 
