@@ -3,6 +3,8 @@ package grid
 import (
 	"math"
 	"testing"
+
+	"eyeballas/internal/benchgate"
 )
 
 func benchGrid() *Grid {
@@ -48,6 +50,7 @@ func TestPeaksAllocs(t *testing.T) {
 func BenchmarkComponents(b *testing.B) {
 	g := benchGrid()
 	max, _, _ := g.Max()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if len(g.Components(max*0.01)) == 0 {
@@ -56,13 +59,20 @@ func BenchmarkComponents(b *testing.B) {
 	}
 }
 
-func BenchmarkContourLines(b *testing.B) {
+// TestComponentsBytes pins that Components' scratch follows the
+// partitions, not the grid: BenchmarkComponents' surface set inside a
+// zero border, four times its area, must cost the same bytes (within
+// 1%) as the surface alone. A visited mark per cell fails it.
+func TestComponentsBytes(t *testing.T) {
 	g := benchGrid()
 	max, _, _ := g.Max()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(g.ContourLines(max*0.2)) == 0 {
-			b.Fatal("no contours")
-		}
+	framed := New(g.MinX-float64(g.W/2)*g.Cell, g.MinY-float64(g.H/2)*g.Cell, g.Cell, 2*g.W, 2*g.H)
+	for j := 0; j < g.H; j++ {
+		copy(framed.Data[(j+g.H/2)*framed.W+g.W/2:], g.Data[j*g.W:(j+1)*g.W])
+	}
+	bare := benchgate.BytesPerRun(20, func() { g.Components(max * 0.01) })
+	big := benchgate.BytesPerRun(20, func() { framed.Components(max * 0.01) })
+	if big > bare*1.01 || big < bare*0.99 {
+		t.Errorf("Components: %.0f B/op framed at 4× the area, %.0f B/op bare; want within 1%%", big, bare)
 	}
 }

@@ -1,7 +1,7 @@
 // Package grid provides dense two-dimensional float grids in a local
 // km-space, with the operations kernel density surfaces need: local-maximum
-// (peak) detection with plateau handling, thresholded connected components
-// (the paper's footprint "partitions"), and iso-contour extraction.
+// (peak) detection with plateau handling and thresholded connected
+// components (the paper's footprint "partitions").
 package grid
 
 import (
@@ -97,13 +97,6 @@ func (g *Grid) Sum() float64 {
 // Integral returns Sum·Cell², the approximate integral of the surface.
 func (g *Grid) Integral() float64 { return g.Sum() * g.Cell * g.Cell }
 
-// Scale multiplies every cell by f.
-func (g *Grid) Scale(f float64) {
-	for i := range g.Data {
-		g.Data[i] *= f
-	}
-}
-
 // Peak is a strict local maximum of the surface.
 type Peak struct {
 	I, J  int     // cell coordinates
@@ -123,8 +116,12 @@ var neighbours = [8][2]int{{-1, -1}, {0, -1}, {1, -1}, {-1, 0}, {1, 0}, {-1, 1},
 // its plateau cannot be a peak, and a peak plateau holds no such cell, so
 // every peak plateau is still flooded from its first cell in row-major
 // order and keeps the representative a flood of every cell would pick.
-// One stack and one plateau slice serve every flood of a call, and the
-// visited marks are allocated only once a cell has an equal neighbour.
+// Each row is scanned with its neighbour rows beside it, and a cell off
+// the grid's border is rejected by eight direct compares, the answer
+// neighbourOrder would give; border cells and cells with no higher
+// neighbour take neighbourOrder itself. One stack and one plateau slice
+// serve every flood of a call, and the visited marks are allocated only
+// once a cell has an equal neighbour.
 func (g *Grid) Peaks(floor float64) []Peak {
 	var (
 		peaks          []Peak
@@ -132,10 +129,27 @@ func (g *Grid) Peaks(floor float64) []Peak {
 		stack, plateau []int
 	)
 	for j := 0; j < g.H; j++ {
-		for i := 0; i < g.W; i++ {
+		row := g.Data[j*g.W : (j+1)*g.W]
+		interior := j > 0 && j+1 < g.H
+		up, down := row, row
+		if interior {
+			up, down = g.Data[(j-1)*g.W:], g.Data[(j+1)*g.W:]
+		}
+		// Resliced to the row's length, so that the compares below need
+		// no bounds checks.
+		up, down = up[:len(row)], down[:len(row)]
+		for i, v := range row {
+			if v <= floor {
+				continue
+			}
+			if interior && i > 0 && i+1 < len(row) &&
+				(up[i-1] > v || up[i] > v || up[i+1] > v ||
+					row[i-1] > v || row[i+1] > v ||
+					down[i-1] > v || down[i] > v || down[i+1] > v) {
+				continue
+			}
 			idx := j*g.W + i
-			v := g.Data[idx]
-			if v <= floor || (visited != nil && visited[idx]) {
+			if visited != nil && visited[idx] {
 				continue
 			}
 			higher, equal, lower := g.neighbourOrder(i, j, v)
@@ -264,66 +278,80 @@ func less(a, b Peak) bool {
 type Component struct {
 	Cells  int     // number of member cells
 	AreaKm float64 // Cells · Cell²
-	Mass   float64 // sum of member values · Cell²
-	PeakV  float64 // maximum value inside the component
+	// Mass is the sum of the member values, added in row-major order,
+	// times Cell².
+	Mass  float64
+	PeakV float64 // maximum value inside the component
 	// Bounding box in cell coordinates, inclusive.
 	MinI, MinJ, MaxI, MaxJ int
 }
 
+// run is cells lo…hi of row j, a maximal stretch at or above the level.
+// parent links it into its partition's union-find tree, rooted at the
+// partition's earliest run; part is the partition's index.
+type run struct {
+	j, lo, hi    int
+	parent, part int
+}
+
 // Components returns the 8-connected components of {cells >= level},
-// largest mass first.
+// largest mass first; partitions of equal mass keep the row-major order
+// of their first cells.
+//
+// One row-major scan finds each row's runs and unions every run with
+// the runs of the row above that it touches, diagonally included. A
+// union hangs the later of two roots under the earlier, so a partition's
+// root is its earliest run, and partitions are numbered in the order of
+// their first cells. A pass over the runs in order then sums each
+// partition's cells, so Mass adds them in row-major order. The runs are
+// the only scratch: nothing is sized by the grid.
 func (g *Grid) Components(level float64) []Component {
-	visited := make([]bool, len(g.Data))
-	var (
-		comps []Component
-		stack [][2]int // reused by every component's flood
-	)
+	var runs []run
+	above := 0 // the first run of the row above
 	for j := 0; j < g.H; j++ {
-		for i := 0; i < g.W; i++ {
-			idx := g.Index(i, j)
-			if visited[idx] || g.Data[idx] < level {
-				continue
+		first, a := len(runs), above
+		lo := -1 // the first cell of the run being scanned, if any
+		for i, v := range g.Data[j*g.W : (j+1)*g.W] {
+			if v >= level {
+				if lo < 0 {
+					lo = i
+				}
+			} else if lo >= 0 {
+				runs, a = addRun(runs, a, first, j, lo, i-1)
+				lo = -1
 			}
-			c := Component{MinI: i, MinJ: j, MaxI: i, MaxJ: j}
-			stack = append(stack[:0], [2]int{i, j})
-			visited[idx] = true
-			for len(stack) > 0 {
-				cur := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				v := g.At(cur[0], cur[1])
-				c.Cells++
-				c.Mass += v
-				if v > c.PeakV {
-					c.PeakV = v
-				}
-				if cur[0] < c.MinI {
-					c.MinI = cur[0]
-				}
-				if cur[0] > c.MaxI {
-					c.MaxI = cur[0]
-				}
-				if cur[1] < c.MinJ {
-					c.MinJ = cur[1]
-				}
-				if cur[1] > c.MaxJ {
-					c.MaxJ = cur[1]
-				}
-				for _, d := range neighbours {
-					ni, nj := cur[0]+d[0], cur[1]+d[1]
-					if ni < 0 || ni >= g.W || nj < 0 || nj >= g.H {
-						continue
-					}
-					nidx := g.Index(ni, nj)
-					if !visited[nidx] && g.Data[nidx] >= level {
-						visited[nidx] = true
-						stack = append(stack, [2]int{ni, nj})
-					}
-				}
-			}
-			c.AreaKm = float64(c.Cells) * g.Cell * g.Cell
-			c.Mass *= g.Cell * g.Cell
-			comps = append(comps, c)
 		}
+		if lo >= 0 {
+			runs, _ = addRun(runs, a, first, j, lo, g.W-1)
+		}
+		above = first
+	}
+	var comps []Component
+	for r := range runs {
+		u := &runs[r]
+		if u.parent == r {
+			u.part = len(comps)
+			comps = append(comps, Component{MinI: u.lo, MinJ: u.j, MaxI: u.hi})
+		} else {
+			// The parent is an earlier run, already given its partition.
+			u.part = runs[u.parent].part
+		}
+		c := &comps[u.part]
+		c.Cells += u.hi - u.lo + 1
+		c.MinI, c.MaxI, c.MaxJ = min(c.MinI, u.lo), max(c.MaxI, u.hi), u.j
+		m, peak := c.Mass, c.PeakV
+		for _, v := range g.Data[u.j*g.W+u.lo : u.j*g.W+u.hi+1] {
+			m += v
+			if v > peak {
+				peak = v
+			}
+		}
+		c.Mass, c.PeakV = m, peak
+	}
+	for k := range comps {
+		c := &comps[k]
+		c.AreaKm = float64(c.Cells) * g.Cell * g.Cell
+		c.Mass *= g.Cell * g.Cell
 	}
 	// Sort by descending mass.
 	for i := 1; i < len(comps); i++ {
@@ -338,14 +366,37 @@ func (g *Grid) Components(level float64) []Component {
 	return comps
 }
 
-// MassAbove returns the integral of the surface restricted to cells with
-// value >= level.
-func (g *Grid) MassAbove(level float64) float64 {
-	s := 0.0
-	for _, d := range g.Data {
-		if d >= level {
-			s += d
-		}
+// addRun appends run lo…hi of row j and unions it with the runs of the
+// row above that it touches, diagonally included: runs[a:first], ordered
+// by column. It returns the runs and the first run above that can touch
+// a later run of row j, since a run above that ends left of column lo-1
+// touches none.
+func addRun(runs []run, a, first, j, lo, hi int) ([]run, int) {
+	r := len(runs)
+	runs = append(runs, run{j: j, lo: lo, hi: hi, parent: r})
+	for a < first && runs[a].hi < lo-1 {
+		a++
 	}
-	return s * g.Cell * g.Cell
+	for b := a; b < first && runs[b].lo <= hi+1; b++ {
+		union(runs, r, b)
+	}
+	return runs, a
+}
+
+// union joins the trees of runs x and y under the earlier of their roots.
+func union(runs []run, x, y int) {
+	x, y = root(runs, x), root(runs, y)
+	if x > y {
+		x, y = y, x
+	}
+	runs[y].parent = x
+}
+
+// root returns the root of run x's tree, halving the path on the way.
+func root(runs []run, x int) int {
+	for runs[x].parent != x {
+		runs[x].parent = runs[runs[x].parent].parent
+		x = runs[x].parent
+	}
+	return x
 }

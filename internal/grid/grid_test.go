@@ -70,10 +70,6 @@ func TestMaxSumIntegralScale(t *testing.T) {
 	if math.Abs(g.Integral()-8*0.25) > 1e-12 {
 		t.Errorf("Integral = %v", g.Integral())
 	}
-	g.Scale(2)
-	if g.Sum() != 16 {
-		t.Errorf("Sum after scale = %v", g.Sum())
-	}
 }
 
 func TestPeaksSimple(t *testing.T) {
@@ -178,56 +174,5 @@ func TestComponentsDiagonalConnectivity(t *testing.T) {
 	g.Set(1, 1, 2)
 	if n := len(g.Components(1)); n != 1 {
 		t.Errorf("diagonal cells split into %d components, want 1 (8-connectivity)", n)
-	}
-}
-
-func TestMassAbove(t *testing.T) {
-	g := New(0, 0, 2, 3, 3)
-	g.Set(0, 0, 1)
-	g.Set(1, 1, 3)
-	if got := g.MassAbove(2); math.Abs(got-3*4) > 1e-12 {
-		t.Errorf("MassAbove(2) = %v", got)
-	}
-	if got := g.MassAbove(0.5); math.Abs(got-4*4) > 1e-12 {
-		t.Errorf("MassAbove(0.5) = %v", got)
-	}
-}
-
-func TestContourLinesCircle(t *testing.T) {
-	// A radial bump: contour at level 0.5 should form segments roughly at
-	// radius where value = 0.5.
-	g := New(-10, -10, 0.5, 41, 41)
-	for j := 0; j < g.H; j++ {
-		for i := 0; i < g.W; i++ {
-			c := g.Center(i, j)
-			r := math.Hypot(c.X, c.Y)
-			g.Set(i, j, math.Exp(-r*r/20))
-		}
-	}
-	segs := g.ContourLines(0.5)
-	if len(segs) < 8 {
-		t.Fatalf("too few contour segments: %d", len(segs))
-	}
-	wantR := math.Sqrt(20 * math.Ln2) // value = 0.5 at this radius
-	for _, s := range segs {
-		for _, p := range s {
-			r := math.Hypot(p.X, p.Y)
-			if math.Abs(r-wantR) > 0.6 {
-				t.Errorf("contour point at radius %.2f, want ~%.2f", r, wantR)
-			}
-		}
-	}
-}
-
-func TestContourLinesEmptyCases(t *testing.T) {
-	g := New(0, 0, 1, 5, 5)
-	if segs := g.ContourLines(1); len(segs) != 0 {
-		t.Errorf("all-below grid produced %d segments", len(segs))
-	}
-	for i := range g.Data {
-		g.Data[i] = 5
-	}
-	if segs := g.ContourLines(1); len(segs) != 0 {
-		t.Errorf("all-above grid produced %d segments", len(segs))
 	}
 }

@@ -43,17 +43,22 @@ func referenceBlur(g *grid.Grid, bandwidthKm, truncSigma float64) {
 }
 
 // blurMatchesReference blurs a copy of src with blurSeparable at the
-// given worker count and with referenceBlur, and reports the first cell
-// whose bits differ ("" when none does).
-func blurMatchesReference(src *grid.Grid, bandwidthKm float64, workers int) string {
+// given scale and worker count, and another with referenceBlur followed
+// by a multiply of every cell by scale, the pass the blur's write
+// replaced. It reports the first cell whose bits differ ("" when none
+// does).
+func blurMatchesReference(src *grid.Grid, bandwidthKm, scale float64, workers int) string {
 	got := grid.New(src.MinX, src.MinY, src.Cell, src.W, src.H)
 	copy(got.Data, src.Data)
 	want := grid.New(src.MinX, src.MinY, src.Cell, src.W, src.H)
 	copy(want.Data, src.Data)
-	if err := blurSeparable(context.Background(), got, bandwidthKm, 4, workers, nil); err != nil {
+	if err := blurSeparable(context.Background(), got, bandwidthKm, 4, scale, workers, nil); err != nil {
 		return err.Error()
 	}
 	referenceBlur(want, bandwidthKm, 4)
+	for k := range want.Data {
+		want.Data[k] *= scale
+	}
 	for k := range want.Data {
 		if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
 			return fmt.Sprintf("cell (%d,%d) = %.17g, reference %.17g",
@@ -109,8 +114,11 @@ func TestBlurMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
-				if diff := blurMatchesReference(tc.g, tc.bw, workers); diff != "" {
-					t.Fatalf("%dx%d grid, bw %v: %s", tc.g.W, tc.g.H, tc.bw, diff)
+				// 1, and a 1/(N·cell²) density scale whose products round.
+				for _, scale := range []float64{1, 1 / (4000 * 2.5 * 2.5)} {
+					if diff := blurMatchesReference(tc.g, tc.bw, scale, workers); diff != "" {
+						t.Fatalf("%dx%d grid, bw %v, scale %v: %s", tc.g.W, tc.g.H, tc.bw, scale, diff)
+					}
 				}
 			})
 		}
@@ -121,7 +129,8 @@ func TestBlurMatchesReference(t *testing.T) {
 // reference, bit for bit, on fuzzed grids: 1–256 cells a side (so 1×N,
 // N×1 and grids past one convolution block), kernel radii 1–40 (so grids
 // narrower or shorter than the radius), sparse counts that leave
-// all-zero rows and columns, and 1, 2 or 8 workers.
+// all-zero rows and columns, 1, 2 or 8 workers, and finite scales: a
+// density scale, 1, 0, and ones that take products subnormal or large.
 func FuzzBlurMatchesReference(f *testing.F) {
 	f.Add([]byte{30, 20, 7, 0, 1, 5, 3, 9, 2})
 	f.Add([]byte{255, 0, 15, 1, 4, 4, 4})
@@ -135,12 +144,13 @@ func FuzzBlurMatchesReference(f *testing.F) {
 		w, h := 1+int(data[0]), 1+int(data[1])
 		radius := 1 + int(data[2]%40)
 		workers := []int{1, 2, 8}[int(data[3])%3]
+		scale := []float64{1 / (3000 * 2.5 * 2.5), 1, 0, 1e-310, 1e300}[int(data[3]/3)%5]
 		g := grid.New(0, 0, 1, w, h)
 		for k, b := range data[4:] {
 			g.Data[(k*7919)%len(g.Data)] += float64(b)
 		}
-		if diff := blurMatchesReference(g, float64(radius)/4, workers); diff != "" {
-			t.Fatalf("%dx%d grid, radius %d, workers %d: %s", w, h, radius, workers, diff)
+		if diff := blurMatchesReference(g, float64(radius)/4, scale, workers); diff != "" {
+			t.Fatalf("%dx%d grid, radius %d, workers %d, scale %v: %s", w, h, radius, workers, scale, diff)
 		}
 	})
 }

@@ -191,12 +191,12 @@ func estimate(ctx context.Context, points []geo.XY, counts []uint32, n int, opts
 	}
 	binSpan.End()
 
-	if err := blurSeparable(ctx, g, o.BandwidthKm, o.TruncSigma, o.Workers, span); err != nil {
+	// counts → density: the blur divides by N·cell² as it writes, so the
+	// surface integrates to 1.
+	scale := 1 / (float64(n) * o.CellKm * o.CellKm)
+	if err := blurSeparable(ctx, g, o.BandwidthKm, o.TruncSigma, scale, o.Workers, span); err != nil {
 		return nil, err
 	}
-
-	// counts → density: divide by N·cell² so the surface integrates to 1.
-	g.Scale(1 / (float64(n) * o.CellKm * o.CellKm))
 	if o.Obs != nil {
 		o.Obs.Histogram("eyeball_kde_estimate_seconds", obs.LatencyBuckets()).Observe(time.Since(start).Seconds())
 	}
@@ -227,7 +227,8 @@ func blurBlock(n, length int) int {
 }
 
 // blurSeparable convolves the grid in place with a truncated Gaussian,
-// normalized to preserve total mass. It needs no second grid: the
+// normalized to preserve total mass, and multiplies every cell by scale
+// as the vertical pass writes it. It needs no second grid: the
 // horizontal pass convolves each row from one row of scratch, and the
 // vertical pass is an ascending gather that keeps, per block, only the
 // source rows it has already overwritten (see gatherColumns).
@@ -243,7 +244,7 @@ func blurBlock(n, length int) int {
 // scheduling. A cancelled ctx stops the fan-out at a block boundary and
 // surfaces ctx.Err(); the grid is then partially blurred and must be
 // discarded by the caller.
-func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma float64, workers int, parent *trace.Span) error {
+func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma, scale float64, workers int, parent *trace.Span) error {
 	radius := int(math.Ceil(truncSigma * bandwidthKm / g.Cell))
 	kernel := make([]float64, 2*radius+1)
 	sum := 0.0
@@ -292,7 +293,7 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma fl
 			bs.SetInt("lo", int64(lo))
 			bs.SetInt("hi", int64(hi))
 		}
-		gatherColumns(g, lo, hi, kernel, radius)
+		gatherColumns(g, lo, hi, kernel, radius, scale)
 		bs.End()
 		return nil
 	})
@@ -300,21 +301,22 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma fl
 	return err
 }
 
-// gatherColumns convolves columns [lo, hi) of g in place along y. Output
-// row j is the sum over source rows s = j-radius … j+radius, ascending,
-// of row s times kernel[j-s+radius] — the order in which convolveRow's
-// scatter adds them — so each cell gets bit for bit what convolving its
-// column would give. Rows are produced in ascending order: sources at or
-// below j are still in g, and the radius rows above it that were already
-// overwritten are kept in a ring.
+// gatherColumns convolves columns [lo, hi) of g in place along y and
+// writes each result times scale. Output row j is the sum over source
+// rows s = j-radius … j+radius, ascending, of row s times
+// kernel[j-s+radius] — the order in which convolveRow's scatter adds
+// them — so each cell gets bit for bit what convolving its column and
+// then multiplying it by scale would give. Rows are produced in ascending
+// order: sources at or below j are still in g, and the radius rows above
+// it that were already overwritten are kept, unscaled, in a ring.
 //
 // Each source row contributes only over its nonzero extent within the
 // block, as convolveRow skips zero cells; an output row is written only
 // over the union of its sources' extents. Neither can change a bit: a sum
 // starts at +0, can never become −0, and adding ±0 to anything else
 // returns it; outside the union the row was zero and stays zero (the
-// horizontal pass leaves no −0).
-func gatherColumns(g *grid.Grid, lo, hi int, kernel []float64, radius int) {
+// horizontal pass leaves no −0), which is +0 times any finite scale.
+func gatherColumns(g *grid.Grid, lo, hi int, kernel []float64, radius int, scale float64) {
 	w := hi - lo
 	slots := min(radius, g.H)
 	buf := make([]float64, (slots+1)*w)
@@ -367,7 +369,10 @@ func gatherColumns(g *grid.Grid, lo, hi int, kernel []float64, radius int) {
 		if e := ext[j]; e[0] < e[1] && slots > 0 {
 			copy(ring[j%slots*w+e[0]:], row[e[0]:e[1]])
 		}
-		copy(row[ulo:uhi], acc[ulo:uhi])
+		out := row[ulo:uhi]
+		for x, v := range acc[ulo:uhi][:len(out)] {
+			out[x] = v * scale
+		}
 	}
 }
 

@@ -93,12 +93,11 @@ func benchBuild(b *testing.B, reg *obs.Registry, batch bool) {
 	}
 }
 
-// BenchmarkBuildObsOff / BenchmarkBuildObsOn report the full geolocate →
-// origin → dedup → condition stage chain with no registry and with a
-// live one (funnel, spans, histograms, shard-aggregated lookup counter
-// all armed). BenchmarkPairedObs gates their ratio.
-func BenchmarkBuildObsOff(b *testing.B) { benchBuild(b, nil, false) }
-
+// BenchmarkBuildObsOn reports the full geolocate → origin → dedup →
+// condition stage chain with a live registry (funnel, spans, histograms,
+// shard-aggregated lookup counter all armed); BenchmarkBuildStream is the
+// same build with none. BenchmarkPairedObs gates the registry's cost, on
+// against off in alternating rounds.
 func BenchmarkBuildObsOn(b *testing.B) { benchBuild(b, obs.New(), false) }
 
 // obsSchedule: a build of the crawl's first 1/64 takes about 7 ms, so a
