@@ -121,7 +121,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	bw := fs.Float64("bw", 40, "default footprint kernel bandwidth in km (per-request ?bw= overrides)")
 	workers := fs.Int("workers", 1, "KDE workers per footprint render")
 	warm := fs.Bool("warm", false, "prewarm the footprint cache: render the top -cache dataset ASes by user count at the default bandwidth on startup and after every reload")
-	warmWorkers := fs.Int("warm-workers", 1, "concurrent warm renders (the warmer's low-priority semaphore)")
+	warmWorkers := fs.Int("warm-workers", 1, "concurrent warm renders (the warm pass's pool workers)")
 	warmBudget := fs.Duration("warm-budget", 0, "wall-time bound per warm pass (0 = unbounded)")
 	printFootprint := fs.Int("print-footprint", 0, "render this AS's footprint JSON to stdout and exit (no server)")
 	logFormat := fs.String("log-format", "json", "structured log encoding: json or text")

@@ -75,9 +75,6 @@ type Options struct {
 	// Alpha is the peak-selection threshold: peaks with density
 	// > Alpha·Dmax become PoP candidates; default 0.01 (§4.1).
 	Alpha float64
-	// CityRadiusKm is the "loose" peak→city mapping radius; default
-	// equals the bandwidth (§4.2).
-	CityRadiusKm float64
 	// CellKm overrides the KDE grid resolution; default BandwidthKm/4.
 	CellKm float64
 	// Workers bounds the goroutines used by the KDE convolution (and, in
@@ -97,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Alpha <= 0 {
 		o.Alpha = 0.01
-	}
-	if o.CityRadiusKm <= 0 {
-		o.CityRadiusKm = o.BandwidthKm
 	}
 	return o
 }
@@ -258,12 +252,13 @@ func EstimatePoints(ctx context.Context, gaz *gazetteer.Gazetteer, pts *Points, 
 	fp.Partitions = g.Components(floor)
 
 	// Peak → city mapping (§4.2), deduplicated per city keeping the
-	// densest peak. byCity indexes fp.PoPs, which keeps first-mapped
-	// order until the sort below.
+	// densest peak. The mapping is loose: a peak maps to the most
+	// populous city within one bandwidth of it. byCity indexes fp.PoPs,
+	// which keeps first-mapped order until the sort below.
 	type cityKey struct{ name, country string }
 	byCity := map[cityKey]int{}
 	for _, pk := range fp.Peaks {
-		city, ok := gaz.MostPopulousWithin(pk.Loc, o.CityRadiusKm)
+		city, ok := gaz.MostPopulousWithin(pk.Loc, o.BandwidthKm)
 		if !ok {
 			fp.NoCityPeaks++
 			continue

@@ -69,7 +69,7 @@ func referenceEstimate(ctx context.Context, gaz *gazetteer.Gazetteer, samples []
 	type cityKey struct{ name, country string }
 	byCity := map[cityKey]int{}
 	for _, pk := range fp.Peaks {
-		city, ok := gaz.MostPopulousWithin(pk.Loc, o.CityRadiusKm)
+		city, ok := gaz.MostPopulousWithin(pk.Loc, o.BandwidthKm)
 		if !ok {
 			fp.NoCityPeaks++
 			continue

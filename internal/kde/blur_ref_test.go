@@ -13,7 +13,7 @@ import (
 // serially (its bytes never depended on the worker count): every row of
 // g convolves into a temporary grid, then every column of that grid,
 // copied out into a column buffer, convolves back into g.
-func referenceBlur(g *grid.Grid, bandwidthKm, truncSigma float64) {
+func referenceBlur(g *grid.Grid, bandwidthKm float64) {
 	radius := int(math.Ceil(truncSigma * bandwidthKm / g.Cell))
 	kernel := make([]float64, 2*radius+1)
 	sum := 0.0
@@ -52,10 +52,10 @@ func blurMatchesReference(src *grid.Grid, bandwidthKm, scale float64, workers in
 	copy(got.Data, src.Data)
 	want := grid.New(src.MinX, src.MinY, src.Cell, src.W, src.H)
 	copy(want.Data, src.Data)
-	if err := blurSeparable(context.Background(), got, bandwidthKm, 4, scale, workers, nil); err != nil {
+	if err := blurSeparable(context.Background(), got, bandwidthKm, scale, workers, nil); err != nil {
 		return err.Error()
 	}
-	referenceBlur(want, bandwidthKm, 4)
+	referenceBlur(want, bandwidthKm)
 	for k := range want.Data {
 		want.Data[k] *= scale
 	}

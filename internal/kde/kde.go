@@ -30,12 +30,6 @@ type Options struct {
 	BandwidthKm float64
 	// CellKm is the grid resolution; 0 means BandwidthKm/4.
 	CellKm float64
-	// TruncSigma truncates the kernel at this many standard deviations;
-	// 0 means 4 (mass error < 1e-4).
-	TruncSigma float64
-	// PadKm pads the grid beyond the sample bounding box; 0 means
-	// TruncSigma·BandwidthKm so no kernel mass falls off the grid.
-	PadKm float64
 	// MaxCells caps W·H to bound memory; 0 means 16M cells. Estimate
 	// returns an error if the domain would exceed the cap (callers choose
 	// a coarser cell or larger bandwidth).
@@ -54,6 +48,11 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+// truncSigma truncates the kernel at this many standard deviations
+// (mass error < 1e-4). The grid is padded by truncSigma·BandwidthKm
+// beyond the sample bounding box, so no kernel mass falls off it.
+const truncSigma = 4
+
 // DefaultOptions returns the paper's §3.1 configuration: 40 km bandwidth,
 // 10 km grid cells.
 func DefaultOptions() Options {
@@ -66,12 +65,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.CellKm <= 0 {
 		o.CellKm = o.BandwidthKm / 4
-	}
-	if o.TruncSigma <= 0 {
-		o.TruncSigma = 4
-	}
-	if o.PadKm <= 0 {
-		o.PadKm = o.TruncSigma * o.BandwidthKm
 	}
 	if o.MaxCells <= 0 {
 		o.MaxCells = 16 << 20
@@ -141,10 +134,11 @@ func estimate(ctx context.Context, points []geo.XY, counts []uint32, n int, opts
 		minY = math.Min(minY, s.Y)
 		maxY = math.Max(maxY, s.Y)
 	}
-	minX -= o.PadKm
-	minY -= o.PadKm
-	maxX += o.PadKm
-	maxY += o.PadKm
+	pad := truncSigma * o.BandwidthKm
+	minX -= pad
+	minY -= pad
+	maxX += pad
+	maxY += pad
 	// Size the domain in floating point: a cell small enough to overflow
 	// an int, or one that underflowed to 0, must fail the cap check
 	// rather than reach the conversion.
@@ -194,7 +188,7 @@ func estimate(ctx context.Context, points []geo.XY, counts []uint32, n int, opts
 	// counts → density: the blur divides by N·cell² as it writes, so the
 	// surface integrates to 1.
 	scale := 1 / (float64(n) * o.CellKm * o.CellKm)
-	if err := blurSeparable(ctx, g, o.BandwidthKm, o.TruncSigma, scale, o.Workers, span); err != nil {
+	if err := blurSeparable(ctx, g, o.BandwidthKm, scale, o.Workers, span); err != nil {
 		return nil, err
 	}
 	if o.Obs != nil {
@@ -244,7 +238,7 @@ func blurBlock(n, length int) int {
 // scheduling. A cancelled ctx stops the fan-out at a block boundary and
 // surfaces ctx.Err(); the grid is then partially blurred and must be
 // discarded by the caller.
-func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, truncSigma, scale float64, workers int, parent *trace.Span) error {
+func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, scale float64, workers int, parent *trace.Span) error {
 	radius := int(math.Ceil(truncSigma * bandwidthKm / g.Cell))
 	kernel := make([]float64, 2*radius+1)
 	sum := 0.0

@@ -104,26 +104,28 @@ func TestFootprintColdAllocs(t *testing.T) {
 	}
 }
 
-// completedFlight returns a group holding one completed call, and its key.
-func completedFlight() (*flightGroup, cacheKey) {
-	g := newFlightGroup()
+// finishedFlight returns a table holding one render in flight whose done
+// channel is already closed, so a waiter's lookup and wait run without
+// blocking: the waiter's path without the render it waits for. It also
+// returns the entry's key.
+func finishedFlight() (*renderTable, cacheKey) {
+	tab := newRenderTable(1, nil)
 	key := cacheKey{gen: 1, asn: 64500, bw: math.Float64bits(40)}
-	c := &flightCall{done: make(chan struct{}), body: []byte(`{"asn":64500}` + "\n")}
-	close(c.done)
-	g.mu.Lock()
-	g.calls[key] = c
-	g.mu.Unlock()
-	return g, key
+	e := &entry{key: key, done: make(chan struct{}), body: []byte(`{"asn":64500}` + "\n")}
+	close(e.done)
+	tab.items[key] = e
+	return tab, key
 }
 
-// joinCompleted is a waiter's part of a coalesced request: one join (a
-// map lookup under the group mutex) and one wait on the closed channel.
-func joinCompleted(tb testing.TB, g *flightGroup, key cacheKey) {
-	call, leader := g.join(key)
-	if leader {
-		tb.Fatal("join led a fresh call; the completed call left the map")
+// joinFinished is a waiter's part of a coalesced request: one lookup (a
+// map lookup under the table's mutex) and one wait on the closed
+// channel.
+func joinFinished(tb testing.TB, tab *renderTable, key cacheKey) {
+	e, result := tab.get(key)
+	if result != cacheCoalesced {
+		tb.Fatalf("lookup: %s, want %s", result, cacheCoalesced)
 	}
-	body, err := call.wait(context.Background())
+	body, err := e.wait(context.Background())
 	if err != nil || len(body) == 0 {
 		tb.Fatalf("wait: %q, %v", body, err)
 	}
@@ -132,20 +134,20 @@ func joinCompleted(tb testing.TB, g *flightGroup, key cacheKey) {
 // BenchmarkFlightWaiter measures the coalesced-path overhead a waiter
 // pays on top of the render it skips.
 func BenchmarkFlightWaiter(b *testing.B) {
-	g, key := completedFlight()
+	tab, key := finishedFlight()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		joinCompleted(b, g, key)
+		joinFinished(b, tab, key)
 	}
 }
 
-// TestFlightWaiterAllocs holds a waiter's join and wait to at most one
+// TestFlightWaiterAllocs holds a waiter's lookup and wait to at most one
 // allocation (measured: none): coalescing exists to shed load, so its
 // own overhead must stay far below the render it saves.
 func TestFlightWaiterAllocs(t *testing.T) {
-	g, key := completedFlight()
-	if allocs := testing.AllocsPerRun(200, func() { joinCompleted(t, g, key) }); allocs > 1 {
+	tab, key := finishedFlight()
+	if allocs := testing.AllocsPerRun(200, func() { joinFinished(t, tab, key) }); allocs > 1 {
 		t.Errorf("flight waiter: %.0f allocs/op, budget 1", allocs)
 	}
 }

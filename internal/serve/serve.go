@@ -44,14 +44,16 @@
 //     pinned artifact and counts the rollback.
 //
 //   - Bounded caching. Rendered footprints — the one expensive query,
-//     a full KDE grid per call — are cached in an LRU keyed by
-//     (generation, ASN, bandwidth). The generation in the key makes a
-//     hot swap invalidate the cache implicitly.
+//     a full KDE grid per call — live in one render table keyed by
+//     (generation, ASN, bandwidth) (table.go): a key is either a render
+//     in flight, which concurrent requests for it join instead of
+//     rendering again, or a finished body on an LRU. The generation in
+//     the key makes a hot swap invalidate the cache implicitly.
 //
 //   - Deadlines. Every request runs under a per-request context
 //     timeout; the footprint estimator observes cancellation at KDE
 //     block boundaries, so a stuck query returns 504 instead of holding
-//     a semaphore slot forever.
+//     an admission slot forever.
 //
 // Every response the data endpoints produce is rendered by the same
 // code paths the offline tools use (RenderFootprint's, over points
@@ -102,7 +104,8 @@ type Options struct {
 	// one with NewChaos; swap at runtime with SetChaos.
 	Chaos *Chaos
 	// CacheSize bounds the rendered-footprint LRU in entries (default
-	// 128; negative disables caching).
+	// 128; negative disables caching, while concurrent renders of one
+	// key still coalesce).
 	CacheSize int
 	// BandwidthKm is the footprint bandwidth used when a request does
 	// not pass ?bw= (default 40, the paper's kernel).
@@ -115,10 +118,10 @@ type Options struct {
 	// instead of a 504 storm. With caching disabled it renders nothing.
 	// The warmer is cancelled by the next swap and by Close.
 	Warm bool
-	// WarmWorkers bounds concurrent warm renders (default 1). This is
-	// the warmer's low-priority semaphore: warm renders bypass the
-	// admission limiter entirely but pause while live traffic holds a
-	// significant share of the admission limit.
+	// WarmWorkers bounds concurrent warm renders (default 1): the warm
+	// pass runs on that many of the shared pool's workers. Warm renders
+	// bypass the admission limiter entirely but pause while live traffic
+	// holds a significant share of the admission limit.
 	WarmWorkers int
 	// WarmBudget bounds one warm pass's wall time (0 = unbounded). A
 	// pass that exhausts its budget stops where it is; the cache keeps
@@ -204,10 +207,9 @@ type Server struct {
 	opts Options
 	art  atomic.Pointer[Artifact]
 
-	lim    *limiter
-	cache  *lruCache
-	flight *flightGroup
-	chaos  atomic.Pointer[Chaos]
+	lim     *limiter
+	renders *renderTable
+	chaos   atomic.Pointer[Chaos]
 
 	// render is the footprint-render seam: renderPoints in
 	// production, an instrumented hook in tests that count or stall
@@ -239,14 +241,9 @@ type renderFunc func(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipelin
 // until Load succeeds).
 func New(opts Options) *Server {
 	o := opts.withDefaults()
-	s := &Server{opts: o, flight: newFlightGroup(), render: renderPoints}
+	s := &Server{opts: o, renders: newRenderTable(o.CacheSize, o.Obs), render: renderPoints}
 	if o.MaxInflight > 0 {
 		s.lim = newLimiter(DefaultController(o.MaxInflight, o.TargetLatency))
-	}
-	if o.CacheSize > 0 {
-		s.cache = newLRUCache(o.CacheSize,
-			o.Obs.Gauge("eyeball_serve_footprint_cache_entries"),
-			o.Obs.Gauge("eyeball_serve_footprint_cache_bytes"))
 	}
 	if o.Chaos != nil {
 		s.chaos.Store(o.Chaos)
@@ -786,8 +783,8 @@ func (s *Server) parseBW(w http.ResponseWriter, raw string) (float64, bool) {
 
 // Cache-result labels: every footprint request that reaches the cache
 // layer increments eyeball_serve_footprint_requests_total and exactly
-// one result of eyeball_serve_footprint_cache_total — hit (served from
-// the LRU), miss (this request led the render), or coalesced (this
+// one result of eyeball_serve_footprint_cache_total — hit (served a
+// cached body), miss (this request led the render), or coalesced (this
 // request waited on a concurrent render of the same key). The funnel
 // invariant hit + miss + coalesced == requests is pinned by tests and
 // the CI jq assert. Warm renders increment none of these: they are not
@@ -810,47 +807,55 @@ func (s *Server) countFootprint(result string) {
 }
 
 // footprint produces the response body for one (artifact, AS,
-// bandwidth) triple through the full serving discipline: LRU lookup,
-// then singleflight — the first goroutine to miss a key renders it
-// (and alone pays the KDE), concurrent misses for the same key wait on
-// that render's result under their own deadlines. Returns the body,
-// the cache result label, and the render's (or the wait's) error.
-// Bodies are immutable; callers write them to the wire uncopied.
+// bandwidth) triple through the render table: a cached body is a hit,
+// the first lookup of an absent key leads its render (and alone pays
+// the KDE), and lookups while it renders wait on it under their own
+// deadlines. Returns the body, the cache result label, and the render's
+// (or the wait's) error. Bodies are immutable; callers write them to the
+// wire uncopied.
+//
+// A render that its leader's own deadline or cancellation ended says
+// nothing about the key, so a waiter whose context is still alive looks
+// the key up again (and leads it, or joins whoever does) instead of
+// failing with the leader's context error. The label is the last
+// lookup's, so each request still counts one cache result.
 //
 // sp is the request's span (nil for warm renders and untraced
 // requests). Only a leader's render reads it, so the context carries it
 // only there and a cache hit allocates nothing for tracing.
 func (s *Server) footprint(ctx context.Context, sp *trace.Span, a *Artifact, rec *pipeline.ASRecord, bw float64) ([]byte, string, error) {
 	key := cacheKey{gen: a.Gen, asn: rec.ASN, bw: math.Float64bits(bw)}
-	if body, ok := s.cache.get(key); ok {
-		return body, cacheHit, nil
+	for {
+		e, result := s.renders.get(key)
+		switch result {
+		case cacheHit:
+			return e.body, result, nil
+		case cacheMiss:
+			body, err := s.lead(ctx, sp, e, rec, a.points[rec.ASN], bw)
+			return body, result, err
+		}
+		body, err := e.wait(ctx)
+		leaderGaveUp := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		if !leaderGaveUp || ctx.Err() != nil {
+			return body, result, err
+		}
 	}
-	c, leader := s.flight.join(key)
-	if !leader {
-		body, err := c.wait(ctx)
-		return body, cacheCoalesced, err
-	}
-	body, err := s.lead(ctx, sp, key, c, rec, a.points[rec.ASN], bw)
-	return body, cacheMiss, err
 }
 
-// lead is the leader's half of a flight: it renders, caches a success,
-// and completes the call on every path. A panicking render completes the
-// call with an error before the panic continues, so its waiters get an
-// answer at once and the key does not stay in flight for good;
-// recoverPanic still sees the panic.
-func (s *Server) lead(ctx context.Context, sp *trace.Span, key cacheKey, c *flightCall, rec *pipeline.ASRecord, pts *core.Points, bw float64) ([]byte, error) {
+// lead renders the entry its caller's lookup entered and finishes it on
+// every path. A panicking render finishes the entry with an error before
+// the panic continues, so its waiters get an answer at once and the key
+// does not stay in flight for good; recoverPanic (or the warm pass's
+// pool) still sees the panic.
+func (s *Server) lead(ctx context.Context, sp *trace.Span, e *entry, rec *pipeline.ASRecord, pts *core.Points, bw float64) ([]byte, error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.flight.complete(key, c, nil, fmt.Errorf("render panicked: %v", r))
+			s.renders.finish(e, nil, fmt.Errorf("render panicked: %v", r))
 			panic(r)
 		}
 	}()
 	body, err := s.render(trace.NewContext(ctx, sp), s.opts.Gaz, rec, pts, bw, s.opts.Workers, s.opts.Obs)
-	if err == nil {
-		s.cache.add(key, body)
-	}
-	s.flight.complete(key, c, body, err)
+	s.renders.finish(e, body, err)
 	return body, err
 }
 

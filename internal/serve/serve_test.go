@@ -467,7 +467,8 @@ func TestLoadFileRejectsLeakyLedger(t *testing.T) {
 }
 
 func TestReloadInvalidatesFootprintCache(t *testing.T) {
-	s, _, _ := newTestServer(t, Options{})
+	reg := obs.New()
+	s, _, _ := newTestServer(t, Options{Obs: reg})
 	h := s.Handler()
 	before := get(t, h, "/v1/footprint/64500").Body.Bytes()
 	if _, err := s.Reload(); err != nil {
@@ -479,32 +480,43 @@ func TestReloadInvalidatesFootprintCache(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatal("footprint changed across a reload of the same artifact")
 	}
-	if s.cache.len() != 2 {
-		t.Errorf("cache entries = %d, want 2 (one per generation)", s.cache.len())
+	if n := reg.Gauge("eyeball_serve_footprint_cache_entries").Value(); n != 2 {
+		t.Errorf("cache entries = %v, want 2 (one per generation)", n)
 	}
 }
 
+// TestLRUCacheBounds drives the render table's LRU through get and
+// finish: past its bound it evicts the least recently used body, keeps
+// exact byte accounting, and publishes both through the cache gauges.
 func TestLRUCacheBounds(t *testing.T) {
-	c := newLRUCache(2, nil, nil)
+	reg := obs.New()
+	c := newRenderTable(2, reg)
 	k := func(i int) cacheKey { return cacheKey{gen: 1, asn: astopo.ASN(i), bw: math.Float64bits(40)} }
-	c.add(k(1), []byte("a"))
-	c.add(k(2), []byte("b"))
+	put := func(i int, body string) {
+		t.Helper()
+		e, result := c.get(k(i))
+		if result != cacheMiss {
+			t.Fatalf("lookup of absent AS%d: %s, want %s", i, result, cacheMiss)
+		}
+		c.finish(e, []byte(body), nil)
+	}
+	put(1, "a")
+	put(2, "bb")
 	c.get(k(1)) // 1 is now most recent
-	c.add(k(3), []byte("c"))
-	if _, ok := c.get(k(2)); ok {
+	put(3, "ccc")
+	if _, result := c.get(k(2)); result == cacheHit {
 		t.Error("LRU kept the least-recently-used entry")
 	}
-	if _, ok := c.get(k(1)); !ok {
-		t.Error("LRU evicted the recently-used entry")
+	if e, result := c.get(k(1)); result != cacheHit || string(e.body) != "a" {
+		t.Errorf("AS1: %s %q, want a hit on its body: LRU evicted the recently-used entry", result, e.body)
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if n, b := c.lru.Len(), c.bytes; n != 2 || b != 4 {
+		t.Errorf("cached %d entries, %d B; want 2 entries, 4 B", n, b)
 	}
-	// nil cache (disabled) is a no-op.
-	var nilCache *lruCache
-	nilCache.add(k(1), []byte("x"))
-	if _, ok := nilCache.get(k(1)); ok {
-		t.Error("nil cache returned a hit")
+	entries := reg.Gauge("eyeball_serve_footprint_cache_entries").Value()
+	size := reg.Gauge("eyeball_serve_footprint_cache_bytes").Value()
+	if entries != 2 || size != 4 {
+		t.Errorf("gauges: %v entries, %v B; want 2 entries, 4 B", entries, size)
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
+	"eyeballas/internal/parallel"
 	"eyeballas/internal/pipeline"
 )
 
@@ -23,20 +23,22 @@ import (
 //
 // Warm renders run outside the admission limiter: they must never
 // consume a slot a live request could have had, and they must keep
-// going on an idle server that admits nothing. Instead of admission
-// they take a token from the warmer's own low-priority semaphore
-// (WarmWorkers wide) and, before each render, yield to live load —
-// while in-flight live requests hold at least half the admission
-// limit, the warmer polls instead of rendering. Warm renders go
-// through the same cache + singleflight path as requests, so a live
-// cold miss for an AS the warmer is mid-render on coalesces onto the
-// warm render instead of duplicating it (and vice versa); warm renders
-// increment none of the request-funnel counters.
+// going on an idle server that admits nothing. Instead the pass runs on
+// the shared pool (parallel.For, WarmWorkers wide) and, before each
+// render, yields to live load — while in-flight live requests hold at
+// least half the admission limit, the warmer polls instead of
+// rendering. Warm renders go through the same render table as
+// requests, so a live cold miss for an AS the warmer is mid-render on
+// coalesces onto the warm render instead of duplicating it (and vice
+// versa); warm renders increment none of the request-funnel counters.
+// The pool recovers a panicking render: with one worker it ends the
+// pass, with more the other renders go on, and the server keeps
+// serving either way.
 //
 // Progress is visible as two gauges, reset at the start of each pass:
 // eyeball_serve_warm_total (ASes this pass will attempt, the warm set's
-// size) and eyeball_serve_warm_done (attempts completed, successful or
-// not).
+// size) and eyeball_serve_warm_done (renders that returned, successful
+// or not; a cancelled or panicking one is not counted).
 // done == total with total > 0 means the pass finished.
 type Warmer struct {
 	srv   *Server
@@ -119,51 +121,23 @@ func warmOrder(ds *pipeline.Dataset) []*pipeline.ASRecord {
 	return recs
 }
 
-// run executes the pass: WarmWorkers goroutines pull the next AS off
-// the warm set until it is exhausted or the context dies.
+// run executes the pass: WarmWorkers of the shared pool's workers take
+// the warm set in order until it is exhausted or the context dies. The
+// pool's error — a cancellation or a recovered panic — is dropped: the
+// done gauge short of total is what marks the pass incomplete.
 func (w *Warmer) run() {
 	defer close(w.done)
 	defer w.cancel() // releases the budget timer when the pass finishes early
 	doneG := w.srv.opts.Obs.Gauge("eyeball_serve_warm_done")
-
-	var (
-		mu   sync.Mutex
-		next int
-	)
-	take := func() *pipeline.ASRecord {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= len(w.order) {
-			return nil
+	_ = parallel.For(w.ctx, w.srv.opts.WarmWorkers, len(w.order), func(i int) error {
+		w.srv.warmYield(w.ctx)
+		_, _, _ = w.srv.footprint(w.ctx, nil, w.art, w.order[i], w.srv.opts.BandwidthKm)
+		if err := w.ctx.Err(); err != nil {
+			return err // a cancelled render warmed nothing
 		}
-		rec := w.order[next]
-		next++
-		return rec
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < w.srv.opts.WarmWorkers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				rec := take()
-				if rec == nil || w.ctx.Err() != nil {
-					return
-				}
-				w.srv.warmYield(w.ctx)
-				_, _, _ = w.srv.footprint(w.ctx, nil, w.art, rec, w.srv.opts.BandwidthKm)
-				if w.ctx.Err() != nil {
-					// A cancelled render did not warm anything; leaving
-					// done short of total is what marks the pass
-					// incomplete.
-					return
-				}
-				doneG.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
+		doneG.Add(1)
+		return nil
+	})
 }
 
 // warmYield blocks while live traffic holds at least half the

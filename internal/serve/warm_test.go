@@ -276,6 +276,57 @@ func TestWarmBudgetBoundsPass(t *testing.T) {
 	}
 }
 
+// TestWarmRenderPanicKeepsServing: the warm pass runs on the shared
+// pool, which recovers a panicking render. The pass ends, nothing is
+// left in flight, and the server keeps answering. With one worker the
+// panic ends the pass at its first render; with two, the other AS still
+// renders and is cached.
+func TestWarmRenderPanicKeepsServing(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		done    float64 // renders the pass counts
+	}{
+		{1, 0},
+		{2, 1},
+	} {
+		t.Run(fmt.Sprintf("workers-%d", tc.workers), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			reg := obs.New()
+			path, _ := testArtifact(t, t.TempDir())
+			s := New(Options{Warm: true, WarmWorkers: tc.workers, Obs: reg, Gaz: testGaz})
+			defer s.Close()
+			s.render = func(_ context.Context, _ *gazetteer.Gazetteer, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+				if rec.ASN == 64500 {
+					panic("render exploded")
+				}
+				return []byte(fmt.Sprintf("{\"asn\":%d}\n", rec.ASN)), nil
+			}
+			if _, err := s.LoadFile(path); err != nil {
+				t.Fatalf("LoadFile: %v", err)
+			}
+			awaitWarm(t, s.warmer())
+
+			if n := inFlight(s); n != 0 {
+				t.Errorf("%d renders left in flight after the panic", n)
+			}
+			if v := reg.Gauge("eyeball_serve_warm_done").Value(); v != tc.done {
+				t.Errorf("warm_done = %v, want %v", v, tc.done)
+			}
+			if rec := get(t, s.Handler(), "/healthz"); rec.Code != http.StatusOK {
+				t.Fatalf("healthz after a panicking warm render: HTTP %d %s", rec.Code, rec.Body.String())
+			}
+			if tc.workers > 1 {
+				if rec := get(t, s.Handler(), "/v1/footprint/64501"); rec.Code != http.StatusOK {
+					t.Fatalf("GET AS64501: HTTP %d %s", rec.Code, rec.Body.String())
+				}
+				if n := reg.Counter("eyeball_serve_footprint_cache_total", "result", cacheHit).Value(); n != 1 {
+					t.Errorf("hit = %d, want 1: the other AS's warm render must have gone on", n)
+				}
+			}
+		})
+	}
+}
+
 // TestWarmDisabledByDefault: without Options.Warm, installs start no
 // pass at all.
 func TestWarmDisabledByDefault(t *testing.T) {
