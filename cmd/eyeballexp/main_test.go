@@ -92,3 +92,26 @@ func TestRunCancelledContext(t *testing.T) {
 		t.Errorf("got %v, want context.Canceled", err)
 	}
 }
+
+// TestTraceKeepsEveryRebuild: -trace shows every pipeline rebuild the
+// sweeps run as a top-level span (3 stability months, 4 crawl scales
+// and 6 degradation rates) and drops no span. The per-AS estimates run
+// untraced, so they cannot spend the run's span budget.
+func TestTraceKeepsEveryRebuild(t *testing.T) {
+	var stderr bytes.Buffer
+	if err := run(context.Background(), []string{"-small", "-seed", "42", "-trace"}, io.Discard, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	rebuilds := 0
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if strings.HasPrefix(line, "  pipeline.run ") {
+			rebuilds++
+		}
+		if strings.Contains(line, "more spans dropped") {
+			t.Errorf("trace dropped spans: %s", strings.TrimSpace(line))
+		}
+	}
+	if rebuilds != 13 {
+		t.Errorf("trace shows %d top-level pipeline.run spans, want 13", rebuilds)
+	}
+}

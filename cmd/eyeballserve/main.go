@@ -6,8 +6,7 @@
 //
 //	eyeballserve -snap dataset.snap [-addr :8080] [-timeout 5s]
 //	             [-max-inflight N] [-target-latency D] [-cache N]
-//	             [-bw KM] [-workers N]
-//	             [-warm] [-warm-workers N] [-warm-budget D]
+//	             [-bw KM] [-warm] [-warm-workers N] [-warm-budget D]
 //	             [-print-footprint ASN] [-log-format json|text]
 //	             [-tracing=false] [-trace-recent N] [-trace-slow D]
 //	             [-trace-seed N]
@@ -119,7 +118,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	maxInflight := fs.Int("max-inflight", 64, "bound on concurrently served data requests; excess requests get 503 + Retry-After (-1 disables)")
 	cacheSize := fs.Int("cache", 128, "rendered-footprint LRU capacity in entries (-1 disables)")
 	bw := fs.Float64("bw", 40, "default footprint kernel bandwidth in km (per-request ?bw= overrides)")
-	workers := fs.Int("workers", 1, "KDE workers per footprint render")
 	warm := fs.Bool("warm", false, "prewarm the footprint cache: render the top -cache dataset ASes by user count at the default bandwidth on startup and after every reload")
 	warmWorkers := fs.Int("warm-workers", 1, "concurrent warm renders (the warm pass's pool workers)")
 	warmBudget := fs.Duration("warm-budget", 0, "wall-time bound per warm pass (0 = unbounded)")
@@ -181,7 +179,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		MaxInflight:   *maxInflight,
 		CacheSize:     *cacheSize,
 		BandwidthKm:   *bw,
-		Workers:       *workers,
 		Warm:          *warm,
 		WarmWorkers:   *warmWorkers,
 		WarmBudget:    *warmBudget,

@@ -86,7 +86,7 @@ func NewSmallExperimentsCtx(ctx context.Context, seed uint64, reg *Registry, pla
 // population (1233 eyeball ASes, the literal 1000-peer floor); runs take
 // minutes.
 func NewPaperScaleExperimentsCtx(ctx context.Context, seed uint64, reg *Registry, plan *FaultPlan, opts ...ExperimentsOption) (*Experiments, error) {
-	return experiments.NewPaperScaleEnvCtx(ctx, seed, reg, plan, opts...)
+	return experiments.NewEnvCtx(ctx, seed, experiments.ScalePaper, reg, plan, opts...)
 }
 
 // ExperimentsOption adjusts the pipeline configuration an experiments

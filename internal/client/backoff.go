@@ -1,27 +1,24 @@
 package client
 
-import "time"
+import (
+	"time"
 
-// backoffRNG is a splitmix64 stream: the same generator the rest of
-// the codebase uses for deterministic randomness, so a seeded client
-// produces an exactly reproducible backoff schedule — the property the
-// chaos e2e harness and the backoff unit tests both pin.
-type backoffRNG struct{ state uint64 }
+	"eyeballas/internal/rng"
+)
 
-func (r *backoffRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// baseBackoff is the first retry's backoff ceiling, doubled per retry
+// up to Options.MaxBackoff.
+const baseBackoff = 50 * time.Millisecond
 
 // backoff computes the sleep before retry number `retry` (1-based)
 // using exponential growth with full jitter: uniform in
 // [0, min(max, base<<(retry-1))]. Full jitter — rather than jittering
 // around the exponential midpoint — de-synchronizes a thundering herd
-// of clients that all saw the same failure at the same instant.
-func backoff(r *backoffRNG, base, max time.Duration, retry int) time.Duration {
+// of clients that all saw the same failure at the same instant. The
+// jitter comes from r, a splitmix64 stream, so a seeded client draws
+// an exactly reproducible schedule — the property the chaos e2e harness
+// and the backoff unit tests both pin.
+func backoff(r *rng.SplitMix, base, max time.Duration, retry int) time.Duration {
 	if base <= 0 || retry < 1 {
 		return 0
 	}
@@ -37,5 +34,5 @@ func backoff(r *backoffRNG, base, max time.Duration, retry int) time.Duration {
 		ceil = max
 	}
 	// Uniform in [0, ceil]: scale 53 random bits into the window.
-	return time.Duration(float64(ceil) * (float64(r.next()>>11) / (1 << 53)))
+	return time.Duration(float64(ceil) * r.Float64())
 }

@@ -109,9 +109,6 @@ func e2eArtifact(t testing.TB, dir string) string {
 
 func e2eServer(t testing.TB, opts serve.Options) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	if opts.Gaz == nil {
-		opts.Gaz = gazetteer.Default()
-	}
 	s := serve.New(opts)
 	if _, err := s.LoadFile(e2eArtifact(t, t.TempDir())); err != nil {
 		t.Fatalf("LoadFile: %v", err)

@@ -27,6 +27,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"eyeballas/internal/rng"
 )
 
 // Attempt is one wire-level try, reported to the Observer before the
@@ -54,21 +56,15 @@ type Options struct {
 	// Default 4.
 	MaxAttempts int
 
-	// BaseBackoff and MaxBackoff bound the full-jitter exponential
-	// backoff: retry n sleeps uniform in [0, min(Max, Base<<(n-1))].
-	// Defaults 50ms and 2s.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
+	// MaxBackoff bounds the full-jitter exponential backoff: retry n
+	// sleeps uniform in [0, min(MaxBackoff, baseBackoff<<(n-1))].
+	// Default 2s.
+	MaxBackoff time.Duration
 
 	// Seed makes the jitter stream deterministic: two clients with the
 	// same seed draw identical backoff schedules. The zero seed is a
 	// valid stream, not "random".
 	Seed uint64
-
-	// RetryBudgetRatio is the sustainable retry fraction: each call
-	// deposits this many retry tokens, each retry withdraws one.
-	// Default 0.2 (at most ~20% retry amplification in steady state).
-	RetryBudgetRatio float64
 
 	// Breaker tunes the per-endpoint circuit breakers.
 	Breaker BreakerConfig
@@ -103,7 +99,7 @@ type Client struct {
 	breakers map[string]*breaker
 
 	mu  sync.Mutex // guards rng
-	rng backoffRNG
+	rng rng.SplitMix
 }
 
 // New builds a client for the server at baseURL (scheme://host:port,
@@ -115,14 +111,8 @@ func New(baseURL string, opts Options) *Client {
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 4
 	}
-	if opts.BaseBackoff <= 0 {
-		opts.BaseBackoff = 50 * time.Millisecond
-	}
 	if opts.MaxBackoff <= 0 {
 		opts.MaxBackoff = 2 * time.Second
-	}
-	if opts.RetryBudgetRatio <= 0 {
-		opts.RetryBudgetRatio = 0.2
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -134,9 +124,9 @@ func New(baseURL string, opts Options) *Client {
 		base:     strings.TrimRight(baseURL, "/"),
 		hc:       opts.HTTPClient,
 		opts:     opts,
-		budget:   newRetryBudget(opts.RetryBudgetRatio),
+		budget:   &retryBudget{tokens: retryBudgetInit},
 		breakers: make(map[string]*breaker, len(endpoints)),
-		rng:      backoffRNG{state: opts.Seed},
+		rng:      rng.NewSplitMix(opts.Seed),
 	}
 	for _, ep := range endpoints {
 		c.breakers[ep] = newBreaker(opts.Breaker, opts.Now)
@@ -230,7 +220,7 @@ func (c *Client) Lookup(ctx context.Context, ip string) (*LookupResult, error) {
 // (serve.MaxBandwidthKm — a test pins the two constants equal): a
 // ?bw= outside (0, MaxBandwidthKm] would only earn a 400 from the
 // server, so the client rejects it before the wire. NaN and ±Inf fail
-// the same envelope — this client used to happily format ?bw=+Inf.
+// the same envelope.
 const MaxBandwidthKm = 5000
 
 // validBW reports whether bw is inside the request envelope: 0 (use
@@ -459,7 +449,7 @@ func (e *APIError) retryAfterSeconds() int { return e.retryAfterHint }
 // outlive the wait (deadline-aware retries never sleep into a wall).
 func (c *Client) pause(ctx context.Context, retry int, lastErr error) error {
 	c.mu.Lock()
-	wait := backoff(&c.rng, c.opts.BaseBackoff, c.opts.MaxBackoff, retry)
+	wait := backoff(&c.rng, baseBackoff, c.opts.MaxBackoff, retry)
 	c.mu.Unlock()
 	if rc, ok := lastErr.(retryAfterCarrier); ok {
 		if ra := time.Duration(rc.retryAfterSeconds()) * time.Second; ra > wait {
@@ -568,28 +558,25 @@ func errorMessage(body []byte) string {
 }
 
 // retryBudget is the Finagle-style token bucket that keeps retries
-// from amplifying an outage: every logical call deposits Ratio
-// tokens, every retry withdraws one, so sustained retry traffic is at
-// most Ratio of the base request rate. The bucket starts with a small
-// float so cold clients can still retry their first few failures.
+// from amplifying an outage: every logical call deposits
+// retryBudgetRatio tokens, every retry withdraws one, so sustained
+// retry traffic is at most that fraction of the base request rate. The
+// bucket starts with a small float so cold clients can still retry
+// their first few failures.
 type retryBudget struct {
 	mu     sync.Mutex
 	tokens float64
-	ratio  float64
 }
 
 const (
-	retryBudgetInit = 10.0
-	retryBudgetCap  = 100.0
+	retryBudgetRatio = 0.2
+	retryBudgetInit  = 10.0
+	retryBudgetCap   = 100.0
 )
-
-func newRetryBudget(ratio float64) *retryBudget {
-	return &retryBudget{tokens: retryBudgetInit, ratio: ratio}
-}
 
 func (b *retryBudget) deposit() {
 	b.mu.Lock()
-	b.tokens += b.ratio
+	b.tokens += retryBudgetRatio
 	if b.tokens > retryBudgetCap {
 		b.tokens = retryBudgetCap
 	}

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"eyeballas/internal/rng"
 )
 
 // instantOpts disables real sleeping so retry tests run in
@@ -339,10 +341,10 @@ func TestHalfOpenProbeFailureReopens(t *testing.T) {
 
 func TestBackoffDeterministicUnderSeed(t *testing.T) {
 	seq := func(seed uint64) []time.Duration {
-		r := &backoffRNG{state: seed}
+		r := rng.NewSplitMix(seed)
 		out := make([]time.Duration, 8)
 		for i := range out {
-			out[i] = backoff(r, 50*time.Millisecond, 2*time.Second, i+1)
+			out[i] = backoff(&r, 50*time.Millisecond, 2*time.Second, i+1)
 		}
 		return out
 	}
@@ -365,7 +367,7 @@ func TestBackoffDeterministicUnderSeed(t *testing.T) {
 }
 
 func TestBackoffFullJitterBounds(t *testing.T) {
-	r := &backoffRNG{state: 3}
+	r := rng.NewSplitMix(3)
 	base, max := 50*time.Millisecond, 2*time.Second
 	for retry := 1; retry <= 10; retry++ {
 		ceil := base << (retry - 1)
@@ -373,7 +375,7 @@ func TestBackoffFullJitterBounds(t *testing.T) {
 			ceil = max
 		}
 		for i := 0; i < 200; i++ {
-			d := backoff(r, base, max, retry)
+			d := backoff(&r, base, max, retry)
 			if d < 0 || d > ceil {
 				t.Fatalf("retry %d: backoff %v outside [0, %v]", retry, d, ceil)
 			}

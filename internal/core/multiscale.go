@@ -25,7 +25,7 @@ import (
 //  3. Each anchor is refined by the finer scales: a finer-scale PoP
 //     within one coarse bandwidth of the anchor is a candidate split of
 //     that anchor. A candidate is confirmed if it persists across at
-//     least MinPersistence scales, or if its user density is a
+//     least minPersistence scales, or if its user density is a
 //     substantial fraction of its anchor's (the paper's "relative
 //     distance and user density of associated peaks"). One-scale wonders
 //     with negligible mass are exactly the random error clusters §4.2
@@ -36,13 +36,6 @@ type MultiScaleOptions struct {
 	// Bandwidths to combine; default {10, 20, 40, 80} km. Order is
 	// irrelevant (sorted internally).
 	Bandwidths []float64
-	// MinPersistence is the number of scales a refined PoP must appear
-	// at; default 2.
-	MinPersistence int
-	// MinDensityFrac confirms a candidate regardless of persistence when
-	// its density reaches this fraction of its anchor's density;
-	// default 0.1.
-	MinDensityFrac float64
 	// Base carries the α threshold and grid options for every scale.
 	Base Options
 }
@@ -51,14 +44,17 @@ func (o MultiScaleOptions) withDefaults() MultiScaleOptions {
 	if len(o.Bandwidths) == 0 {
 		o.Bandwidths = []float64{10, 20, 40, 80}
 	}
-	if o.MinPersistence <= 0 {
-		o.MinPersistence = 2
-	}
-	if o.MinDensityFrac <= 0 {
-		o.MinDensityFrac = 0.1
-	}
 	return o
 }
+
+const (
+	// minPersistence is the number of scales a refined PoP must appear
+	// at.
+	minPersistence = 2
+	// minDensityFrac confirms a candidate regardless of persistence when
+	// its density reaches this fraction of its anchor's density.
+	minDensityFrac = 0.1
+)
 
 // MultiScalePoP is a PoP confirmed by the multi-scale analysis.
 type MultiScalePoP struct {
@@ -160,8 +156,8 @@ func MultiScaleFootprintCtx(ctx context.Context, gaz *gazetteer.Gazetteer, sampl
 			}
 			isAnchor := key == anchorKey
 			if !isAnchor {
-				persistent := st.persistence >= o.MinPersistence
-				dense := anchor.Density > 0 && st.pop.Density >= o.MinDensityFrac*anchor.Density
+				persistent := st.persistence >= minPersistence
+				dense := anchor.Density > 0 && st.pop.Density >= minDensityFrac*anchor.Density
 				if !persistent && !dense {
 					continue
 				}
@@ -189,7 +185,7 @@ func MultiScaleFootprintCtx(ctx context.Context, gaz *gazetteer.Gazetteer, sampl
 	sort.Strings(keys)
 	for _, key := range keys {
 		st := stats[key]
-		if emitted[key] || st.persistence < o.MinPersistence {
+		if emitted[key] || st.persistence < minPersistence {
 			continue
 		}
 		emitted[key] = true

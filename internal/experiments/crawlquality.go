@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"eyeballas/internal/astopo"
-	"eyeballas/internal/core"
 	"eyeballas/internal/p2p"
-	"eyeballas/internal/parallel"
 	"eyeballas/internal/pipeline"
 )
 
@@ -44,10 +42,6 @@ func RunCrawlQuality(env *Env, scales []float64) (*CrawlQuality, error) {
 	if len(scales) == 0 {
 		scales = []float64{1.0, 0.5, 0.25, 0.1}
 	}
-	// The environment's own thresholds, unfaulted; rebuilds are not part
-	// of the run's funnel.
-	pipeCfg := env.PipeCfg
-	pipeCfg.Obs, pipeCfg.Faults = nil, nil
 	out := &CrawlQuality{Scales: scales}
 	datasets := make([]*pipeline.Dataset, len(scales))
 	for si, scale := range scales {
@@ -56,7 +50,7 @@ func RunCrawlQuality(env *Env, scales []float64) (*CrawlQuality, error) {
 		}
 		crawlCfg := p2p.DefaultConfig()
 		crawlCfg.Scale *= scale
-		ds, _, err := pipeline.Run(env.ctx(), env.World, crawlCfg, pipeCfg, env.Seed+7777)
+		ds, err := env.rebuild(crawlCfg, nil, env.Seed+7777)
 		if err != nil {
 			return nil, err
 		}
@@ -70,49 +64,27 @@ func RunCrawlQuality(env *Env, scales []float64) (*CrawlQuality, error) {
 	}
 
 	// ASes eligible at every scale, for the like-for-like comparison.
-	var common []astopo.ASN
-	for _, asn := range datasets[0].Order {
-		everywhere := true
-		for _, ds := range datasets[1:] {
-			if ds.AS(asn) == nil {
-				everywhere = false
-				break
-			}
+	common := commonASes(datasets...)
+	meanPoPs := func(ds *pipeline.Dataset, asns []astopo.ASN) (float64, error) {
+		if len(asns) == 0 {
+			return 0, nil
 		}
-		if everywhere {
-			common = append(common, asn)
+		pops, err := env.pops(ds, asns, 40)
+		if err != nil {
+			return 0, err
 		}
+		sum := 0
+		for _, ps := range pops {
+			sum += len(ps)
+		}
+		return float64(sum) / float64(len(asns)), nil
 	}
-
 	for si, ds := range datasets {
-		meanOver := func(asns []astopo.ASN, lookup *pipeline.Dataset) (float64, error) {
-			if len(asns) == 0 {
-				return 0, nil
-			}
-			totals := make([]int, len(asns))
-			err := parallel.ForEach(env.ctx(), 0, asns, func(i int, asn astopo.ASN) error {
-				rec := lookup.AS(asn)
-				fp, err := core.EstimateFootprint(env.World.Gazetteer, rec.Samples, core.Options{})
-				if err != nil {
-					return err
-				}
-				totals[i] = len(fp.PoPs)
-				return nil
-			})
-			if err != nil {
-				return 0, err
-			}
-			sum := 0
-			for _, n := range totals {
-				sum += n
-			}
-			return float64(sum) / float64(len(asns)), nil
-		}
 		var err error
-		if out.Rows[si].MeanPoPs, err = meanOver(ds.Order, ds); err != nil {
+		if out.Rows[si].MeanPoPs, err = meanPoPs(ds, ds.Order); err != nil {
 			return nil, err
 		}
-		if out.Rows[si].MeanPoPsCommon, err = meanOver(common, ds); err != nil {
+		if out.Rows[si].MeanPoPsCommon, err = meanPoPs(ds, common); err != nil {
 			return nil, err
 		}
 	}

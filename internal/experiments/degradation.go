@@ -10,7 +10,6 @@ import (
 	"eyeballas/internal/faults"
 	"eyeballas/internal/geo"
 	"eyeballas/internal/p2p"
-	"eyeballas/internal/parallel"
 	"eyeballas/internal/pipeline"
 )
 
@@ -77,21 +76,13 @@ func RunDegradation(env *Env, rates []float64) (*Degradation, error) {
 	}
 
 	// Baseline footprints, one per eligible AS, computed once.
-	basePoPs := make(map[astopo.ASN][]core.PoP, len(baseline.Order))
-	popSets := make([][]core.PoP, len(baseline.Order))
-	err := parallel.ForEach(env.ctx(), 0, baseline.Order, func(i int, asn astopo.ASN) error {
-		fp, err := core.EstimateFootprintCtx(env.ctx(), env.World.Gazetteer, baseline.AS(asn).Samples, core.Options{})
-		if err != nil {
-			return err
-		}
-		popSets[i] = fp.PoPs
-		return nil
-	})
+	base, err := env.pops(baseline, baseline.Order, 40)
 	if err != nil {
 		return nil, err
 	}
+	basePoPs := make(map[astopo.ASN][]core.PoP, len(base))
 	for i, asn := range baseline.Order {
-		basePoPs[asn] = popSets[i]
+		basePoPs[asn] = base[i]
 	}
 
 	for _, rate := range rates {
@@ -101,12 +92,8 @@ func RunDegradation(env *Env, rates []float64) (*Degradation, error) {
 				return nil, err
 			}
 		}
-		// Rebuild with the environment's own thresholds so the r = 0 row
-		// is the literal baseline build.
-		pipeCfg := env.PipeCfg
-		pipeCfg.Obs = nil // rebuilds are not part of the run's funnel
-		pipeCfg.Faults = plan
-		ds, _, err := pipeline.Run(env.ctx(), env.World, p2p.DefaultConfig(), pipeCfg, env.Seed)
+		// The r = 0 rebuild is the literal baseline build.
+		ds, err := env.rebuild(p2p.DefaultConfig(), plan, env.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -116,38 +103,24 @@ func RunDegradation(env *Env, rates []float64) (*Degradation, error) {
 		}
 
 		// Retained ASes: eligible in both the baseline and this rate.
-		var common []astopo.ASN
-		for _, asn := range baseline.Order {
-			if ds.AS(asn) != nil {
-				common = append(common, asn)
-			}
-		}
+		common := commonASes(baseline, ds)
 		if out.BaselineASes > 0 {
 			row.ASRetention = float64(len(common)) / float64(out.BaselineASes)
 		}
 		if len(common) > 0 {
-			type score struct{ cov, prec float64 }
-			scores := make([]score, len(common))
-			err := parallel.ForEach(env.ctx(), 0, common, func(i int, asn astopo.ASN) error {
-				fp, err := core.EstimateFootprintCtx(env.ctx(), env.World.Gazetteer, ds.AS(asn).Samples, core.Options{})
-				if err != nil {
-					return err
-				}
+			pops, err := env.pops(ds, common, 40)
+			if err != nil {
+				return nil, err
+			}
+			for i, asn := range common {
 				ref := basePoPs[asn]
 				refPts := make([]geo.Point, 0, len(ref))
 				for _, p := range ref {
 					refPts = append(refPts, p.City.Loc)
 				}
-				m := core.MatchPoPs(fp.PoPs, refPts, core.MatchRadiusKm)
-				scores[i] = score{cov: m.RefMatchedFrac(), prec: m.DiscMatchedFrac()}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			for _, s := range scores {
-				row.MeanCoverage += s.cov
-				row.MeanPrecision += s.prec
+				m := core.MatchPoPs(pops[i], refPts, core.MatchRadiusKm)
+				row.MeanCoverage += m.RefMatchedFrac()
+				row.MeanPrecision += m.DiscMatchedFrac()
 			}
 			row.MeanCoverage /= float64(len(common))
 			row.MeanPrecision /= float64(len(common))

@@ -7,7 +7,6 @@ import (
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/core"
 	"eyeballas/internal/geo"
-	"eyeballas/internal/parallel"
 	"eyeballas/internal/stats"
 )
 
@@ -26,27 +25,24 @@ type Density struct {
 
 // RunDensity executes the study at the paper's default bandwidth.
 func RunDensity(env *Env) (*Density, error) {
-	asns := env.Dataset.Order
-	type row struct {
-		rho   float64
-		pairs int
-		ok    bool
+	// Rank correlation needs at least 3 points.
+	var asns []astopo.ASN
+	for _, asn := range env.Dataset.Order {
+		if a := env.World.AS(asn); a != nil && len(a.UserPoPs()) >= 3 {
+			asns = append(asns, asn)
+		}
 	}
-	rows := make([]row, len(asns))
-	err := parallel.ForEach(env.ctx(), 0, asns, func(i int, asn astopo.ASN) error {
-		a := env.World.AS(asn)
-		if a == nil || len(a.UserPoPs()) < 3 {
-			return nil // rank correlation needs at least 3 points
-		}
-		rec := env.Dataset.AS(asn)
-		fp, err := core.EstimateFootprint(env.World.Gazetteer, rec.Samples, core.Options{})
-		if err != nil {
-			return err
-		}
+	pops, err := env.pops(env.Dataset, asns, 40)
+	if err != nil {
+		return nil, err
+	}
+	out := &Density{}
+	for i, asn := range asns {
+		truePoPs := env.World.AS(asn).UserPoPs()
 		var measured, truth []float64
-		for _, p := range fp.PoPs {
+		for _, p := range pops[i] {
 			// Match this discovered PoP to a ground-truth user PoP city.
-			for _, tp := range a.UserPoPs() {
+			for _, tp := range truePoPs {
 				if geo.DistanceKm(p.City.Loc, tp.City.Loc) <= core.MatchRadiusKm {
 					measured = append(measured, p.Density)
 					truth = append(truth, tp.Share)
@@ -55,23 +51,13 @@ func RunDensity(env *Env) (*Density, error) {
 			}
 		}
 		if len(measured) < 3 {
-			return nil
-		}
-		rows[i] = row{rho: stats.Spearman(measured, truth), pairs: len(measured), ok: true}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Density{}
-	for _, r := range rows {
-		if !r.ok {
 			continue
 		}
+		rho := stats.Spearman(measured, truth)
 		out.NASes++
-		out.MeanSpearman += r.rho
-		out.PairsScored += r.pairs
-		if r.rho >= 0.6 {
+		out.MeanSpearman += rho
+		out.PairsScored += len(measured)
+		if rho >= 0.6 {
 			out.FracStrong++
 		}
 	}

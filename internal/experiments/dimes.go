@@ -7,7 +7,6 @@ import (
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/core"
 	"eyeballas/internal/gazetteer"
-	"eyeballas/internal/parallel"
 	"eyeballas/internal/traceroute"
 )
 
@@ -45,35 +44,21 @@ func RunDIMES(env *Env) (*DIMES, error) {
 	if len(common) == 0 {
 		return nil, fmt.Errorf("experiments: no common ASes between the datasets")
 	}
-	type cmp struct {
-		our, trace int
-		superset   bool
-	}
-	results := make([]cmp, len(common))
-	err := parallel.ForEach(env.ctx(), 0, common, func(i int, asn astopo.ASN) error {
-		rec := env.Dataset.AS(asn)
-		observed := tracePoPs[asn]
-		fp, err := core.EstimateFootprint(env.World.Gazetteer, rec.Samples, core.Options{BandwidthKm: d.BandwidthKm})
-		if err != nil {
-			return fmt.Errorf("experiments: AS %d: %w", asn, err)
-		}
-		m := core.MatchPoPs(fp.PoPs, observed, core.MatchRadiusKm)
-		results[i] = cmp{our: len(fp.PoPs), trace: len(observed), superset: m.Superset()}
-		return nil
-	})
+	pops, err := env.pops(env.Dataset, common, d.BandwidthKm)
 	if err != nil {
 		return nil, err
 	}
+	d.CommonASes = len(common)
 	var ourTotal, traceTotal, supersets int
-	for _, r := range results {
-		d.CommonASes++
-		ourTotal += r.our
-		traceTotal += r.trace
-		if r.superset {
+	for i, asn := range common {
+		observed := tracePoPs[asn]
+		ourTotal += len(pops[i])
+		traceTotal += len(observed)
+		if core.MatchPoPs(pops[i], observed, core.MatchRadiusKm).Superset() {
 			supersets++
 		}
-		d.perASOur = append(d.perASOur, r.our)
-		d.perASTraceOnly = append(d.perASTraceOnly, r.trace)
+		d.perASOur = append(d.perASOur, len(pops[i]))
+		d.perASTraceOnly = append(d.perASTraceOnly, len(observed))
 	}
 	d.OurMeanPoPs = float64(ourTotal) / float64(d.CommonASes)
 	d.DIMESMeanPoPs = float64(traceTotal) / float64(d.CommonASes)

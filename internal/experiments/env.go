@@ -11,10 +11,12 @@ import (
 
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/bgp"
+	"eyeballas/internal/core"
 	"eyeballas/internal/faults"
 	"eyeballas/internal/ixp"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/p2p"
+	"eyeballas/internal/parallel"
 	"eyeballas/internal/pipeline"
 	"eyeballas/internal/refdata"
 	"eyeballas/internal/rng"
@@ -32,6 +34,10 @@ const (
 	// ScaleDefault is the full experiment scale: ~650 eyeball ASes,
 	// the paper's 1233 shrunk to keep a laptop run in seconds.
 	ScaleDefault
+	// ScalePaper is the paper's population: 1233 eyeball ASes and the
+	// literal 1000-peer floor. A full run takes a few minutes and
+	// several GB.
+	ScalePaper
 )
 
 // Env bundles the world and every measurement dataset the experiments
@@ -49,9 +55,11 @@ type Env struct {
 	// quality, degradation) reuse the same thresholds.
 	PipeCfg pipeline.Config
 	// Ctx, when non-nil, cancels every experiment runner's worker pools
-	// and pipeline rebuilds (the CLIs set it to their signal context),
-	// and carries the run's trace, if any, so the spans the runners open
-	// nest under it. Nil means context.Background().
+	// and pipeline rebuilds (the CLIs set it to their signal context);
+	// a per-AS fan-out stops dispatching between ASes once it is done.
+	// It carries the run's trace, if any, to the environment build and
+	// the rebuilds, so their spans nest under it; per-AS estimates run
+	// untraced. Nil means context.Background().
 	Ctx context.Context
 }
 
@@ -99,6 +107,9 @@ func NewEnvCtx(ctx context.Context, seed uint64, scale Scale, reg *obs.Registry,
 	case ScaleDefault:
 		cfg = astopo.DefaultConfig(seed)
 		pipeCfg = pipeline.DefaultConfig()
+	case ScalePaper:
+		cfg = astopo.PaperConfig(seed)
+		pipeCfg = pipeline.PaperConfig()
 	default:
 		return nil, fmt.Errorf("experiments: unknown scale %d", scale)
 	}
@@ -112,25 +123,6 @@ func NewEnvCtx(ctx context.Context, seed uint64, scale Scale, reg *obs.Registry,
 	genSpan.End()
 	if err != nil {
 		return nil, err
-	}
-	return NewEnvWithWorldCtx(ctx, w, seed, pipeCfg)
-}
-
-// NewPaperScaleEnvCtx is NewEnvCtx at the paper's population (1233
-// eyeball ASes, the literal 1000-peer floor). A full run takes a few
-// minutes and several GB.
-func NewPaperScaleEnvCtx(ctx context.Context, seed uint64, reg *obs.Registry, plan *faults.Plan, opts ...EnvOption) (*Env, error) {
-	genSpan := trace.FromContext(ctx).Child("experiments.generate_world")
-	w, err := astopo.Generate(astopo.PaperConfig(seed))
-	genSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	pipeCfg := pipeline.PaperConfig()
-	pipeCfg.Obs = reg
-	pipeCfg.Faults = plan
-	for _, opt := range opts {
-		opt(&pipeCfg)
 	}
 	return NewEnvWithWorldCtx(ctx, w, seed, pipeCfg)
 }
@@ -168,4 +160,52 @@ func NewEnvWithWorldCtx(ctx context.Context, w *astopo.World, seed uint64, pipeC
 		return nil, err
 	}
 	return env, nil
+}
+
+// pops estimates the footprint of every AS in asns from its record in
+// ds at bwKm and returns the PoPs of asns[i] in out[i]. This is the one
+// per-AS fan-out the runners share: it runs on the shared pool under
+// the environment's context, which stops dispatching between ASes once
+// it is done, and the estimates carry no trace, so a run's span budget
+// goes to its rebuilds. Each AS must be in ds.
+func (e *Env) pops(ds *pipeline.Dataset, asns []astopo.ASN, bwKm float64) ([][]core.PoP, error) {
+	out := make([][]core.PoP, len(asns))
+	err := parallel.ForEach(e.ctx(), 0, asns, func(i int, asn astopo.ASN) error {
+		fp, err := core.EstimateFootprint(e.World.Gazetteer, ds.AS(asn).Samples, core.Options{BandwidthKm: bwKm})
+		if err != nil {
+			return fmt.Errorf("experiments: AS %d at %g km: %w", asn, bwKm, err)
+		}
+		out[i] = fp.PoPs
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// rebuild reruns the pipeline over the environment's world with the
+// environment's thresholds, the given crawl, fault plan and seed. It is
+// outside the run's funnel: the rebuild records into no registry.
+func (e *Env) rebuild(crawlCfg p2p.Config, plan *faults.Plan, seed uint64) (*pipeline.Dataset, error) {
+	cfg := e.PipeCfg
+	cfg.Obs, cfg.Faults = nil, plan
+	ds, _, err := pipeline.Run(e.ctx(), e.World, crawlCfg, cfg, seed)
+	return ds, err
+}
+
+// commonASes returns the ASes eligible in every dataset, in the first
+// dataset's order.
+func commonASes(dss ...*pipeline.Dataset) []astopo.ASN {
+	var common []astopo.ASN
+next:
+	for _, asn := range dss[0].Order {
+		for _, ds := range dss[1:] {
+			if ds.AS(asn) == nil {
+				continue next
+			}
+		}
+		common = append(common, asn)
+	}
+	return common
 }

@@ -7,7 +7,6 @@ import (
 
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/core"
-	"eyeballas/internal/parallel"
 	"eyeballas/internal/stats"
 )
 
@@ -65,22 +64,14 @@ func RunFigure2(env *Env, bandwidths []float64) (*Figure2, error) {
 	f.MeanReference = float64(refTotal) / float64(len(f.ASNs))
 
 	for _, bw := range bandwidths {
-		matches := make([]core.MatchResult, len(f.ASNs))
-		err := parallel.ForEach(env.ctx(), 0, f.ASNs, func(i int, asn astopo.ASN) error {
-			rec := env.Dataset.AS(asn)
-			fp, err := core.EstimateFootprint(env.World.Gazetteer, rec.Samples, core.Options{BandwidthKm: bw})
-			if err != nil {
-				return fmt.Errorf("experiments: AS %d bw %.0f: %w", asn, bw, err)
-			}
-			matches[i] = core.MatchPoPs(fp.PoPs, env.Reference.Locations(asn), core.MatchRadiusKm)
-			return nil
-		})
+		pops, err := env.pops(env.Dataset, f.ASNs, bw)
 		if err != nil {
 			return nil, err
 		}
 		totalDisc := 0
 		perfect := 0
-		for _, m := range matches {
+		for i, asn := range f.ASNs {
+			m := core.MatchPoPs(pops[i], env.Reference.Locations(asn), core.MatchRadiusKm)
 			f.RefMatchedPct[bw] = append(f.RefMatchedPct[bw], 100*m.RefMatchedFrac())
 			f.DiscMatchedPct[bw] = append(f.DiscMatchedPct[bw], 100*m.DiscMatchedFrac())
 			totalDisc += m.NDiscovered

@@ -8,7 +8,6 @@ import (
 	"eyeballas/internal/core"
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/geo"
-	"eyeballas/internal/parallel"
 	"eyeballas/internal/traceroute"
 )
 
@@ -47,16 +46,7 @@ func RunFusion(env *Env) (*Fusion, error) {
 	}
 	// Footprints first (parallel), so the targeted campaign can aim at
 	// the discovered PoP cities.
-	footprints := make([][]core.PoP, len(asns))
-	err := parallel.ForEach(env.ctx(), 0, asns, func(i int, asn astopo.ASN) error {
-		rec := env.Dataset.AS(asn)
-		fp, err := core.EstimateFootprint(env.World.Gazetteer, rec.Samples, core.Options{})
-		if err != nil {
-			return err
-		}
-		footprints[i] = fp.PoPs
-		return nil
-	})
+	footprints, err := env.pops(env.Dataset, asns, 40)
 	if err != nil {
 		return nil, err
 	}

@@ -36,35 +36,21 @@ func RunMultiScale(env *Env) (*MultiScale, error) {
 	if len(asns) == 0 {
 		return nil, fmt.Errorf("experiments: no validation ASes")
 	}
-	type row struct {
-		rec40, prec40, rec10, prec10, recMS, precMS float64
-		n40, n10, nMS                               int
+	pops40, err := env.pops(env.Dataset, asns, 40)
+	if err != nil {
+		return nil, err
 	}
-	rows := make([]row, len(asns))
-	err := parallel.ForEach(env.ctx(), 0, asns, func(i int, asn astopo.ASN) error {
-		rec := env.Dataset.AS(asn)
-		ref := env.Reference.Locations(asn)
-
-		fp40, err := core.EstimateFootprint(env.World.Gazetteer, rec.Samples, core.Options{BandwidthKm: 40})
+	pops10, err := env.pops(env.Dataset, asns, 10)
+	if err != nil {
+		return nil, err
+	}
+	popsMS := make([][]core.PoP, len(asns))
+	err = parallel.ForEach(env.ctx(), 0, asns, func(i int, asn astopo.ASN) error {
+		ms, err := core.MultiScaleFootprint(env.World.Gazetteer, env.Dataset.AS(asn).Samples, core.MultiScaleOptions{})
 		if err != nil {
 			return err
 		}
-		fp10, err := core.EstimateFootprint(env.World.Gazetteer, rec.Samples, core.Options{BandwidthKm: 10})
-		if err != nil {
-			return err
-		}
-		ms, err := core.MultiScaleFootprint(env.World.Gazetteer, rec.Samples, core.MultiScaleOptions{})
-		if err != nil {
-			return err
-		}
-		m40 := core.MatchPoPs(fp40.PoPs, ref, core.MatchRadiusKm)
-		m10 := core.MatchPoPs(fp10.PoPs, ref, core.MatchRadiusKm)
-		mMS := core.MatchPoPs(core.MultiScalePoPs(ms), ref, core.MatchRadiusKm)
-		rows[i] = row{
-			rec40: m40.RefMatchedFrac(), prec40: m40.DiscMatchedFrac(), n40: m40.NDiscovered,
-			rec10: m10.RefMatchedFrac(), prec10: m10.DiscMatchedFrac(), n10: m10.NDiscovered,
-			recMS: mMS.RefMatchedFrac(), precMS: mMS.DiscMatchedFrac(), nMS: mMS.NDiscovered,
-		}
+		popsMS[i] = core.MultiScalePoPs(ms)
 		return nil
 	})
 	if err != nil {
@@ -72,16 +58,20 @@ func RunMultiScale(env *Env) (*MultiScale, error) {
 	}
 	out := &MultiScale{NASes: len(asns)}
 	n := float64(len(asns))
-	for _, r := range rows {
-		out.Plain40Recall += 100 * r.rec40 / n
-		out.Plain40Precision += 100 * r.prec40 / n
-		out.Plain10Recall += 100 * r.rec10 / n
-		out.Plain10Precision += 100 * r.prec10 / n
-		out.MultiScaleRecall += 100 * r.recMS / n
-		out.MultiScalePrecision += 100 * r.precMS / n
-		out.Plain40PoPs += float64(r.n40) / n
-		out.Plain10PoPs += float64(r.n10) / n
-		out.MultiScalePoPs += float64(r.nMS) / n
+	for i, asn := range asns {
+		ref := env.Reference.Locations(asn)
+		m40 := core.MatchPoPs(pops40[i], ref, core.MatchRadiusKm)
+		m10 := core.MatchPoPs(pops10[i], ref, core.MatchRadiusKm)
+		mMS := core.MatchPoPs(popsMS[i], ref, core.MatchRadiusKm)
+		out.Plain40Recall += 100 * m40.RefMatchedFrac() / n
+		out.Plain40Precision += 100 * m40.DiscMatchedFrac() / n
+		out.Plain10Recall += 100 * m10.RefMatchedFrac() / n
+		out.Plain10Precision += 100 * m10.DiscMatchedFrac() / n
+		out.MultiScaleRecall += 100 * mMS.RefMatchedFrac() / n
+		out.MultiScalePrecision += 100 * mMS.DiscMatchedFrac() / n
+		out.Plain40PoPs += float64(m40.NDiscovered) / n
+		out.Plain10PoPs += float64(m10.NDiscovered) / n
+		out.MultiScalePoPs += float64(mMS.NDiscovered) / n
 	}
 	return out, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/core"
@@ -31,41 +30,8 @@ type PeerGeo struct {
 	ControlAnyOverlap float64
 }
 
-// footprintCache lazily computes and memoizes per-AS footprints.
-type footprintCache struct {
-	env *Env
-	mu  sync.Mutex
-	m   map[astopo.ASN][]core.PoP
-}
-
-func newFootprintCache(env *Env) *footprintCache {
-	return &footprintCache{env: env, m: make(map[astopo.ASN][]core.PoP)}
-}
-
-func (c *footprintCache) get(asn astopo.ASN) ([]core.PoP, error) {
-	c.mu.Lock()
-	pops, ok := c.m[asn]
-	c.mu.Unlock()
-	if ok {
-		return pops, nil
-	}
-	rec := c.env.Dataset.AS(asn)
-	if rec == nil {
-		return nil, nil
-	}
-	fp, err := core.EstimateFootprint(c.env.World.Gazetteer, rec.Samples, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.m[asn] = fp.PoPs
-	c.mu.Unlock()
-	return fp.PoPs, nil
-}
-
 // RunPeerGeo executes the study.
 func RunPeerGeo(env *Env) (*PeerGeo, error) {
-	cache := newFootprintCache(env)
 	inDataset := func(a astopo.ASN) bool { return env.Dataset.AS(a) != nil }
 
 	// Peering pairs with both sides in the target dataset.
@@ -108,16 +74,17 @@ func RunPeerGeo(env *Env) (*PeerGeo, error) {
 		return nil, fmt.Errorf("experiments: could not sample control pairs")
 	}
 
-	score := func(pairs []pair) (shared, jacc, anyOverlap float64, n int, err error) {
+	pops, err := env.pops(env.Dataset, env.Dataset.Order, 40)
+	if err != nil {
+		return nil, err
+	}
+	popsOf := make(map[astopo.ASN][]core.PoP, len(pops))
+	for i, asn := range env.Dataset.Order {
+		popsOf[asn] = pops[i]
+	}
+	score := func(pairs []pair) (shared, jacc, anyOverlap float64, n int) {
 		for _, p := range pairs {
-			fa, err := cache.get(p.a)
-			if err != nil {
-				return 0, 0, 0, 0, err
-			}
-			fb, err := cache.get(p.b)
-			if err != nil {
-				return 0, 0, 0, 0, err
-			}
+			fa, fb := popsOf[p.a], popsOf[p.b]
 			if fa == nil || fb == nil {
 				continue
 			}
@@ -134,19 +101,12 @@ func RunPeerGeo(env *Env) (*PeerGeo, error) {
 			jacc /= float64(n)
 			anyOverlap /= float64(n)
 		}
-		return shared, jacc, anyOverlap, n, nil
+		return shared, jacc, anyOverlap, n
 	}
 
 	out := &PeerGeo{}
-	var err error
-	out.PeerShared, out.PeerJaccard, out.PeerAnyOverlap, out.PeerPairs, err = score(peers)
-	if err != nil {
-		return nil, err
-	}
-	out.ControlShared, out.ControlJacc, out.ControlAnyOverlap, out.ControlPairs, err = score(control)
-	if err != nil {
-		return nil, err
-	}
+	out.PeerShared, out.PeerJaccard, out.PeerAnyOverlap, out.PeerPairs = score(peers)
+	out.ControlShared, out.ControlJacc, out.ControlAnyOverlap, out.ControlPairs = score(control)
 	return out, nil
 }
 

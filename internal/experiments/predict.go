@@ -7,7 +7,6 @@ import (
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/core"
 	"eyeballas/internal/geo"
-	"eyeballas/internal/parallel"
 )
 
 // Predict quantifies the question the paper poses and leaves open (§1:
@@ -59,94 +58,54 @@ func RunPredict(env *Env) (*Predict, error) {
 	if len(asns) == 0 {
 		return nil, fmt.Errorf("experiments: empty target dataset")
 	}
-	type row struct {
-		inRange, under   bool
-		trueUp, predMax  int
-		predIXP, trueIXP int
-		correctIXP       int
-		remoteIXP        int
-		ok               bool
+	pops, err := env.pops(env.Dataset, asns, 40)
+	if err != nil {
+		return nil, err
 	}
-	rows := make([]row, len(asns))
-	err := parallel.ForEach(env.ctx(), 0, asns, func(i int, asn astopo.ASN) error {
-		rec := env.Dataset.AS(asn)
-		fp, err := core.EstimateFootprint(env.World.Gazetteer, rec.Samples, core.Options{})
-		if err != nil {
-			return err
-		}
-		r := row{ok: true}
-
-		// Upstreams.
-		lo, hi := upstreamRange(rec.Class.Level)
-		r.trueUp = len(env.World.Providers(asn))
-		r.predMax = hi
-		r.inRange = r.trueUp >= lo && r.trueUp <= hi
-		r.under = r.trueUp > hi
-
-		// IXPs: predicted = exchanges within the match radius of a
-		// discovered PoP city.
-		predicted := map[astopo.IXPID]bool{}
-		for _, ix := range env.World.IXPs() {
-			for _, p := range fp.PoPs {
-				if geo.DistanceKm(ix.City.Loc, p.City.Loc) <= core.MatchRadiusKm {
-					predicted[ix.ID] = true
-					break
-				}
+	near := func(ix *astopo.IXP, pops []core.PoP) bool {
+		for _, p := range pops {
+			if geo.DistanceKm(ix.City.Loc, p.City.Loc) <= core.MatchRadiusKm {
+				return true
 			}
 		}
+		return false
+	}
+	out := &Predict{NASes: len(asns)}
+	ixps := env.World.IXPs()
+	var predIXPTotal, correctIXPTotal, trueIXPTotal, remoteTotal int
+	for i, asn := range asns {
+		// Upstreams.
+		lo, hi := upstreamRange(env.Dataset.AS(asn).Class.Level)
+		trueUp := len(env.World.Providers(asn))
+		if trueUp >= lo && trueUp <= hi {
+			out.UpstreamWithinRange++
+		}
+		if trueUp > hi {
+			out.UpstreamUnderCount++
+		}
+		out.MeanTrueUpstreams += float64(trueUp)
+		out.MeanPredictedMax += float64(hi)
+
+		// IXPs: predicted = exchanges within the match radius of a
+		// discovered PoP city; a real membership elsewhere is remote.
 		actual := map[astopo.IXPID]bool{}
 		for _, id := range env.IXPData.IXPsOf(asn) {
 			actual[id] = true
 		}
-		r.predIXP = 0
-		for id := range predicted {
-			r.predIXP++
-			if actual[id] {
-				r.correctIXP++
-			}
-		}
-		r.trueIXP = len(actual)
-		for id := range actual {
-			ix := env.World.IXP(id)
-			remote := true
-			for _, p := range fp.PoPs {
-				if geo.DistanceKm(ix.City.Loc, p.City.Loc) <= core.MatchRadiusKm {
-					remote = false
-					break
+		for _, ix := range ixps {
+			if near(ix, pops[i]) {
+				predIXPTotal++
+				if actual[ix.ID] {
+					correctIXPTotal++
 				}
 			}
-			if remote {
-				r.remoteIXP++
+		}
+		trueIXPTotal += len(actual)
+		for id := range actual {
+			if !near(env.World.IXP(id), pops[i]) {
+				remoteTotal++
 			}
 		}
-		rows[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Predict{}
-	var predIXPTotal, correctIXPTotal, trueIXPTotal, remoteTotal int
-	for _, r := range rows {
-		if !r.ok {
-			continue
-		}
-		out.NASes++
-		if r.inRange {
-			out.UpstreamWithinRange++
-		}
-		if r.under {
-			out.UpstreamUnderCount++
-		}
-		out.MeanTrueUpstreams += float64(r.trueUp)
-		out.MeanPredictedMax += float64(r.predMax)
-		predIXPTotal += r.predIXP
-		correctIXPTotal += r.correctIXP
-		trueIXPTotal += r.trueIXP
-		remoteTotal += r.remoteIXP
-	}
-	if out.NASes == 0 {
-		return nil, fmt.Errorf("experiments: no evaluable ASes")
 	}
 	n := float64(out.NASes)
 	out.UpstreamWithinRange /= n

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"eyeballas/internal/astopo"
-	"eyeballas/internal/core"
-	"eyeballas/internal/parallel"
 )
 
 // Services realizes the paper's §3/§7 claim that the geo-footprint
@@ -58,56 +56,40 @@ func classifyService(nPeers, nPoPs int, topDensity float64) bool {
 // RunServices executes the classification over every AS in the target
 // dataset with a ground-truth kind of eyeball or content.
 func RunServices(env *Env) (*Services, error) {
-	asns := env.Dataset.Order
-	type row struct {
-		isContent, predContent, ok bool
+	var asns []astopo.ASN
+	for _, asn := range env.Dataset.Order {
+		if a := env.World.AS(asn); a != nil && (a.Kind == astopo.KindEyeball || a.Kind == astopo.KindContent) {
+			asns = append(asns, asn)
+		}
 	}
-	rows := make([]row, len(asns))
-	err := parallel.ForEach(env.ctx(), 0, asns, func(i int, asn astopo.ASN) error {
-		a := env.World.AS(asn)
-		if a == nil || (a.Kind != astopo.KindEyeball && a.Kind != astopo.KindContent) {
-			return nil
-		}
-		rec := env.Dataset.AS(asn)
-		fp, err := core.EstimateFootprint(env.World.Gazetteer, rec.Samples, core.Options{})
-		if err != nil {
-			return err
-		}
-		top := 0.0
-		if len(fp.PoPs) > 0 {
-			top = fp.PoPs[0].Density
-		}
-		rows[i] = row{
-			isContent:   a.Kind == astopo.KindContent,
-			predContent: classifyService(len(rec.Samples), len(fp.PoPs), top),
-			ok:          true,
-		}
-		return nil
-	})
+	pops, err := env.pops(env.Dataset, asns, 40)
 	if err != nil {
 		return nil, err
 	}
 	out := &Services{}
 	var tp, fp_, fn, correct int
-	for _, r := range rows {
-		if !r.ok {
-			continue
+	for i, asn := range asns {
+		top := 0.0
+		if len(pops[i]) > 0 {
+			top = pops[i][0].Density
 		}
+		isContent := env.World.AS(asn).Kind == astopo.KindContent
+		predContent := classifyService(len(env.Dataset.AS(asn).Samples), len(pops[i]), top)
 		out.NASes++
-		if r.isContent {
+		if isContent {
 			out.Content++
 		} else {
 			out.Residential++
 		}
-		if r.predContent == r.isContent {
+		if predContent == isContent {
 			correct++
 		}
 		switch {
-		case r.predContent && r.isContent:
+		case predContent && isContent:
 			tp++
-		case r.predContent && !r.isContent:
+		case predContent && !isContent:
 			fp_++
-		case !r.predContent && r.isContent:
+		case !predContent && isContent:
 			fn++
 		}
 	}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"eyeballas/internal/astopo"
-	"eyeballas/internal/core"
 	"eyeballas/internal/p2p"
-	"eyeballas/internal/parallel"
 	"eyeballas/internal/pipeline"
 )
 
@@ -38,34 +35,17 @@ func RunStability(env *Env, months int) (*Stability, error) {
 		return nil, fmt.Errorf("experiments: need >= 2 months, got %d", months)
 	}
 	// Re-run the pipeline per month with a distinct crawl seed. The
-	// world — the geography — is fixed; only sampling varies. The
-	// rebuilds keep the environment's thresholds, unfaulted, outside the
-	// run's funnel.
-	pipeCfg := env.PipeCfg
-	pipeCfg.Obs, pipeCfg.Faults = nil, nil
+	// world — the geography — is fixed; only sampling varies.
 	datasets := make([]*pipeline.Dataset, months)
-	for m := 0; m < months; m++ {
-		ds, _, err := pipeline.Run(env.ctx(), env.World, p2p.DefaultConfig(), pipeCfg, env.Seed+uint64(1000+m))
+	for m := range datasets {
+		ds, err := env.rebuild(p2p.DefaultConfig(), nil, env.Seed+uint64(1000+m))
 		if err != nil {
 			return nil, err
 		}
 		datasets[m] = ds
 	}
 
-	// Common ASes: eligible every month.
-	var common []astopo.ASN
-	for _, asn := range datasets[0].Order {
-		everywhere := true
-		for _, ds := range datasets[1:] {
-			if ds.AS(asn) == nil {
-				everywhere = false
-				break
-			}
-		}
-		if everywhere {
-			common = append(common, asn)
-		}
-	}
+	common := commonASes(datasets...)
 	st := &Stability{Months: months, CommonAS: len(common)}
 	if len(datasets[0].Order) > 0 {
 		st.ASRetention = float64(len(common)) / float64(len(datasets[0].Order))
@@ -74,31 +54,20 @@ func RunStability(env *Env, months int) (*Stability, error) {
 		return nil, fmt.Errorf("experiments: no AS eligible in every month")
 	}
 
-	// Per-month PoP city sets per common AS. Workers write into an
-	// index-addressed slice (no shared map writes); the lookup map is
-	// assembled afterwards.
-	popSets := make([]map[astopo.ASN]map[string]bool, months)
+	// popSets[m][i] is common[i]'s PoP city set in month m.
+	popSets := make([][]map[string]bool, months)
 	for m, ds := range datasets {
-		sets := make([]map[string]bool, len(common))
-		err := parallel.ForEach(env.ctx(), 0, common, func(i int, asn astopo.ASN) error {
-			rec := ds.AS(asn)
-			fp, err := core.EstimateFootprint(env.World.Gazetteer, rec.Samples, core.Options{})
-			if err != nil {
-				return err
-			}
-			set := make(map[string]bool, len(fp.PoPs))
-			for _, p := range fp.PoPs {
-				set[p.City.Name+"/"+p.City.Country] = true
-			}
-			sets[i] = set
-			return nil
-		})
+		pops, err := env.pops(ds, common, 40)
 		if err != nil {
 			return nil, err
 		}
-		popSets[m] = make(map[astopo.ASN]map[string]bool, len(common))
-		for i, asn := range common {
-			popSets[m][asn] = sets[i]
+		popSets[m] = make([]map[string]bool, len(common))
+		for i, ps := range pops {
+			set := make(map[string]bool, len(ps))
+			for _, p := range ps {
+				set[p.City.Name+"/"+p.City.Country] = true
+			}
+			popSets[m][i] = set
 		}
 	}
 
@@ -120,11 +89,11 @@ func RunStability(env *Env, months int) (*Stability, error) {
 	}
 
 	var consecutive, firstLast float64
-	for _, asn := range common {
+	for i := range common {
 		for m := 1; m < months; m++ {
-			consecutive += jaccard(popSets[m-1][asn], popSets[m][asn])
+			consecutive += jaccard(popSets[m-1][i], popSets[m][i])
 		}
-		firstLast += jaccard(popSets[0][asn], popSets[months-1][asn])
+		firstLast += jaccard(popSets[0][i], popSets[months-1][i])
 	}
 	st.MeanConsecutiveJaccard = consecutive / float64(len(common)*(months-1))
 	st.MeanFirstLastJaccard = firstLast / float64(len(common))

@@ -40,9 +40,9 @@
 // and Workers setting — and identical between the streaming and
 // materialized Build paths.
 //
-// The package is a dependency leaf (stdlib only) so every ingestion
-// package — p2p, geodb, bgp, pipeline, parallel consumers — can import
-// it without cycles.
+// The package imports only the standard library and internal/rng,
+// itself stdlib-only, so every ingestion package — p2p, geodb, bgp,
+// pipeline, parallel consumers — can import it without cycles.
 package faults
 
 import (
@@ -51,6 +51,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"eyeballas/internal/rng"
 )
 
 // Point identifies one injectable fault point.
@@ -139,15 +141,6 @@ func (p Point) Valid() bool {
 	return false
 }
 
-// mix is splitmix64's finalizer — the same decorrelation step
-// internal/rng and internal/geodb use.
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // u01 maps 64 random bits to a uniform float64 in [0, 1).
 func u01(v uint64) float64 { return float64(v>>11) / (1 << 53) }
 
@@ -213,7 +206,7 @@ func (p *Plan) Enabled() bool {
 // call site and nothing else.
 //
 // The injector's stream is derived with the same Split discipline as
-// rng.Source: seed' = mix(planSeed ^ fnv64a(point)), so each point's
+// rng.Source: seed' = rng.Mix(planSeed ^ fnv64a(point)), so each point's
 // decisions are independent of every other point's.
 func (p *Plan) Injector(pt Point) *Injector {
 	if p == nil {
@@ -225,7 +218,7 @@ func (p *Plan) Injector(pt Point) *Injector {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(pt))
-	return &Injector{seed: mix(p.seed ^ h.Sum64()), rate: rate}
+	return &Injector{seed: rng.Mix(p.seed ^ h.Sum64()), rate: rate}
 }
 
 // String renders the plan as a canonical spec ("geo-miss=0.05,..."),
@@ -311,7 +304,7 @@ func (in *Injector) Hit(site uint64) bool {
 	if in == nil {
 		return false
 	}
-	return u01(mix(in.seed^mix(site))) < in.rate
+	return u01(rng.Mix(in.seed^rng.Mix(site))) < in.rate
 }
 
 // Hit2 is Hit over a compound (site, salt) key — e.g. (IP, app) so the
@@ -320,7 +313,7 @@ func (in *Injector) Hit2(site, salt uint64) bool {
 	if in == nil {
 		return false
 	}
-	return in.Hit(mix(site ^ mix(salt)))
+	return in.Hit(rng.Mix(site ^ rng.Mix(salt)))
 }
 
 // Rand returns 64 deterministic bits for this site, independent of the
@@ -330,5 +323,5 @@ func (in *Injector) Rand(site uint64) uint64 {
 	if in == nil {
 		return 0
 	}
-	return mix(in.seed ^ 0xa5a5a5a5a5a5a5a5 ^ mix(site))
+	return rng.Mix(in.seed ^ 0xa5a5a5a5a5a5a5a5 ^ rng.Mix(site))
 }

@@ -20,25 +20,8 @@ import (
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/geo"
 	"eyeballas/internal/ipnet"
+	"eyeballas/internal/rng"
 )
-
-// miniRNG is a tiny splitmix64 generator. Locate runs millions of times
-// per pipeline build; deriving a full rng.Source per IP would dominate
-// the run with allocations, so the database uses this inline generator
-// seeded per (database, IP).
-type miniRNG struct{ state uint64 }
-
-func (r *miniRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *miniRNG) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-func (r *miniRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // Record is one geolocation answer, the paper's
 // (city, state, country, longitude, latitude) tuple.
@@ -165,9 +148,12 @@ func (db *DB) LocateAt(ip ipnet.Addr, site *Site) Record {
 			return rec
 		}
 	}
-	s := &miniRNG{state: db.seed ^ (uint64(ip) * 0x9e3779b97f4a7c15)}
+	// A Source per IP would dominate the build with allocations, so the
+	// draws come from a splitmix64 stream seeded per (database, IP).
+	r := rng.NewSplitMix(db.seed ^ (uint64(ip) * rng.Gamma))
+	s := &r
 	m := db.model
-	roll := s.float64()
+	roll := s.Float64()
 	switch {
 	case roll < m.PNoCity:
 		return Record{}
@@ -187,7 +173,7 @@ func (db *DB) LocateAt(ip ipnet.Addr, site *Site) Record {
 // metro area — the zip-code resolution of real databases. Databases built
 // from different sources resolve the same user to different nearby postal
 // codes, so each database picks independently among the closest few.
-func (db *DB) correctRecord(s *miniRNG, site *Site) Record {
+func (db *DB) correctRecord(s *rng.SplitMix, site *Site) Record {
 	near := site.nearestZips(db.w.Zips)
 	if len(near) == 0 {
 		return Record{}
@@ -204,12 +190,12 @@ func (db *DB) correctRecord(s *miniRNG, site *Site) Record {
 // zipWeights biases the zip choice toward the nearest centroid.
 var zipWeights = [4]float64{0.55, 0.25, 0.13, 0.07}
 
-func weightedZip(s *miniRNG, n int) int {
+func weightedZip(s *rng.SplitMix, n int) int {
 	total := 0.0
 	for i := 0; i < n; i++ {
 		total += zipWeights[i]
 	}
-	u := s.float64() * total
+	u := s.Float64() * total
 	acc := 0.0
 	for i := 0; i < n; i++ {
 		acc += zipWeights[i]
@@ -222,7 +208,7 @@ func weightedZip(s *miniRNG, n int) int {
 
 // nearbyWrongRecord attributes the user to a different city within
 // NearbyKm, snapped to one of that city's zips.
-func (db *DB) nearbyWrongRecord(s *miniRNG, trueLoc geo.Point) (Record, bool) {
+func (db *DB) nearbyWrongRecord(s *rng.SplitMix, trueLoc geo.Point) (Record, bool) {
 	candidates := db.w.Gazetteer.Within(trueLoc, db.model.NearbyKm)
 	trueCity, _ := db.w.Gazetteer.Nearest(trueLoc, 120)
 	var wrong []gazetteer.City
@@ -236,7 +222,7 @@ func (db *DB) nearbyWrongRecord(s *miniRNG, trueLoc geo.Point) (Record, bool) {
 	if len(wrong) == 0 {
 		return Record{}, false
 	}
-	c := wrong[s.intn(len(wrong))]
+	c := wrong[s.Next()%uint64(len(wrong))]
 	zip, ok := db.w.Zips.Nearest(c.Loc, c.RadiusKm()+10)
 	loc := c.Loc
 	if ok {
@@ -248,7 +234,7 @@ func (db *DB) nearbyWrongRecord(s *miniRNG, trueLoc geo.Point) (Record, bool) {
 // farRecord is the gross-outlier mode: the IP is attributed to a distant
 // city in the same continental region (e.g. a stale registry entry at the
 // ISP's headquarters).
-func (db *DB) farRecord(s *miniRNG, trueLoc geo.Point) Record {
+func (db *DB) farRecord(s *rng.SplitMix, trueLoc geo.Point) Record {
 	trueCity, ok := db.w.Gazetteer.Nearest(trueLoc, 150)
 	region := gazetteer.EU
 	if ok {
@@ -259,7 +245,7 @@ func (db *DB) farRecord(s *miniRNG, trueLoc geo.Point) Record {
 		cities = db.regionCities[gazetteer.EU]
 	}
 	for try := 0; try < 16; try++ {
-		c := cities[s.intn(len(cities))]
+		c := cities[s.Next()%uint64(len(cities))]
 		if geo.DistanceKm(c.Loc, trueLoc) >= db.model.FarMinKm {
 			return recordFor(c, c.Loc)
 		}

@@ -218,10 +218,12 @@ func blocks(ctx context.Context, workers, n, block int, fn func(lo, hi int) (int
 		poolStart = time.Now()
 	}
 	if workers == 1 {
-		// Inline fast path: no goroutines, no synchronization. Stops at
+		// Inline fast path: no goroutines, no synchronization. Like the
+		// pooled path it visits every block after a failure and keeps
 		// the first error, which is necessarily the lowest-index one;
 		// panics convert to *PanicError exactly like the pooled path so
 		// callers see the same outcome for every worker count.
+		var firstErr error
 		for b := 0; b < nblocks; b++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -239,11 +241,11 @@ func blocks(ctx context.Context, workers, n, block int, fn func(lo, hi int) (int
 			if m != nil {
 				m.recordBlock(0, poolStart, blockStart, time.Now())
 			}
-			if err != nil {
-				return err
+			if err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
-		return nil
+		return firstErr
 	}
 
 	var (

@@ -144,11 +144,39 @@ func TestErrorDoesNotAbortOtherIndexes(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	// With >1 worker every index is still dispatched; with the inline
-	// fast path (1 effective worker) the loop stops early, so only
-	// require that a failure never deadlocks or loses work silently.
-	if visited == 0 {
-		t.Fatal("no indexes visited")
+	if visited != n {
+		t.Fatalf("visited %d indexes, want all %d", visited, n)
+	}
+}
+
+// TestForVisitsEveryIndexAfterFailure: the inline path (1 worker) and
+// the pooled path (2) both visit every index once after an error at
+// index 2 and a panic at index 5, and both return index 2's error.
+func TestForVisitsEveryIndexAfterFailure(t *testing.T) {
+	errAt2 := errors.New("index 2")
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			const n = 8
+			var visits [n]atomic.Int32
+			err := For(context.Background(), workers, n, func(i int) error {
+				visits[i].Add(1)
+				switch i {
+				case 2:
+					return errAt2
+				case 5:
+					panic("index 5")
+				}
+				return nil
+			})
+			if !errors.Is(err, errAt2) {
+				t.Errorf("err = %v, want index 2's error", err)
+			}
+			for i := range visits {
+				if v := visits[i].Load(); v != 1 {
+					t.Errorf("index %d visited %d times, want 1", i, v)
+				}
+			}
+		})
 	}
 }
 

@@ -24,16 +24,40 @@ type Source struct {
 
 // New returns a Source rooted at seed.
 func New(seed uint64) *Source {
-	return &Source{seed: seed, r: rand.New(rand.NewSource(int64(mix(seed))))}
+	return &Source{seed: seed, r: rand.New(rand.NewSource(int64(Mix(seed))))}
 }
 
-// mix is splitmix64's finalizer; it decorrelates nearby seeds.
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
+// Gamma is splitmix64's golden-gamma increment.
+const Gamma = 0x9e3779b97f4a7c15
+
+// Mix is splitmix64's output step: it adds Gamma to z and applies the
+// finalizer, a full-avalanche mix that decorrelates nearby inputs. It
+// is the one mixer behind every seed derivation and stateless draw in
+// the module.
+func Mix(z uint64) uint64 {
+	z += Gamma
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// SplitMix is a splitmix64 stream: one word of state and no
+// allocation, for hot paths that draw a few values per item and cannot
+// afford a Source each. Equal seeds give equal streams.
+type SplitMix struct{ state uint64 }
+
+// NewSplitMix returns the stream seeded at seed.
+func NewSplitMix(seed uint64) SplitMix { return SplitMix{state: seed} }
+
+// Next returns the stream's next 64 bits.
+func (r *SplitMix) Next() uint64 {
+	z := r.state
+	r.state += Gamma
+	return Mix(z)
+}
+
+// Float64 returns a uniform value in [0, 1) from the next 53 bits.
+func (r *SplitMix) Float64() float64 { return float64(r.Next()>>11) / (1 << 53) }
 
 // Split derives an independent child source identified by label. The same
 // (seed, label) pair always yields the same child stream, regardless of how
@@ -41,7 +65,7 @@ func mix(z uint64) uint64 {
 func (s *Source) Split(label string) *Source {
 	h := fnv.New64a()
 	h.Write([]byte(label))
-	return New(mix(s.seed ^ h.Sum64()))
+	return New(Mix(s.seed ^ h.Sum64()))
 }
 
 // SplitN derives an independent child source identified by label and an
@@ -49,7 +73,7 @@ func (s *Source) Split(label string) *Source {
 func (s *Source) SplitN(label string, n int) *Source {
 	h := fnv.New64a()
 	h.Write([]byte(label))
-	return New(mix(mix(s.seed^h.Sum64()) + uint64(n)*0x9e3779b97f4a7c15))
+	return New(Mix(Mix(s.seed^h.Sum64()) + uint64(n)*Gamma))
 }
 
 // Seed returns the seed this source was rooted at.

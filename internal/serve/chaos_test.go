@@ -102,7 +102,7 @@ func TestChaosPanicRecovered(t *testing.T) {
 // same 500 + metric + flight-recorder containment.
 func TestGenuinePanicRecovered(t *testing.T) {
 	reg := obs.New()
-	s := New(Options{Obs: reg, Gaz: testGaz})
+	s := New(Options{Obs: reg})
 	boom := s.instrument("boom", true, func(w http.ResponseWriter, r *http.Request) {
 		panic("genuine bug")
 	})

@@ -21,9 +21,9 @@ import (
 //   - latency above Target → multiplicative decrease: the limit is
 //     scaled by Decrease once per completion while overloaded.
 //
-// The limit is clamped to [MinLimit, MaxLimit]; MaxLimit is the old
-// fixed semaphore's value, so an unloaded server behaves exactly as it
-// did before adaptivity: shed only past MaxInflight.
+// The limit is clamped to [MinLimit, MaxLimit]; MaxLimit is
+// Options.MaxInflight, so an unloaded server sheds only past
+// MaxInflight.
 type Controller struct {
 	// Target is the latency the EWMA is held against.
 	Target time.Duration
@@ -69,8 +69,8 @@ type State struct {
 	LastDoneNS int64
 }
 
-// Init returns the starting state: the limit opens at MaxLimit so an
-// unloaded server admits exactly what the fixed semaphore used to.
+// Init returns the starting state: the limit opens at MaxLimit, so an
+// unloaded server admits MaxLimit requests at once.
 func (c Controller) Init() State { return State{Limit: c.MaxLimit} }
 
 // OnComplete folds one finished request (service latency lat, finishing
@@ -109,10 +109,9 @@ func (c Controller) OnComplete(s State, lat time.Duration, nowNS int64) State {
 // RetryAfterSeconds derives the Retry-After value for a shed response
 // from the observed drain rate: with inflight requests ahead of the
 // client and the server draining RateEWMA requests per second, a slot
-// frees in about inflight/rate seconds. Clamped to [1, 30] — never the
-// hardcoded 1 the fixed semaphore used to advertise, never a value so
-// large a client gives up on a healthy server. Before any drain-rate
-// estimate exists (cold server) it answers 1.
+// frees in about inflight/rate seconds. Clamped to [1, 30], never a
+// value so large a client gives up on a healthy server. Before any
+// drain-rate estimate exists (cold server) it answers 1.
 func (c Controller) RetryAfterSeconds(s State, inflight int) int {
 	if s.RateEWMA <= 0 || inflight <= 0 {
 		return 1
@@ -127,9 +126,8 @@ func (c Controller) RetryAfterSeconds(s State, inflight int) int {
 	return wait
 }
 
-// limiter is the mutex-guarded admission gate around a Controller: the
-// runtime replacement for the old fixed semaphore. A nil *limiter
-// admits everything (MaxInflight < 0).
+// limiter is the mutex-guarded admission gate around a Controller. A
+// nil *limiter admits everything (MaxInflight < 0).
 type limiter struct {
 	ctl Controller
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"sync"
 
 	"eyeballas/internal/core"
 	"eyeballas/internal/gazetteer"
@@ -55,8 +56,19 @@ func RenderFootprint(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipelin
 	return renderPoints(ctx, gaz, rec, pts, bwKm, workers, reg)
 }
 
-// renderPoints is RenderFootprint over the record's prepared points, the
-// server's render: an artifact's points are prepared once at install.
+// defaultGaz is the gazetteer every server maps peaks with, built once
+// per process on first use.
+var defaultGaz = sync.OnceValue(gazetteer.Default)
+
+// renderServed is the server's render: RenderFootprint over the
+// record's points, which are prepared once at install, with the default
+// gazetteer and one KDE worker, since renders are already
+// request-parallel.
+func renderServed(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, reg *obs.Registry) ([]byte, error) {
+	return renderPoints(ctx, defaultGaz(), rec, pts, bwKm, 1, reg)
+}
+
+// renderPoints is RenderFootprint over the record's prepared points.
 func renderPoints(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, workers int, reg *obs.Registry) ([]byte, error) {
 	fp, err := core.EstimatePoints(ctx, gaz, pts, core.Options{
 		BandwidthKm: bwKm,

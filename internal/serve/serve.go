@@ -78,7 +78,6 @@ import (
 
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/core"
-	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/ipnet"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/pipeline"
@@ -127,13 +126,8 @@ type Options struct {
 	// pass that exhausts its budget stops where it is; the cache keeps
 	// whatever was rendered.
 	WarmBudget time.Duration
-	// Workers is the KDE worker count per footprint render (default 1;
-	// renders are already request-parallel).
-	Workers int
 	// Obs receives request metrics; nil disables instrumentation.
 	Obs *obs.Registry
-	// Gaz maps density peaks to cities (default gazetteer.Default()).
-	Gaz *gazetteer.Gazetteer
 	// Tracer records one request-scoped trace per request into its
 	// flight recorder, inspectable at /debug/requests and
 	// /debug/trace/{id}; nil disables tracing (the per-request cost is
@@ -159,14 +153,8 @@ func (o Options) withDefaults() Options {
 	if o.BandwidthKm == 0 {
 		o.BandwidthKm = 40
 	}
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
 	if o.WarmWorkers <= 0 {
 		o.WarmWorkers = 1
-	}
-	if o.Gaz == nil {
-		o.Gaz = gazetteer.Default()
 	}
 	return o
 }
@@ -211,7 +199,7 @@ type Server struct {
 	renders *renderTable
 	chaos   atomic.Pointer[Chaos]
 
-	// render is the footprint-render seam: renderPoints in
+	// render is the footprint-render seam: renderServed in
 	// production, an instrumented hook in tests that count or stall
 	// renders. Every render — handler leader, bulk line, warm pass —
 	// goes through it, with the AS's prepared points.
@@ -232,16 +220,16 @@ type Server struct {
 }
 
 // renderFunc is the signature of the footprint renderer the server
-// dispatches to (renderPoints unless a test overrides it). pts is the
+// dispatches to (renderServed unless a test overrides it). pts is the
 // AS's entry in its artifact's prepared points, nil for an AS without
 // samples.
-type renderFunc func(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, workers int, reg *obs.Registry) ([]byte, error)
+type renderFunc func(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, reg *obs.Registry) ([]byte, error)
 
 // New creates a server with no artifact installed (healthz reports 503
 // until Load succeeds).
 func New(opts Options) *Server {
 	o := opts.withDefaults()
-	s := &Server{opts: o, renders: newRenderTable(o.CacheSize, o.Obs), render: renderPoints}
+	s := &Server{opts: o, renders: newRenderTable(o.CacheSize, o.Obs), render: renderServed}
 	if o.MaxInflight > 0 {
 		s.lim = newLimiter(DefaultController(o.MaxInflight, o.TargetLatency))
 	}
@@ -760,15 +748,15 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 // wider than a continent only burns CPU blurring a flat surface; 5000
 // km comfortably covers every bandwidth the paper sweeps (40–100 km)
 // and every plausible re-query (cf. the multi-scale experiments) while
-// rejecting the +Inf/1e300 class of inputs that previously slipped
-// through the v > 0 check. internal/client mirrors this bound.
+// rejecting +Inf, 1e300 and the like. internal/client mirrors this
+// bound.
 const MaxBandwidthKm = 5000
 
 // parseBW validates a ?bw= query value: it must parse as a float and
-// land in (0, MaxBandwidthKm]. NaN and ±Inf fail both comparisons —
-// the old !(v > 0) guard let +Inf through to the KDE. Returns the
-// bandwidth to use (the server default when the parameter is absent)
-// and ok=false after writing the 400 when the value is invalid.
+// land in (0, MaxBandwidthKm]. NaN and ±Inf fail both comparisons, so
+// neither reaches the KDE. Returns the bandwidth to use (the server
+// default when the parameter is absent) and ok=false after writing the
+// 400 when the value is invalid.
 func (s *Server) parseBW(w http.ResponseWriter, raw string) (float64, bool) {
 	if raw == "" {
 		return s.opts.BandwidthKm, true
@@ -854,7 +842,7 @@ func (s *Server) lead(ctx context.Context, sp *trace.Span, e *entry, rec *pipeli
 			panic(r)
 		}
 	}()
-	body, err := s.render(trace.NewContext(ctx, sp), s.opts.Gaz, rec, pts, bw, s.opts.Workers, s.opts.Obs)
+	body, err := s.render(trace.NewContext(ctx, sp), rec, pts, bw, s.opts.Obs)
 	s.renders.finish(e, body, err)
 	return body, err
 }

@@ -32,9 +32,8 @@ import (
 	"eyeballas/internal/snapshot"
 )
 
-// testGaz is built once: gazetteer construction is the expensive part
-// of server setup and is world-independent.
-var testGaz = gazetteer.Default()
+// testGaz is the gazetteer every server maps peaks with.
+var testGaz = defaultGaz()
 
 // testArtifact builds a small snapshot file on disk: two ASes whose
 // samples sit on real gazetteer cities (so footprints resolve to PoPs)
@@ -126,9 +125,6 @@ func insertPrefix(t testing.TB, tbl *ipnet.Table[astopo.ASN], cidr string, asn a
 func newTestServer(t testing.TB, opts Options) (*Server, string, *snapshot.Snapshot) {
 	t.Helper()
 	path, snap := testArtifact(t, t.TempDir())
-	if opts.Gaz == nil {
-		opts.Gaz = testGaz
-	}
 	s := New(opts)
 	if _, err := s.LoadFile(path); err != nil {
 		t.Fatalf("LoadFile: %v", err)
@@ -166,7 +162,7 @@ func TestHealthz(t *testing.T) {
 	}
 
 	// No artifact yet → 503.
-	empty := New(Options{Gaz: testGaz})
+	empty := New(Options{})
 	rec = get(t, empty.Handler(), "/healthz")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("empty server healthz: %d", rec.Code)
@@ -435,7 +431,7 @@ func TestLoadFileRejectsLeakyLedger(t *testing.T) {
 	}
 
 	reg := obs.New()
-	s := New(Options{Gaz: testGaz, Obs: reg})
+	s := New(Options{Obs: reg})
 	defer s.Close()
 	a, loadErr := s.LoadFile(leakyPath)
 	if loadErr == nil || !strings.Contains(loadErr.Error(), "leaks") {
@@ -636,7 +632,7 @@ func TestFootprintOfASWithoutSamples(t *testing.T) {
 	_, snap := testArtifact(t, t.TempDir())
 	snap.Dataset.ASes[64502] = &pipeline.ASRecord{ASN: 64502}
 	snap.Dataset.Order = append(snap.Dataset.Order, 64502)
-	s := New(Options{Gaz: testGaz})
+	s := New(Options{})
 	s.Load(snap, "")
 	h := s.Handler()
 	const want = `{"error":"footprint render failed: core: no samples"}` + "\n"
@@ -688,7 +684,7 @@ func TestBulkFootprintsStreamsOverTheWire(t *testing.T) {
 	var once sync.Once
 	unblock := func() { once.Do(func() { close(release) }) }
 	render := s.render
-	s.render = func(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, pts *core.Points, bw float64, workers int, reg *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bw float64, reg *obs.Registry) ([]byte, error) {
 		if rec.ASN == 64501 {
 			select {
 			case <-release:
@@ -696,7 +692,7 @@ func TestBulkFootprintsStreamsOverTheWire(t *testing.T) {
 				return nil, ctx.Err()
 			}
 		}
-		return render(ctx, gaz, rec, pts, bw, workers, reg)
+		return render(ctx, rec, pts, bw, reg)
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

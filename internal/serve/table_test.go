@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"eyeballas/internal/core"
-	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/leakcheck"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/pipeline"
@@ -67,7 +66,7 @@ func TestFootprintCoalescesConcurrentMisses(t *testing.T) {
 	release := make(chan struct{})
 	var renders atomic.Int32
 	want := []byte(`{"fake":"footprint"}` + "\n")
-	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
 		if renders.Add(1) == 1 {
 			close(started)
 		}
@@ -168,7 +167,7 @@ func TestCoalescedWaiterSeesLeaderError(t *testing.T) {
 	release := make(chan struct{})
 	renderErr := errors.New("kde exploded")
 	var calls atomic.Int32
-	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
 		if calls.Add(1) == 1 {
 			close(started)
 			<-release
@@ -237,13 +236,13 @@ func TestCoalescedWaiterOutlivesCancelledLeader(t *testing.T) {
 	// context's error, as the KDE does at a block boundary; later calls
 	// render for real.
 	stalledFirst := func(started chan<- struct{}, stall func(ctx context.Context), calls *atomic.Int32) renderFunc {
-		return func(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, pts *core.Points, bw float64, workers int, reg *obs.Registry) ([]byte, error) {
+		return func(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bw float64, reg *obs.Registry) ([]byte, error) {
 			if calls.Add(1) == 1 {
 				close(started)
 				stall(ctx)
 				return nil, ctx.Err()
 			}
-			return renderPoints(ctx, gaz, rec, pts, bw, workers, reg)
+			return renderServed(ctx, rec, pts, bw, reg)
 		}
 	}
 	wantBody := func(t *testing.T, s *Server, snap *snapshot.Snapshot) []byte {
@@ -307,7 +306,7 @@ func TestCoalescedWaiterOutlivesCancelledLeader(t *testing.T) {
 		defer leakcheck.Check(t)()
 		reg := obs.New()
 		path, snap := testArtifact(t, t.TempDir())
-		s := New(Options{Warm: true, Obs: reg, Gaz: testGaz})
+		s := New(Options{Warm: true, Obs: reg})
 		defer s.Close()
 		started := make(chan struct{})
 		var calls atomic.Int32
@@ -492,7 +491,7 @@ func TestFootprintRenderPanicReleasesWaiters(t *testing.T) {
 	s, _, _ := newTestServer(t, Options{Obs: reg, Timeout: 2 * time.Second})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.render = func(context.Context, *gazetteer.Gazetteer, *pipeline.ASRecord, *core.Points, float64, int, *obs.Registry) ([]byte, error) {
+	s.render = func(context.Context, *pipeline.ASRecord, *core.Points, float64, *obs.Registry) ([]byte, error) {
 		close(started)
 		<-release
 		panic("render exploded")

@@ -404,7 +404,6 @@ func TestTracedFootprintHitAllocs(t *testing.T) {
 func TestResponsesBitIdenticalTracingOnOff(t *testing.T) {
 	path, _ := testArtifact(t, t.TempDir())
 	load := func(opts Options) *Server {
-		opts.Gaz = testGaz
 		s := New(opts)
 		if _, err := s.LoadFile(path); err != nil {
 			t.Fatalf("LoadFile: %v", err)

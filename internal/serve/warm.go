@@ -31,9 +31,10 @@ import (
 // requests, so a live cold miss for an AS the warmer is mid-render on
 // coalesces onto the warm render instead of duplicating it (and vice
 // versa); warm renders increment none of the request-funnel counters.
-// The pool recovers a panicking render: with one worker it ends the
-// pass, with more the other renders go on, and the server keeps
-// serving either way.
+// The pool recovers a panicking render and goes on with the others,
+// whatever the worker count; each such panic counts in
+// eyeball_serve_panics_total{endpoint="warm"}, and the server keeps
+// serving.
 //
 // Progress is visible as two gauges, reset at the start of each pass:
 // eyeball_serve_warm_total (ASes this pass will attempt, the warm set's
@@ -122,14 +123,22 @@ func warmOrder(ds *pipeline.Dataset) []*pipeline.ASRecord {
 }
 
 // run executes the pass: WarmWorkers of the shared pool's workers take
-// the warm set in order until it is exhausted or the context dies. The
-// pool's error — a cancellation or a recovered panic — is dropped: the
-// done gauge short of total is what marks the pass incomplete.
+// the warm set in order until it is exhausted or the context dies. A
+// panicking render is counted and left to the pool, which recovers it.
+// The pool's error — a cancellation or a recovered panic — is dropped:
+// the done gauge short of total is what marks the pass incomplete.
 func (w *Warmer) run() {
 	defer close(w.done)
 	defer w.cancel() // releases the budget timer when the pass finishes early
 	doneG := w.srv.opts.Obs.Gauge("eyeball_serve_warm_done")
+	panics := w.srv.opts.Obs.Counter("eyeball_serve_panics_total", "endpoint", "warm")
 	_ = parallel.For(w.ctx, w.srv.opts.WarmWorkers, len(w.order), func(i int) error {
+		defer func() {
+			if r := recover(); r != nil {
+				panics.Inc()
+				panic(r)
+			}
+		}()
 		w.srv.warmYield(w.ctx)
 		_, _, _ = w.srv.footprint(w.ctx, nil, w.art, w.order[i], w.srv.opts.BandwidthKm)
 		if err := w.ctx.Err(); err != nil {

@@ -13,7 +13,6 @@ import (
 
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/core"
-	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/leakcheck"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/pipeline"
@@ -70,12 +69,12 @@ func TestWarmRendersInPriorityOrderThenHits(t *testing.T) {
 	defer leakcheck.Check(t)()
 	reg := obs.New()
 	path, _ := testArtifact(t, t.TempDir())
-	s := New(Options{Warm: true, WarmWorkers: 1, Obs: reg, Gaz: testGaz})
+	s := New(Options{Warm: true, WarmWorkers: 1, Obs: reg})
 	defer s.Close()
 
 	var mu sync.Mutex
 	var order []astopo.ASN
-	s.render = func(_ context.Context, _ *gazetteer.Gazetteer, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+	s.render = func(_ context.Context, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
 		mu.Lock()
 		order = append(order, rec.ASN)
 		mu.Unlock()
@@ -137,11 +136,11 @@ func TestWarmOnlyWhatTheCacheHolds(t *testing.T) {
 			defer leakcheck.Check(t)()
 			reg := obs.New()
 			path, _ := testArtifact(t, t.TempDir())
-			s := New(Options{Warm: true, CacheSize: tc.cacheSize, Obs: reg, Gaz: testGaz})
+			s := New(Options{Warm: true, CacheSize: tc.cacheSize, Obs: reg})
 			defer s.Close()
 			var mu sync.Mutex
 			var order []astopo.ASN
-			s.render = func(_ context.Context, _ *gazetteer.Gazetteer, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+			s.render = func(_ context.Context, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
 				mu.Lock()
 				order = append(order, rec.ASN)
 				mu.Unlock()
@@ -185,10 +184,10 @@ func TestWarmCancelOnSwapAndClose(t *testing.T) {
 	defer leakcheck.Check(t)()
 	reg := obs.New()
 	path, _ := testArtifact(t, t.TempDir())
-	s := New(Options{Warm: true, Obs: reg, Gaz: testGaz})
+	s := New(Options{Warm: true, Obs: reg})
 
 	var renders atomic.Int32
-	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
 		renders.Add(1)
 		<-ctx.Done() // park until the pass is cancelled
 		return nil, ctx.Err()
@@ -256,10 +255,10 @@ func TestWarmBudgetBoundsPass(t *testing.T) {
 	defer leakcheck.Check(t)()
 	reg := obs.New()
 	path, _ := testArtifact(t, t.TempDir())
-	s := New(Options{Warm: true, WarmBudget: time.Nanosecond, Obs: reg, Gaz: testGaz})
+	s := New(Options{Warm: true, WarmBudget: time.Nanosecond, Obs: reg})
 	defer s.Close()
 
-	s.render = func(ctx context.Context, _ *gazetteer.Gazetteer, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
 		<-ctx.Done() // the budget is the only cancel source in this test
 		return nil, ctx.Err()
 	}
@@ -278,24 +277,24 @@ func TestWarmBudgetBoundsPass(t *testing.T) {
 
 // TestWarmRenderPanicKeepsServing: the warm pass runs on the shared
 // pool, which recovers a panicking render. The pass ends, nothing is
-// left in flight, and the server keeps answering. With one worker the
-// panic ends the pass at its first render; with two, the other AS still
-// renders and is cached.
+// left in flight, the panic is counted, and the server keeps answering.
+// With one worker as with two, the other AS still renders and is
+// cached.
 func TestWarmRenderPanicKeepsServing(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		done    float64 // renders the pass counts
 	}{
-		{1, 0},
+		{1, 1},
 		{2, 1},
 	} {
 		t.Run(fmt.Sprintf("workers-%d", tc.workers), func(t *testing.T) {
 			defer leakcheck.Check(t)()
 			reg := obs.New()
 			path, _ := testArtifact(t, t.TempDir())
-			s := New(Options{Warm: true, WarmWorkers: tc.workers, Obs: reg, Gaz: testGaz})
+			s := New(Options{Warm: true, WarmWorkers: tc.workers, Obs: reg})
 			defer s.Close()
-			s.render = func(_ context.Context, _ *gazetteer.Gazetteer, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ int, _ *obs.Registry) ([]byte, error) {
+			s.render = func(_ context.Context, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
 				if rec.ASN == 64500 {
 					panic("render exploded")
 				}
@@ -312,16 +311,17 @@ func TestWarmRenderPanicKeepsServing(t *testing.T) {
 			if v := reg.Gauge("eyeball_serve_warm_done").Value(); v != tc.done {
 				t.Errorf("warm_done = %v, want %v", v, tc.done)
 			}
+			if n := reg.Counter("eyeball_serve_panics_total", "endpoint", "warm").Value(); n != 1 {
+				t.Errorf("warm panics_total = %d, want 1", n)
+			}
 			if rec := get(t, s.Handler(), "/healthz"); rec.Code != http.StatusOK {
 				t.Fatalf("healthz after a panicking warm render: HTTP %d %s", rec.Code, rec.Body.String())
 			}
-			if tc.workers > 1 {
-				if rec := get(t, s.Handler(), "/v1/footprint/64501"); rec.Code != http.StatusOK {
-					t.Fatalf("GET AS64501: HTTP %d %s", rec.Code, rec.Body.String())
-				}
-				if n := reg.Counter("eyeball_serve_footprint_cache_total", "result", cacheHit).Value(); n != 1 {
-					t.Errorf("hit = %d, want 1: the other AS's warm render must have gone on", n)
-				}
+			if rec := get(t, s.Handler(), "/v1/footprint/64501"); rec.Code != http.StatusOK {
+				t.Fatalf("GET AS64501: HTTP %d %s", rec.Code, rec.Body.String())
+			}
+			if n := reg.Counter("eyeball_serve_footprint_cache_total", "result", cacheHit).Value(); n != 1 {
+				t.Errorf("hit = %d, want 1: the other AS's warm render must have gone on", n)
 			}
 		})
 	}
