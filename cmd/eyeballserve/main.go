@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	addr := fs.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline (footprint renders observe it at KDE block boundaries)")
 	maxInflight := fs.Int("max-inflight", 64, "bound on concurrently served data requests; excess requests get 503 + Retry-After (-1 disables)")
-	cacheSize := fs.Int("cache", 128, "rendered-footprint LRU capacity in entries (-1 disables)")
+	cacheSize := fs.Int("cache", 128, "rendered-footprint cache capacity in entries; evicts the cheapest to re-render (-1 disables)")
 	bw := fs.Float64("bw", 40, "default footprint kernel bandwidth in km (per-request ?bw= overrides)")
 	warm := fs.Bool("warm", false, "prewarm the footprint cache: render the top -cache dataset ASes by user count at the default bandwidth on startup and after every reload")
 	warmWorkers := fs.Int("warm-workers", 1, "concurrent warm renders (the warm pass's pool workers)")

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"eyeballas/internal/gazetteer"
@@ -166,8 +165,6 @@ func estimatePointsDiff(gaz *gazetteer.Gazetteer, samples []Sample, opts Options
 	return bitsDiff("Footprint", reflect.ValueOf(got), reflect.ValueOf(want)), false
 }
 
-var refGaz = sync.OnceValue(gazetteer.Default)
-
 // zipSamples draws n samples around each center, snapped to a grid of
 // the given step in degrees so that many share a location, as samples
 // geolocated at zip-code resolution do.
@@ -185,7 +182,7 @@ func zipSamples(seed uint64, step float64, n int, centers ...geo.Point) []Sample
 }
 
 func TestEstimatePointsMatchesReference(t *testing.T) {
-	gaz := refGaz()
+	gaz := gazetteer.Default()
 	milan := mustCity(t, gaz, "Milan", "IT").Loc
 	rome := mustCity(t, gaz, "Rome", "IT").Loc
 	naples := mustCity(t, gaz, "Naples", "IT").Loc
@@ -260,7 +257,7 @@ func FuzzEstimatePointsMatchesReference(f *testing.F) {
 	f.Add([]byte{7, 5, 5, 5, 252, 5, 5})
 	centers := []geo.Point{{Lat: 45.46, Lon: 9.19}, {Lat: -17.8, Lon: 179.95}, {Lat: 78.2, Lon: 15.6}, {}}
 	bws := []float64{40, 60, 80, 100}
-	gaz := refGaz()
+	gaz := gazetteer.Default()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 201 {
 			return

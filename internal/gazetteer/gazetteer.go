@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"eyeballas/internal/geo"
 )
@@ -118,11 +119,14 @@ func New(cities []City) *Gazetteer {
 }
 
 // Default returns the embedded world gazetteer: the major cities plus
-// the deterministic satellite-town layer.
-func Default() *Gazetteer {
+// the deterministic satellite-town layer. It is built once per process,
+// on first use, and every call returns that one immutable table.
+func Default() *Gazetteer { return defaultGaz() }
+
+var defaultGaz = sync.OnceValue(func() *Gazetteer {
 	cities := worldCities()
 	return New(append(cities, generateTowns(cities)...))
-}
+})
 
 // DefaultMajorsOnly returns the gazetteer without the satellite-town
 // layer, for callers studying the towns' effect in isolation.

@@ -34,6 +34,18 @@ func TestDefaultGazetteerSanity(t *testing.T) {
 	}
 }
 
+// TestDefaultBuiltOnce: every call returns the one table built on first
+// use, and a call after it allocates nothing.
+func TestDefaultBuiltOnce(t *testing.T) {
+	first := Default()
+	if again := Default(); again != first {
+		t.Fatalf("Default returned %p, then %p: want one table per process", first, again)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = Default() }); n != 0 {
+		t.Errorf("Default allocates %v times per call after the first, want 0", n)
+	}
+}
+
 func TestPaperCitiesPresent(t *testing.T) {
 	// §4.2 lists the PoP-level footprint of AS 3269; every named city must
 	// be resolvable, as must the case-study cities of §6.

@@ -111,7 +111,7 @@ func TestFootprintColdAllocs(t *testing.T) {
 func finishedFlight() (*renderTable, cacheKey) {
 	tab := newRenderTable(1, nil)
 	key := cacheKey{gen: 1, asn: 64500, bw: math.Float64bits(40)}
-	e := &entry{key: key, done: make(chan struct{}), body: []byte(`{"asn":64500}` + "\n")}
+	e := &entry{key: key, done: make(chan struct{}), body: []byte(`{"asn":64500}` + "\n"), idx: -1}
 	close(e.done)
 	tab.items[key] = e
 	return tab, key

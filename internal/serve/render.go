@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"sync"
 
 	"eyeballas/internal/core"
 	"eyeballas/internal/gazetteer"
@@ -53,30 +52,29 @@ func RenderFootprint(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipelin
 	if err != nil {
 		return nil, err
 	}
-	return renderPoints(ctx, gaz, rec, pts, bwKm, workers, reg)
+	body, _, err := renderPoints(ctx, gaz, rec, pts, bwKm, workers, reg)
+	return body, err
 }
-
-// defaultGaz is the gazetteer every server maps peaks with, built once
-// per process on first use.
-var defaultGaz = sync.OnceValue(gazetteer.Default)
 
 // renderServed is the server's render: RenderFootprint over the
 // record's points, which are prepared once at install, with the default
 // gazetteer and one KDE worker, since renders are already
 // request-parallel.
-func renderServed(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, reg *obs.Registry) ([]byte, error) {
-	return renderPoints(ctx, defaultGaz(), rec, pts, bwKm, 1, reg)
+func renderServed(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, reg *obs.Registry) ([]byte, int, error) {
+	return renderPoints(ctx, gazetteer.Default(), rec, pts, bwKm, 1, reg)
 }
 
-// renderPoints is RenderFootprint over the record's prepared points.
-func renderPoints(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, workers int, reg *obs.Registry) ([]byte, error) {
+// renderPoints is RenderFootprint over the record's prepared points. It
+// also returns the render's cost: the cell count of the KDE surface it
+// convolved, which the render table weighs eviction by.
+func renderPoints(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, workers int, reg *obs.Registry) ([]byte, int, error) {
 	fp, err := core.EstimatePoints(ctx, gaz, pts, core.Options{
 		BandwidthKm: bwKm,
 		Workers:     workers,
 		Obs:         reg,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	resp := FootprintResponse{
 		ASN:         int(rec.ASN),
@@ -101,7 +99,7 @@ func renderPoints(ctx context.Context, gaz *gazetteer.Gazetteer, rec *pipeline.A
 	}
 	b, err := json.Marshal(resp)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return append(b, '\n'), nil
+	return append(b, '\n'), fp.Grid.W * fp.Grid.H, nil
 }

@@ -47,8 +47,10 @@
 //     a full KDE grid per call — live in one render table keyed by
 //     (generation, ASN, bandwidth) (table.go): a key is either a render
 //     in flight, which concurrent requests for it join instead of
-//     rendering again, or a finished body on an LRU. The generation in
-//     the key makes a hot swap invalidate the cache implicitly.
+//     rendering again, or a finished body, evicted past the bound by
+//     what it would cost to render again and how often it was asked
+//     for (GreedyDual-Frequency). Each install drops the bodies of
+//     every other generation.
 //
 //   - Deadlines. Every request runs under a per-request context
 //     timeout; the footprint estimator observes cancellation at KDE
@@ -102,9 +104,10 @@ type Options struct {
 	// chaos fully off at the cost of one branch per request). Build
 	// one with NewChaos; swap at runtime with SetChaos.
 	Chaos *Chaos
-	// CacheSize bounds the rendered-footprint LRU in entries (default
+	// CacheSize bounds the rendered-footprint cache in entries (default
 	// 128; negative disables caching, while concurrent renders of one
-	// key still coalesce).
+	// key still coalesce). Past the bound the table evicts the body
+	// cheapest to render again, weighed by its hits (see renderTable).
 	CacheSize int
 	// BandwidthKm is the footprint bandwidth used when a request does
 	// not pass ?bw= (default 40, the paper's kernel).
@@ -202,7 +205,8 @@ type Server struct {
 	// render is the footprint-render seam: renderServed in
 	// production, an instrumented hook in tests that count or stall
 	// renders. Every render — handler leader, bulk line, warm pass —
-	// goes through it, with the AS's prepared points.
+	// goes through it, with the AS's prepared points, and returns the
+	// body with its cost in KDE cells.
 	render renderFunc
 
 	// reloadMu serializes Load/Reload so two concurrent reloads cannot
@@ -223,7 +227,7 @@ type Server struct {
 // dispatches to (renderServed unless a test overrides it). pts is the
 // AS's entry in its artifact's prepared points, nil for an AS without
 // samples.
-type renderFunc func(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, reg *obs.Registry) ([]byte, error)
+type renderFunc func(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bwKm float64, reg *obs.Registry) ([]byte, int, error)
 
 // New creates a server with no artifact installed (healthz reports 503
 // until Load succeeds).
@@ -272,11 +276,20 @@ func (s *Server) Load(snap *snapshot.Snapshot, path string) *Artifact {
 func (s *Server) install(snap *snapshot.Snapshot, path string) *Artifact {
 	s.nextGen++
 	a := &Artifact{Snap: snap, Path: path, Gen: s.nextGen, points: preparePoints(snap.Dataset)}
+	s.serveArtifact(a)
+	return a
+}
+
+// serveArtifact points the server at a: the render table switches to
+// its generation first, so no render of a can finish before the table
+// would cache it, then the artifact and its gauges go live and a warm
+// pass starts.
+func (s *Server) serveArtifact(a *Artifact) {
+	s.renders.install(a.Gen)
 	s.art.Store(a)
 	s.opts.Obs.Gauge("eyeball_serve_snapshot_generation").Set(float64(a.Gen))
-	s.opts.Obs.Gauge("eyeball_serve_snapshot_ases").Set(float64(len(snap.Dataset.Order)))
+	s.opts.Obs.Gauge("eyeball_serve_snapshot_ases").Set(float64(len(a.Snap.Dataset.Order)))
 	s.startWarm(a)
-	return a
 }
 
 // LoadFile reads, validates, and installs a snapshot artifact from
@@ -330,14 +343,10 @@ func (s *Server) Reload() (*Artifact, error) {
 		// Roll back: re-point at the pinned last-known-good artifact.
 		// Requests that grabbed the bad artifact mid-flight finish on
 		// it (the standard hot-swap discipline); everything after the
-		// revert serves from the pinned one.
-		s.art.Store(cur)
-		s.opts.Obs.Gauge("eyeball_serve_snapshot_generation").Set(float64(cur.Gen))
-		s.opts.Obs.Gauge("eyeball_serve_snapshot_ases").Set(float64(len(cur.Snap.Dataset.Order)))
-		// Rewarm under the pinned generation: the rolled-back install
-		// started a warm pass for the bad artifact, whose cache entries
-		// are unreachable now the generation reverted.
-		s.startWarm(cur)
+		// revert serves from the pinned one. Like any install, this
+		// drops the bad artifact's bodies and rewarms the pinned one,
+		// whose bodies the bad install dropped.
+		s.serveArtifact(cur)
 		s.opts.Obs.Counter("eyeball_serve_reload_rollbacks_total").Inc()
 		s.opts.Obs.Counter("eyeball_serve_reloads_total", "result", "rollback").Inc()
 		return nil, fmt.Errorf("%w (generation %d still serving): %v", ErrReloadRolledBack, cur.Gen, err)
@@ -838,12 +847,12 @@ func (s *Server) footprint(ctx context.Context, sp *trace.Span, a *Artifact, rec
 func (s *Server) lead(ctx context.Context, sp *trace.Span, e *entry, rec *pipeline.ASRecord, pts *core.Points, bw float64) ([]byte, error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.renders.finish(e, nil, fmt.Errorf("render panicked: %v", r))
+			s.renders.finish(e, nil, 0, fmt.Errorf("render panicked: %v", r))
 			panic(r)
 		}
 	}()
-	body, err := s.render(trace.NewContext(ctx, sp), rec, pts, bw, s.opts.Obs)
-	s.renders.finish(e, body, err)
+	body, cost, err := s.render(trace.NewContext(ctx, sp), rec, pts, bw, s.opts.Obs)
+	s.renders.finish(e, body, cost, err)
 	return body, err
 }
 

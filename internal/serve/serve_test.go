@@ -33,7 +33,7 @@ import (
 )
 
 // testGaz is the gazetteer every server maps peaks with.
-var testGaz = defaultGaz()
+var testGaz = gazetteer.Default()
 
 // testArtifact builds a small snapshot file on disk: two ASes whose
 // samples sit on real gazetteer cities (so footprints resolve to PoPs)
@@ -476,43 +476,12 @@ func TestReloadInvalidatesFootprintCache(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatal("footprint changed across a reload of the same artifact")
 	}
-	if n := reg.Gauge("eyeball_serve_footprint_cache_entries").Value(); n != 2 {
-		t.Errorf("cache entries = %v, want 2 (one per generation)", n)
+	// The reload dropped the first generation's body.
+	if n := reg.Gauge("eyeball_serve_footprint_cache_entries").Value(); n != 1 {
+		t.Errorf("cache entries = %v, want 1 (the new generation's)", n)
 	}
-}
-
-// TestLRUCacheBounds drives the render table's LRU through get and
-// finish: past its bound it evicts the least recently used body, keeps
-// exact byte accounting, and publishes both through the cache gauges.
-func TestLRUCacheBounds(t *testing.T) {
-	reg := obs.New()
-	c := newRenderTable(2, reg)
-	k := func(i int) cacheKey { return cacheKey{gen: 1, asn: astopo.ASN(i), bw: math.Float64bits(40)} }
-	put := func(i int, body string) {
-		t.Helper()
-		e, result := c.get(k(i))
-		if result != cacheMiss {
-			t.Fatalf("lookup of absent AS%d: %s, want %s", i, result, cacheMiss)
-		}
-		c.finish(e, []byte(body), nil)
-	}
-	put(1, "a")
-	put(2, "bb")
-	c.get(k(1)) // 1 is now most recent
-	put(3, "ccc")
-	if _, result := c.get(k(2)); result == cacheHit {
-		t.Error("LRU kept the least-recently-used entry")
-	}
-	if e, result := c.get(k(1)); result != cacheHit || string(e.body) != "a" {
-		t.Errorf("AS1: %s %q, want a hit on its body: LRU evicted the recently-used entry", result, e.body)
-	}
-	if n, b := c.lru.Len(), c.bytes; n != 2 || b != 4 {
-		t.Errorf("cached %d entries, %d B; want 2 entries, 4 B", n, b)
-	}
-	entries := reg.Gauge("eyeball_serve_footprint_cache_entries").Value()
-	size := reg.Gauge("eyeball_serve_footprint_cache_bytes").Value()
-	if entries != 2 || size != 4 {
-		t.Errorf("gauges: %v entries, %v B; want 2 entries, 4 B", entries, size)
+	if n := reg.Gauge("eyeball_serve_footprint_cache_bytes").Value(); n != float64(len(after)) {
+		t.Errorf("cache bytes = %v, want %d (the new generation's body)", n, len(after))
 	}
 }
 
@@ -684,12 +653,12 @@ func TestBulkFootprintsStreamsOverTheWire(t *testing.T) {
 	var once sync.Once
 	unblock := func() { once.Do(func() { close(release) }) }
 	render := s.render
-	s.render = func(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bw float64, reg *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bw float64, reg *obs.Registry) ([]byte, int, error) {
 		if rec.ASN == 64501 {
 			select {
 			case <-release:
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return nil, 0, ctx.Err()
 			}
 		}
 		return render(ctx, rec, pts, bw, reg)

@@ -8,15 +8,18 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"eyeballas/internal/astopo"
 	"eyeballas/internal/core"
 	"eyeballas/internal/leakcheck"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/pipeline"
+	"eyeballas/internal/rng"
 	"eyeballas/internal/snapshot"
 )
 
@@ -66,15 +69,15 @@ func TestFootprintCoalescesConcurrentMisses(t *testing.T) {
 	release := make(chan struct{})
 	var renders atomic.Int32
 	want := []byte(`{"fake":"footprint"}` + "\n")
-	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, int, error) {
 		if renders.Add(1) == 1 {
 			close(started)
 		}
 		select {
 		case <-release:
-			return want, nil
+			return want, 1, nil
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, 0, ctx.Err()
 		}
 	}
 	h := s.Handler()
@@ -167,13 +170,13 @@ func TestCoalescedWaiterSeesLeaderError(t *testing.T) {
 	release := make(chan struct{})
 	renderErr := errors.New("kde exploded")
 	var calls atomic.Int32
-	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, int, error) {
 		if calls.Add(1) == 1 {
 			close(started)
 			<-release
-			return nil, renderErr
+			return nil, 0, renderErr
 		}
-		return []byte("{\"ok\":true}\n"), nil
+		return []byte("{\"ok\":true}\n"), 1, nil
 	}
 	h := s.Handler()
 
@@ -236,11 +239,11 @@ func TestCoalescedWaiterOutlivesCancelledLeader(t *testing.T) {
 	// context's error, as the KDE does at a block boundary; later calls
 	// render for real.
 	stalledFirst := func(started chan<- struct{}, stall func(ctx context.Context), calls *atomic.Int32) renderFunc {
-		return func(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bw float64, reg *obs.Registry) ([]byte, error) {
+		return func(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bw float64, reg *obs.Registry) ([]byte, int, error) {
 			if calls.Add(1) == 1 {
 				close(started)
 				stall(ctx)
-				return nil, ctx.Err()
+				return nil, 0, ctx.Err()
 			}
 			return renderServed(ctx, rec, pts, bw, reg)
 		}
@@ -348,6 +351,7 @@ func strings500(body string) bool {
 // coalesces the lookups made while a render is in flight.
 func TestRenderTableSemantics(t *testing.T) {
 	tab := newRenderTable(2, nil)
+	tab.install(1)
 	key := cacheKey{gen: 1, asn: 64500, bw: math.Float64bits(40)}
 
 	e, result := tab.get(key)
@@ -381,7 +385,7 @@ func TestRenderTableSemantics(t *testing.T) {
 		}
 		done <- err
 	}()
-	tab.finish(e, []byte("rendered"), nil)
+	tab.finish(e, []byte("rendered"), 1, nil)
 	select {
 	case err := <-done:
 		if err != nil {
@@ -401,7 +405,7 @@ func TestRenderTableSemantics(t *testing.T) {
 	failed := cacheKey{gen: 1, asn: 64501, bw: math.Float64bits(40)}
 	f, _ := tab.get(failed)
 	wantErr := errors.New("render failed")
-	tab.finish(f, nil, wantErr)
+	tab.finish(f, nil, 0, wantErr)
 	if _, err := f.wait(context.Background()); !errors.Is(err, wantErr) {
 		t.Fatalf("failed render published %v, want %v", err, wantErr)
 	}
@@ -412,13 +416,14 @@ func TestRenderTableSemantics(t *testing.T) {
 	// With caching off, lookups before finish still coalesce, and
 	// nothing is kept after it.
 	off := newRenderTable(-1, nil)
+	off.install(1)
 	e, _ = off.get(key)
 	if _, result := off.get(key); result != cacheCoalesced {
 		t.Fatalf("uncached table, lookup in flight: %s, want %s", result, cacheCoalesced)
 	}
-	off.finish(e, []byte("rendered"), nil)
-	if len(off.items) != 0 || off.lru.Len() != 0 || off.bytes != 0 {
-		t.Fatalf("uncached table kept %d entries (%d cached, %d B)", len(off.items), off.lru.Len(), off.bytes)
+	off.finish(e, []byte("rendered"), 1, nil)
+	if len(off.items) != 0 || len(off.cached) != 0 || off.bytes != 0 {
+		t.Fatalf("uncached table kept %d entries (%d cached, %d B)", len(off.items), len(off.cached), off.bytes)
 	}
 	if _, result := off.get(key); result != cacheMiss {
 		t.Fatalf("uncached table, lookup after finish: %s, want %s", result, cacheMiss)
@@ -431,7 +436,7 @@ func inFlight(s *Server) int {
 	defer s.renders.mu.Unlock()
 	n := 0
 	for _, e := range s.renders.items {
-		if e.el == nil {
+		if e.idx < 0 {
 			n++
 		}
 	}
@@ -448,7 +453,7 @@ func awaitWaiters(t *testing.T, s *Server, n int) {
 		s.renders.mu.Lock()
 		defer s.renders.mu.Unlock()
 		e := s.renders.items[key]
-		return e != nil && e.el == nil && e.waiters == n
+		return e != nil && e.idx < 0 && e.waiters == n
 	})
 }
 
@@ -491,7 +496,7 @@ func TestFootprintRenderPanicReleasesWaiters(t *testing.T) {
 	s, _, _ := newTestServer(t, Options{Obs: reg, Timeout: 2 * time.Second})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.render = func(context.Context, *pipeline.ASRecord, *core.Points, float64, *obs.Registry) ([]byte, error) {
+	s.render = func(context.Context, *pipeline.ASRecord, *core.Points, float64, *obs.Registry) ([]byte, int, error) {
 		close(started)
 		<-release
 		panic("render exploded")
@@ -527,4 +532,336 @@ func TestFootprintRenderPanicReleasesWaiters(t *testing.T) {
 	if n := reg.Counter("eyeball_serve_panics_total", "endpoint", "footprint").Value(); n != 1 {
 		t.Errorf("panics_total = %d, want 1", n)
 	}
+}
+
+// tableProbe drives a render table through get and finish in the
+// white-box tests: put leads and caches a render of AS asn at the given
+// cost, hit looks a cached body up, and cached and check read the table
+// back under its mutex.
+type tableProbe struct {
+	t   *testing.T
+	tab *renderTable
+	reg *obs.Registry
+}
+
+func newTableProbe(t *testing.T, max int) *tableProbe {
+	reg := obs.New()
+	tab := newRenderTable(max, reg)
+	tab.install(1)
+	return &tableProbe{t: t, tab: tab, reg: reg}
+}
+
+func probeKey(asn int) cacheKey {
+	return cacheKey{gen: 1, asn: astopo.ASN(asn), bw: math.Float64bits(40)}
+}
+
+func (p *tableProbe) put(asn, cost int, body string) {
+	p.t.Helper()
+	e, result := p.tab.get(probeKey(asn))
+	if result != cacheMiss {
+		p.t.Fatalf("lookup of absent AS%d: %s, want %s", asn, result, cacheMiss)
+	}
+	p.tab.finish(e, []byte(body), cost, nil)
+	p.check()
+}
+
+func (p *tableProbe) hit(asn int) {
+	p.t.Helper()
+	if _, result := p.tab.get(probeKey(asn)); result != cacheHit {
+		p.t.Fatalf("lookup of AS%d: %s, want %s", asn, result, cacheHit)
+	}
+	p.check()
+}
+
+// cached reports whether AS asn's body is cached.
+func (p *tableProbe) cached(asn int) bool {
+	p.tab.mu.Lock()
+	defer p.tab.mu.Unlock()
+	e, ok := p.tab.items[probeKey(asn)]
+	return ok && e.idx >= 0
+}
+
+// check holds the table's books to its cached bodies: the byte total,
+// each entry's heap index, and both gauges.
+func (p *tableProbe) check() {
+	p.t.Helper()
+	p.tab.mu.Lock()
+	defer p.tab.mu.Unlock()
+	var held int64
+	for i, e := range p.tab.cached {
+		if e.idx != i || p.tab.items[e.key] != e {
+			p.t.Fatalf("cached AS%d: heap index %d at %d, or not in the map", e.key.asn, e.idx, i)
+		}
+		held += int64(len(e.body))
+	}
+	if held != p.tab.bytes {
+		p.t.Fatalf("table counts %d B, its cached bodies hold %d B", p.tab.bytes, held)
+	}
+	entries := p.reg.Gauge("eyeball_serve_footprint_cache_entries").Value()
+	size := p.reg.Gauge("eyeball_serve_footprint_cache_bytes").Value()
+	if entries != float64(len(p.tab.cached)) || size != float64(held) {
+		p.t.Fatalf("gauges: %v entries, %v B; want %d entries, %d B", entries, size, len(p.tab.cached), held)
+	}
+}
+
+// TestRenderTableBounds drives the render table's eviction through get
+// and finish: past its bound it evicts the body cheapest to render
+// again, hits multiply a body's cost, the floor L lets new bodies
+// displace one that was hot, equal priorities evict the earliest
+// touched, and the byte counts and gauges stay exact throughout.
+func TestRenderTableBounds(t *testing.T) {
+	t.Run("cheapest-first", func(t *testing.T) {
+		p := newTableProbe(t, 2)
+		p.put(1, 300, "a")
+		p.put(2, 100, "bb")
+		p.put(3, 200, "ccc")
+		if p.cached(2) || !p.cached(1) || !p.cached(3) {
+			t.Errorf("cached AS1 %v, AS2 %v, AS3 %v: want the cheapest, AS2, evicted", p.cached(1), p.cached(2), p.cached(3))
+		}
+		if p.tab.floor != 100 {
+			t.Errorf("L = %d, want 100, the evicted priority", p.tab.floor)
+		}
+		if p.tab.bytes != 4 {
+			t.Errorf("cached %d B, want 4", p.tab.bytes)
+		}
+	})
+	t.Run("hits-lift", func(t *testing.T) {
+		p := newTableProbe(t, 2)
+		p.put(1, 30, "a")
+		p.put(2, 50, "b")
+		p.hit(1) // 2·30 = 60 > 50
+		p.put(3, 1000, "c")
+		if !p.cached(1) || p.cached(2) {
+			t.Errorf("cached AS1 %v, AS2 %v: a hit must lift AS1 above the costlier AS2, which had none", p.cached(1), p.cached(2))
+		}
+	})
+	t.Run("floor-ages", func(t *testing.T) {
+		p := newTableProbe(t, 2)
+		p.put(1, 10, "hot")
+		for range 10 {
+			p.hit(1) // priority 11·10 = 110
+		}
+		// Each new body enters at L + 30 and evicts the one before it,
+		// raising L by 30, until L + 30 passes AS1's 110.
+		for asn := 2; asn <= 5; asn++ {
+			p.put(asn, 30, "new")
+			if !p.cached(1) {
+				t.Fatalf("AS1 evicted after AS%d, at L = %d; want it kept while L+30 <= 110", asn, p.tab.floor)
+			}
+		}
+		p.put(6, 30, "new")
+		if p.cached(1) {
+			t.Errorf("AS1 still cached at L = %d: L must let new bodies displace a formerly hot one", p.tab.floor)
+		}
+		if p.tab.floor != 110 {
+			t.Errorf("L = %d, want 110, AS1's priority", p.tab.floor)
+		}
+	})
+	t.Run("ties-earliest-touched", func(t *testing.T) {
+		p := newTableProbe(t, 2)
+		p.put(1, 20, "a")
+		p.put(2, 10, "b")
+		p.hit(2) // 2·10 = 20, touched after AS1
+		p.put(3, 50, "c")
+		if p.cached(1) || !p.cached(2) {
+			t.Errorf("cached AS1 %v, AS2 %v: of equal priorities the earliest touched, AS1, goes", p.cached(1), p.cached(2))
+		}
+		q := newTableProbe(t, 2)
+		q.put(1, 10, "a")
+		q.put(2, 10, "b")
+		q.put(3, 10, "c")
+		if q.cached(1) || !q.cached(2) || !q.cached(3) {
+			t.Errorf("cached AS1 %v, AS2 %v, AS3 %v: want AS1, cached first, evicted", q.cached(1), q.cached(2), q.cached(3))
+		}
+	})
+}
+
+// TestInstallDropsOtherGenerations: an install drops every cached body
+// of another generation at once, and a render of an old generation
+// still in flight reaches its waiters but is not cached.
+func TestInstallDropsOtherGenerations(t *testing.T) {
+	p := newTableProbe(t, 4)
+	p.put(1, 10, "a")
+	p.put(2, 10, "bb")
+	inFlight, _ := p.tab.get(probeKey(3))
+	waiter, result := p.tab.get(probeKey(3))
+	if result != cacheCoalesced {
+		t.Fatalf("lookup in flight: %s, want %s", result, cacheCoalesced)
+	}
+
+	p.tab.install(2)
+	p.check()
+	if p.cached(1) || p.cached(2) || len(p.tab.cached) != 0 {
+		t.Fatalf("install kept %d bodies of the old generation", len(p.tab.cached))
+	}
+	fresh := cacheKey{gen: 2, asn: 1, bw: math.Float64bits(40)}
+	e, _ := p.tab.get(fresh)
+	p.tab.finish(e, []byte("new"), 10, nil)
+	p.check()
+
+	p.tab.finish(inFlight, []byte("stale"), 10, nil)
+	if body, err := waiter.wait(context.Background()); err != nil || string(body) != "stale" {
+		t.Fatalf("waiter on the old generation's render got %q, %v", body, err)
+	}
+	p.check()
+	if p.cached(3) {
+		t.Error("a render of a generation no longer installed was cached")
+	}
+	if _, result := p.tab.get(probeKey(3)); result != cacheMiss {
+		t.Errorf("lookup of the stale key after its render: %s, want %s", result, cacheMiss)
+	}
+	if n := len(p.tab.cached); n != 1 {
+		t.Errorf("%d bodies cached, want 1 (the new generation's)", n)
+	}
+	if n := p.reg.Counter("eyeball_serve_footprint_render_cells_total").Value(); n != 40 {
+		t.Errorf("render cells = %d, want 40: every render counts, cached or not", n)
+	}
+}
+
+// TestRenderTableConcurrent drives one small table from several
+// goroutines at once — lookups that hit, lead and join renders over four
+// times as many keys as it holds, while installs move the generation —
+// and then holds its books to its cached bodies: no render left in
+// flight, only the installed generation cached, bytes, heap indices and
+// gauges exact.
+func TestRenderTableConcurrent(t *testing.T) {
+	p := newTableProbe(t, 8)
+	var gen atomic.Uint64
+	gen.Store(1)
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rng.New(uint64(w))
+			for range 3000 {
+				key := cacheKey{gen: gen.Load(), asn: astopo.ASN(r.Intn(32)), bw: math.Float64bits(40)}
+				switch e, result := p.tab.get(key); result {
+				case cacheMiss:
+					p.tab.finish(e, []byte("body"), 1+r.Intn(1000), nil)
+				case cacheCoalesced:
+					e.wait(context.Background())
+				}
+			}
+		}()
+	}
+	for g := uint64(2); g <= 50; g++ {
+		gen.Store(g)
+		p.tab.install(g)
+		runtime.Gosched()
+	}
+	wg.Wait()
+
+	p.check()
+	p.tab.mu.Lock()
+	defer p.tab.mu.Unlock()
+	for _, e := range p.tab.items {
+		if e.idx < 0 {
+			t.Errorf("AS%d of generation %d left in flight", e.key.asn, e.key.gen)
+		}
+		if e.key.gen != p.tab.gen {
+			t.Errorf("AS%d of generation %d cached under generation %d", e.key.asn, e.key.gen, p.tab.gen)
+		}
+	}
+}
+
+// TestRenderTableReplay replays a seeded request stream shaped like the
+// footprint workload through the table and through an LRU of the same
+// size. Footprints cost from 1,400 to 300,000 cells, spread on a log
+// scale; requests ask for ASes in proportion to their users (Zipf over
+// 665 ASes, which gives the LRU the 0.4 hit fraction the served
+// workload sees), at 40 km four times in five and at 60, 80 or 100 km
+// otherwise, and every 50th is a bulk call of 64 such ASes at a wide,
+// cold kernel. The table must redo at most 0.7× the cells the LRU
+// redoes.
+func TestRenderTableReplay(t *testing.T) {
+	const (
+		ases     = 665
+		cacheSz  = 128
+		requests = 20000
+		bulk     = 64
+	)
+	r := rng.New(1).Split("render-table-replay")
+	users := rng.NewZipf(ases, 1)
+	bws := []float64{40, 60, 80, 100}
+	cost := map[cacheKey]int{}
+	for asn := range ases {
+		for _, bw := range bws {
+			u := r.Float64()
+			cost[replayKey(asn, bw)] = int(1400 * math.Pow(300000.0/1400, u))
+		}
+	}
+	drawBW := func() float64 {
+		if r.Float64() < 0.8 {
+			return 40
+		}
+		return bws[1+r.Intn(3)]
+	}
+	var stream []cacheKey
+	for i := range requests {
+		if i%50 == 49 {
+			bw := bws[1+i/50%3]
+			for range bulk {
+				stream = append(stream, replayKey(users.Draw(r), bw))
+			}
+			continue
+		}
+		stream = append(stream, replayKey(users.Draw(r), drawBW()))
+	}
+
+	tab := newRenderTable(cacheSz, nil)
+	tab.install(1)
+	lru := newLRUModel(cacheSz)
+	var tabMiss, lruMiss, tabHits, lruHits int
+	for _, k := range stream {
+		if e, result := tab.get(k); result == cacheMiss {
+			tabMiss += cost[k]
+			tab.finish(e, []byte("body"), cost[k], nil)
+		} else {
+			tabHits++
+		}
+		if lru.get(k) {
+			lruHits++
+		} else {
+			lruMiss += cost[k]
+		}
+	}
+	ratio := float64(tabMiss) / float64(lruMiss)
+	t.Logf("%d lookups: table redoes %d cells (hit fraction %.3f), LRU %d (%.3f): %.3f×",
+		len(stream), tabMiss, float64(tabHits)/float64(len(stream)), lruMiss, float64(lruHits)/float64(len(stream)), ratio)
+	if ratio > 0.7 {
+		t.Errorf("table redoes %.3f× the cells an LRU redoes, want at most 0.7×", ratio)
+	}
+}
+
+func replayKey(asn int, bw float64) cacheKey {
+	return cacheKey{gen: 1, asn: astopo.ASN(asn), bw: math.Float64bits(bw)}
+}
+
+// lruModel is the least-recently-used reference the replay measures the
+// table against: each key stamped with its last use, the oldest evicted.
+type lruModel struct {
+	max   int
+	clock int
+	used  map[cacheKey]int
+}
+
+func newLRUModel(max int) *lruModel { return &lruModel{max: max, used: map[cacheKey]int{}} }
+
+// get reports whether key was cached, and leaves it cached as the most
+// recent.
+func (m *lruModel) get(key cacheKey) bool {
+	m.clock++
+	_, ok := m.used[key]
+	m.used[key] = m.clock
+	if len(m.used) > m.max {
+		oldest, at := key, m.clock
+		for k, c := range m.used {
+			if c < at {
+				oldest, at = k, c
+			}
+		}
+		delete(m.used, oldest)
+	}
+	return ok
 }

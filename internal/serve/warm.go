@@ -15,11 +15,12 @@ import (
 // footprints of the most-used ASes the cache can hold — the top
 // min(CacheSize, ASes) by user count, most-used first — so the ASes
 // that dominate traffic are hot before the first request asks for them.
-// Rendering more would only evict those ASes in favour of the least
-// used; a server without a cache warms nothing. A pass runs after every
-// artifact install — startup load, successful reload, and rollback —
-// and the next install (or Server.Close) cancels it; cancelled renders
-// stop at KDE block boundaries, so teardown is prompt and leak-free.
+// Rendering more would only evict some of those ASes, the cheapest to
+// redo, in favour of less used ones; a server without a cache warms
+// nothing. A pass runs after every artifact install — startup load,
+// successful reload, and rollback — and the next install (or
+// Server.Close) cancels it; cancelled renders stop at KDE block
+// boundaries, so teardown is prompt and leak-free.
 //
 // Warm renders run outside the admission limiter: they must never
 // consume a slot a live request could have had, and they must keep

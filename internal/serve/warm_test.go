@@ -74,11 +74,11 @@ func TestWarmRendersInPriorityOrderThenHits(t *testing.T) {
 
 	var mu sync.Mutex
 	var order []astopo.ASN
-	s.render = func(_ context.Context, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
+	s.render = func(_ context.Context, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, int, error) {
 		mu.Lock()
 		order = append(order, rec.ASN)
 		mu.Unlock()
-		return []byte(fmt.Sprintf("{\"asn\":%d}\n", rec.ASN)), nil
+		return []byte(fmt.Sprintf("{\"asn\":%d}\n", rec.ASN)), 1, nil
 	}
 	if _, err := s.LoadFile(path); err != nil {
 		t.Fatalf("LoadFile: %v", err)
@@ -140,11 +140,11 @@ func TestWarmOnlyWhatTheCacheHolds(t *testing.T) {
 			defer s.Close()
 			var mu sync.Mutex
 			var order []astopo.ASN
-			s.render = func(_ context.Context, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
+			s.render = func(_ context.Context, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, int, error) {
 				mu.Lock()
 				order = append(order, rec.ASN)
 				mu.Unlock()
-				return []byte(fmt.Sprintf("{\"asn\":%d}\n", rec.ASN)), nil
+				return []byte(fmt.Sprintf("{\"asn\":%d}\n", rec.ASN)), 1, nil
 			}
 			if _, err := s.LoadFile(path); err != nil {
 				t.Fatalf("LoadFile: %v", err)
@@ -187,10 +187,10 @@ func TestWarmCancelOnSwapAndClose(t *testing.T) {
 	s := New(Options{Warm: true, Obs: reg})
 
 	var renders atomic.Int32
-	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, int, error) {
 		renders.Add(1)
 		<-ctx.Done() // park until the pass is cancelled
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
 	if _, err := s.LoadFile(path); err != nil {
 		t.Fatalf("LoadFile: %v", err)
@@ -258,9 +258,9 @@ func TestWarmBudgetBoundsPass(t *testing.T) {
 	s := New(Options{Warm: true, WarmBudget: time.Nanosecond, Obs: reg})
 	defer s.Close()
 
-	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
+	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, int, error) {
 		<-ctx.Done() // the budget is the only cancel source in this test
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
 	if _, err := s.LoadFile(path); err != nil {
 		t.Fatalf("LoadFile: %v", err)
@@ -294,11 +294,11 @@ func TestWarmRenderPanicKeepsServing(t *testing.T) {
 			path, _ := testArtifact(t, t.TempDir())
 			s := New(Options{Warm: true, WarmWorkers: tc.workers, Obs: reg})
 			defer s.Close()
-			s.render = func(_ context.Context, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, error) {
+			s.render = func(_ context.Context, rec *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, int, error) {
 				if rec.ASN == 64500 {
 					panic("render exploded")
 				}
-				return []byte(fmt.Sprintf("{\"asn\":%d}\n", rec.ASN)), nil
+				return []byte(fmt.Sprintf("{\"asn\":%d}\n", rec.ASN)), 1, nil
 			}
 			if _, err := s.LoadFile(path); err != nil {
 				t.Fatalf("LoadFile: %v", err)
