@@ -6,7 +6,7 @@
 //
 //	eyeballserve -snap dataset.snap [-addr :8080] [-timeout 5s]
 //	             [-max-inflight N] [-target-latency D] [-cache N]
-//	             [-bw KM] [-warm] [-warm-workers N] [-warm-budget D]
+//	             [-bw KM] [-warm] [-warm-workers N]
 //	             [-print-footprint ASN] [-log-format json|text]
 //	             [-tracing=false] [-trace-recent N] [-trace-slow D]
 //	             [-trace-seed N]
@@ -35,8 +35,9 @@
 // SIGHUP reloads the snapshot file in place, exactly like POST
 // /-/reload: the new artifact is parsed and fully validated before the
 // atomic swap, in-flight requests finish on the old artifact, and a
-// corrupt replacement file leaves the old artifact serving. SIGINT and
-// SIGTERM shut the server down gracefully.
+// replacement that fails to decode or validate is refused before the
+// swap, leaving the old artifact serving with its cache and warm pass
+// untouched. SIGINT and SIGTERM shut the server down gracefully.
 //
 // -print-footprint renders one AS's footprint JSON to stdout and exits
 // without serving — the offline mode CI uses to prove served bytes
@@ -114,13 +115,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stdout)
 	snapPath := fs.String("snap", "", "snapshot artifact to serve (required; written by eyeballpipe -snapshot)")
 	addr := fs.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
-	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline (footprint renders observe it at KDE block boundaries)")
+	timeout := fs.Duration("timeout", 5*time.Second, "deadline for each footprint request, observed by its render at KDE block boundaries (the other routes never block; negative disables)")
 	maxInflight := fs.Int("max-inflight", 64, "bound on concurrently served data requests; excess requests get 503 + Retry-After (-1 disables)")
 	cacheSize := fs.Int("cache", 128, "rendered-footprint cache capacity in entries; evicts the cheapest to re-render (-1 disables)")
 	bw := fs.Float64("bw", 40, "default footprint kernel bandwidth in km (per-request ?bw= overrides)")
 	warm := fs.Bool("warm", false, "prewarm the footprint cache: render the top -cache dataset ASes by user count at the default bandwidth on startup and after every reload")
 	warmWorkers := fs.Int("warm-workers", 1, "concurrent warm renders (the warm pass's pool workers)")
-	warmBudget := fs.Duration("warm-budget", 0, "wall-time bound per warm pass (0 = unbounded)")
 	printFootprint := fs.Int("print-footprint", 0, "render this AS's footprint JSON to stdout and exit (no server)")
 	logFormat := fs.String("log-format", "json", "structured log encoding: json or text")
 	tracing := fs.Bool("tracing", true, "record request-scoped traces (flight recorder + /debug endpoints)")
@@ -181,7 +181,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		BandwidthKm:   *bw,
 		Warm:          *warm,
 		WarmWorkers:   *warmWorkers,
-		WarmBudget:    *warmBudget,
 		TargetLatency: *targetLatency,
 		Chaos:         chaos,
 		Obs:           reg,
@@ -196,8 +195,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *warm {
 		logger.LogAttrs(ctx, slog.LevelInfo, "warming footprint cache",
 			slog.Int("ases", len(art.Snap.Dataset.Order)),
-			slog.Int("workers", *warmWorkers),
-			slog.Duration("budget", *warmBudget))
+			slog.Int("workers", *warmWorkers))
 	}
 	ds := art.Snap.Dataset
 	logger.LogAttrs(ctx, slog.LevelInfo, "loaded snapshot",

@@ -329,9 +329,10 @@ type ReloadResult struct {
 }
 
 // Reload asks the server to hot-swap to the re-read artifact file.
-// A reload that rolled back to the last-known-good artifact returns
-// an *APIError whose decoded body set RolledBack — surfaced via the
-// error message; the pinned generation keeps serving.
+// A reload the server refused before the swap — the re-read artifact
+// decoded but failed its checks — returns an *APIError whose decoded
+// body set RolledBack, surfaced via the error message; the serving
+// generation keeps serving, its cache untouched.
 func (c *Client) Reload(ctx context.Context) (*ReloadResult, error) {
 	body, err := c.call(ctx, "reload", http.MethodPost, "/-/reload")
 	if err != nil {

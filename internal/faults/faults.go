@@ -21,8 +21,8 @@
 //   - serve-panic               — the handler panics mid-request
 //   - serve-500                 — the handler answers an injected 500
 //   - serve-drop                — the connection is severed with no response
-//   - reload-fail               — a hot-swapped snapshot fails post-swap
-//     validation, forcing the rollback path
+//   - reload-fail               — a re-read snapshot fails the reload's
+//     checks, so the reload is refused before the swap
 //
 // Determinism discipline: every injection decision is a pure function of
 // (plan seed, fault point, site key) — the same splitmix64 split scheme
@@ -113,8 +113,9 @@ const (
 	// ServeDrop severs the connection without writing a response — the
 	// network fault clients observe as an unexpected EOF.
 	ServeDrop Point = "serve-drop"
-	// ReloadFail makes a hot-swapped snapshot fail post-swap validation,
-	// exercising the serve layer's last-known-good rollback.
+	// ReloadFail makes a re-read snapshot fail the checks a reload runs
+	// before its swap, exercising the serve layer's refusal path: the
+	// last-known-good artifact keeps serving.
 	ReloadFail Point = "reload-fail"
 )
 

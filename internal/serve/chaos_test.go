@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -9,9 +13,12 @@ import (
 	"time"
 
 	"eyeballas/internal/astopo"
+	"eyeballas/internal/core"
 	"eyeballas/internal/faults"
 	"eyeballas/internal/leakcheck"
 	"eyeballas/internal/obs"
+	"eyeballas/internal/pipeline"
+	"eyeballas/internal/snapshot"
 )
 
 func chaosPlan(t *testing.T, spec string, seed uint64) *faults.Plan {
@@ -258,17 +265,18 @@ func TestChaosOffIsInert(t *testing.T) {
 // chaos disarmed, the lookup path must allocate exactly what it
 // allocated before the layer existed — the chaos branch is free. The
 // request is BenchmarkLookup's, a fresh httptest request and recorder
-// per call, which made 44 allocations before the layer and makes 44
-// now; anything above it means the middleware grew. The race detector
-// adds an allocation, so the exact count is checked without it.
+// per call, which made 44 allocations before the layer and 44 with it;
+// since only the footprint routes take a deadline it makes 39. Anything
+// above that means the middleware grew. The race detector adds an
+// allocation, so the exact count is checked without it.
 func TestChaosOffZeroExtraAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts move under the race detector")
 	}
 	s, _, _ := newTestServer(t, Options{})
 	allocs := testing.AllocsPerRun(200, serveGet(t, s.Handler(), "/v1/lookup?ip=10.1.2.3"))
-	if allocs > 44 {
-		t.Errorf("chaos-off lookup dispatch allocates %.0f/op, want ≤ 44", allocs)
+	if allocs > 39 {
+		t.Errorf("chaos-off lookup dispatch allocates %.0f/op, want ≤ 39", allocs)
 	}
 }
 
@@ -305,8 +313,9 @@ func TestChaosSlowAppliedAfterAdmission(t *testing.T) {
 }
 
 // TestReloadFailRollsBack: with the reload-fail point armed at rate 1,
-// a reload decodes fine, swaps, fails post-swap validation, and must
-// auto-revert to the pinned artifact with the rollback counter bumped.
+// a reload decodes fine but is refused before the swap: the serving
+// generation stays, the rollback counter is bumped, and the refusal
+// uses up no generation number, so the next good reload gets gen+1.
 func TestReloadFailRollsBack(t *testing.T) {
 	reg := obs.New()
 	c := NewChaos(chaosPlan(t, "reload-fail=1", 42), 0)
@@ -325,7 +334,7 @@ func TestReloadFailRollsBack(t *testing.T) {
 		t.Errorf("reload response missing rolled_back: %v", m)
 	}
 	if m["generation"] != float64(gen) {
-		t.Errorf("reload response generation %v, want pinned %d", m["generation"], gen)
+		t.Errorf("reload response generation %v, want serving %d", m["generation"], gen)
 	}
 	if s.Artifact().Gen != gen {
 		t.Errorf("serving generation %d after rollback, want %d", s.Artifact().Gen, gen)
@@ -339,39 +348,155 @@ func TestReloadFailRollsBack(t *testing.T) {
 	if g := reg.Gauge("eyeball_serve_snapshot_generation").Value(); g != float64(gen) {
 		t.Errorf("generation gauge %v after rollback, want %d", g, gen)
 	}
-	// The pinned artifact still answers.
+	// The serving artifact still answers.
 	if rec := get(t, h, "/v1/as/64500"); rec.Code != http.StatusOK {
-		t.Errorf("pinned artifact not serving after rollback: %d", rec.Code)
+		t.Errorf("artifact not serving after rollback: %d", rec.Code)
 	}
 
-	// Disarm chaos: the next reload succeeds and generations advance.
+	// Disarm chaos: the next reload succeeds and takes the next
+	// generation number.
 	s.SetChaos(nil)
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/-/reload", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-rollback reload: %d %s", rec.Code, rec.Body.String())
 	}
-	if s.Artifact().Gen <= gen {
-		t.Errorf("generation did not advance after recovery: %d", s.Artifact().Gen)
+	if got := s.Artifact().Gen; got != gen+1 {
+		t.Errorf("generation after recovery = %d, want %d", got, gen+1)
 	}
 }
 
-// TestVerifyLiveCatchesStructuralDamage: the post-swap validation is
-// real, not just a chaos hook — an artifact whose order index lies
-// about its records must be rejected.
-func TestVerifyLiveCatchesStructuralDamage(t *testing.T) {
-	s, _, snap := newTestServer(t, Options{})
-	a := s.Artifact()
-	if err := s.verifyLive(a); err != nil {
-		t.Fatalf("healthy artifact failed verifyLive: %v", err)
+// TestRefusedReloadKeepsServingCache: a refused reload changes nothing
+// the server holds. Two cached bodies stay cached, a repeat request for
+// one is a hit that adds no render cells, and with warming on, the pass
+// still running at the reload goes on untouched, its gauges unchanged.
+func TestRefusedReloadKeepsServingCache(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			reg := obs.New()
+			path, _ := testArtifact(t, t.TempDir())
+			s := New(Options{Obs: reg, Warm: warm, Chaos: NewChaos(chaosPlan(t, "reload-fail=1", 42), 0)})
+			defer s.Close()
+			// The warm pass renders AS64500, then parks on AS64501 until
+			// release closes, so it is still running when the reload comes.
+			release := make(chan struct{})
+			s.render = func(ctx context.Context, rec *pipeline.ASRecord, pts *core.Points, bw float64, reg *obs.Registry) ([]byte, int, error) {
+				if rec.ASN == 64501 {
+					select {
+					case <-release:
+					case <-ctx.Done():
+						return nil, 0, ctx.Err()
+					}
+				}
+				return renderServed(ctx, rec, pts, bw, reg)
+			}
+			if _, err := s.LoadFile(path); err != nil {
+				t.Fatalf("LoadFile: %v", err)
+			}
+			if warm {
+				waitFor(t, 5*time.Second, "AS64500's warm render", func() bool {
+					return reg.Gauge("eyeball_serve_warm_done").Value() == 1
+				})
+			}
+			h := s.Handler()
+			for _, url := range []string{"/v1/footprint/64500", "/v1/footprint/64500?bw=60"} {
+				if rec := get(t, h, url); rec.Code != http.StatusOK {
+					t.Fatalf("GET %s: %d %s", url, rec.Code, rec.Body.String())
+				}
+			}
+			entries := reg.Gauge("eyeball_serve_footprint_cache_entries")
+			cells := reg.Counter("eyeball_serve_footprint_render_cells_total")
+			hits := reg.Counter("eyeball_serve_footprint_cache_total", "result", cacheHit)
+			if n := entries.Value(); n != 2 {
+				t.Fatalf("cache entries = %v before the reload, want 2", n)
+			}
+			gen, pass, cellsBefore, hitsBefore := s.Artifact().Gen, warmPass(s), cells.Value(), hits.Value()
+
+			if _, err := s.Reload(); !errors.Is(err, ErrReloadRolledBack) {
+				t.Fatalf("Reload under reload-fail=1: %v, want ErrReloadRolledBack", err)
+			}
+			if got := s.Artifact().Gen; got != gen {
+				t.Errorf("serving generation %d after the refused reload, want %d", got, gen)
+			}
+			if n := entries.Value(); n != 2 {
+				t.Errorf("cache entries = %v after the refused reload, want 2", n)
+			}
+			if rec := get(t, h, "/v1/footprint/64500?bw=60"); rec.Code != http.StatusOK {
+				t.Fatalf("repeat GET: %d %s", rec.Code, rec.Body.String())
+			}
+			if n := hits.Value(); n != hitsBefore+1 {
+				t.Errorf("repeat request was not a hit: hits %d -> %d", hitsBefore, n)
+			}
+			if n := cells.Value(); n != cellsBefore {
+				t.Errorf("render cells %d -> %d across the refused reload and a cached request", cellsBefore, n)
+			}
+			if !warm {
+				return
+			}
+			if got := warmPass(s); got != pass {
+				t.Fatal("the refused reload replaced the warm pass")
+			}
+			select {
+			case <-pass:
+				t.Fatal("the refused reload stopped the running warm pass")
+			default:
+			}
+			if v := reg.Gauge("eyeball_serve_warm_total").Value(); v != 2 {
+				t.Errorf("warm_total = %v, want 2", v)
+			}
+			if v := reg.Gauge("eyeball_serve_warm_done").Value(); v != 1 {
+				t.Errorf("warm_done = %v, want 1 (AS64501 still parked)", v)
+			}
+			close(release)
+			awaitWarm(t, pass)
+			if v := reg.Gauge("eyeball_serve_warm_done").Value(); v != 2 {
+				t.Errorf("warm_done = %v after the pass ended, want 2", v)
+			}
+		})
 	}
-	// Order lists an AS with no record.
+}
+
+// TestReloadRefusesStructuralDamage: a reload's checks are real, not
+// just a chaos hook. validate rejects an order that names an AS with no
+// record, which no file can carry (the decoder builds the order from the
+// records), and a reload of a CRC-valid file whose funnel ledger leaks
+// is refused before the swap, leaving the generation and the cached
+// body as they were.
+func TestReloadRefusesStructuralDamage(t *testing.T) {
+	reg := obs.New()
+	s, path, snap := newTestServer(t, Options{Obs: reg})
+	if err := validate(snap); err != nil {
+		t.Fatalf("healthy artifact failed validate: %v", err)
+	}
 	broken := *snap.Dataset
 	broken.Order = append(append([]astopo.ASN{}, broken.Order...), 99999)
-	badSnap := *a.Snap
+	badSnap := *snap
 	badSnap.Dataset = &broken
-	bad := &Artifact{Snap: &badSnap, Path: a.Path, Gen: a.Gen}
-	if err := s.verifyLive(bad); err == nil {
-		t.Error("verifyLive accepted an order entry with no record")
+	if err := validate(&badSnap); err == nil {
+		t.Error("validate accepted an order entry with no record")
+	}
+
+	h := s.Handler()
+	before := get(t, h, "/v1/footprint/64500").Body.Bytes()
+	gen := s.Artifact().Gen
+	if err := snapshot.WriteFile(path, leakySnapshot(snap)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Reload(); !errors.Is(err, ErrReloadRolledBack) {
+		t.Fatalf("Reload of a leaky artifact: %v, want ErrReloadRolledBack", err)
+	}
+	if got := s.Artifact().Gen; got != gen {
+		t.Errorf("serving generation %d after the refused reload, want %d", got, gen)
+	}
+	if n := reg.Gauge("eyeball_serve_footprint_cache_entries").Value(); n != 1 {
+		t.Errorf("cache entries = %v after the refused reload, want 1", n)
+	}
+	after := get(t, h, "/v1/footprint/64500")
+	if !bytes.Equal(after.Body.Bytes(), before) {
+		t.Error("footprint body changed across a refused reload")
+	}
+	if n := reg.Counter("eyeball_serve_footprint_cache_total", "result", cacheHit).Value(); n != 1 {
+		t.Errorf("hits = %d, want 1: the cached body must survive the refused reload", n)
 	}
 }

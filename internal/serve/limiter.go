@@ -19,37 +19,36 @@ import (
 //     by 1/Limit per completion, i.e. +1 per "window" of Limit served
 //     requests (the TCP-Reno cadence translated to concurrency).
 //   - latency above Target → multiplicative decrease: the limit is
-//     scaled by Decrease once per completion while overloaded.
+//     scaled by limitDecrease once per completion while overloaded.
 //
-// The limit is clamped to [MinLimit, MaxLimit]; MaxLimit is
+// The limit is clamped to [minLimit, MaxLimit]; MaxLimit is
 // Options.MaxInflight, so an unloaded server sheds only past
 // MaxInflight.
 type Controller struct {
 	// Target is the latency the EWMA is held against.
 	Target time.Duration
-	// Alpha is the EWMA smoothing factor for both the latency and the
-	// drain-rate estimates (0 < Alpha ≤ 1; higher = jumpier).
-	Alpha float64
-	// MinLimit and MaxLimit clamp the adaptive limit.
-	MinLimit, MaxLimit float64
-	// Decrease is the multiplicative backoff factor applied while the
-	// latency EWMA sits above Target (0 < Decrease < 1).
-	Decrease float64
+	// MaxLimit is the ceiling of the adaptive limit.
+	MaxLimit float64
 }
 
+const (
+	// ewmaAlpha is the EWMA smoothing factor for both the latency and
+	// the drain-rate estimates (0 < ewmaAlpha ≤ 1; higher = jumpier).
+	ewmaAlpha = 0.2
+	// minLimit is the floor of the adaptive limit.
+	minLimit = 1.0
+	// limitDecrease is the multiplicative backoff factor applied while
+	// the latency EWMA sits above Target (0 < limitDecrease < 1).
+	limitDecrease = 0.75
+)
+
 // DefaultController returns the production controller for a given
-// ceiling: 250ms target, gentle smoothing, halving-ish decrease.
+// ceiling and latency target (250ms when target is not positive).
 func DefaultController(maxLimit int, target time.Duration) Controller {
 	if target <= 0 {
 		target = 250 * time.Millisecond
 	}
-	return Controller{
-		Target:   target,
-		Alpha:    0.2,
-		MinLimit: 1,
-		MaxLimit: float64(maxLimit),
-		Decrease: 0.75,
-	}
+	return Controller{Target: target, MaxLimit: float64(maxLimit)}
 }
 
 // State is the controller's evolving state. The zero value is not
@@ -80,25 +79,25 @@ func (c Controller) OnComplete(s State, lat time.Duration, nowNS int64) State {
 	if s.LatEWMA == 0 {
 		s.LatEWMA = l
 	} else {
-		s.LatEWMA = c.Alpha*l + (1-c.Alpha)*s.LatEWMA
+		s.LatEWMA = ewmaAlpha*l + (1-ewmaAlpha)*s.LatEWMA
 	}
 	if s.LastDoneNS != 0 && nowNS > s.LastDoneNS {
 		r := 1e9 / float64(nowNS-s.LastDoneNS)
 		if s.RateEWMA == 0 {
 			s.RateEWMA = r
 		} else {
-			s.RateEWMA = c.Alpha*r + (1-c.Alpha)*s.RateEWMA
+			s.RateEWMA = ewmaAlpha*r + (1-ewmaAlpha)*s.RateEWMA
 		}
 	}
 	s.LastDoneNS = nowNS
 
 	if s.LatEWMA > c.Target.Seconds() {
-		s.Limit *= c.Decrease
+		s.Limit *= limitDecrease
 	} else {
 		s.Limit += 1 / math.Max(s.Limit, 1)
 	}
-	if s.Limit < c.MinLimit {
-		s.Limit = c.MinLimit
+	if s.Limit < minLimit {
+		s.Limit = minLimit
 	}
 	if s.Limit > c.MaxLimit {
 		s.Limit = c.MaxLimit

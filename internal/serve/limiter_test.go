@@ -8,13 +8,7 @@ import (
 )
 
 func testController() Controller {
-	return Controller{
-		Target:   100 * time.Millisecond,
-		Alpha:    0.5,
-		MinLimit: 1,
-		MaxLimit: 64,
-		Decrease: 0.5,
-	}
+	return Controller{Target: 100 * time.Millisecond, MaxLimit: 64}
 }
 
 func TestControllerAdditiveIncrease(t *testing.T) {
@@ -42,14 +36,14 @@ func TestControllerMultiplicativeDecreaseAndRecovery(t *testing.T) {
 	s := c.Init()
 	now := int64(0)
 
-	// Sustained latency over target: each completion halves the limit
-	// until the floor.
+	// Sustained latency over target: each completion scales the limit
+	// by limitDecrease until the floor.
 	for i := 0; i < 20; i++ {
 		now += int64(time.Second)
 		s = c.OnComplete(s, time.Second, now)
 	}
-	if s.Limit != c.MinLimit {
-		t.Fatalf("overloaded limit %v, want floor %v", s.Limit, c.MinLimit)
+	if s.Limit != minLimit {
+		t.Fatalf("overloaded limit %v, want floor %v", s.Limit, minLimit)
 	}
 
 	// Recovery: healthy latencies grow the limit additively — strictly
@@ -78,7 +72,7 @@ func TestControllerDecreaseIsMultiplicative(t *testing.T) {
 	c := testController()
 	s := c.Init()
 	s = c.OnComplete(s, time.Second, int64(time.Second)) // EWMA jumps over target
-	if got, want := s.Limit, 64*c.Decrease; math.Abs(got-want) > 1e-9 {
+	if got, want := s.Limit, 64*limitDecrease; math.Abs(got-want) > 1e-9 {
 		t.Errorf("after one overloaded completion limit = %v, want %v", got, want)
 	}
 }
@@ -128,7 +122,7 @@ func TestControllerDrainRateEWMA(t *testing.T) {
 }
 
 func TestLimiterAcquireReleaseAccounting(t *testing.T) {
-	l := newLimiter(Controller{Target: time.Second, Alpha: 0.5, MinLimit: 1, MaxLimit: 2, Decrease: 0.5})
+	l := newLimiter(Controller{Target: time.Second, MaxLimit: 2})
 	ok1, _ := l.acquire()
 	ok2, _ := l.acquire()
 	if !ok1 || !ok2 {

@@ -38,10 +38,12 @@
 //     in an injection ledger the chaos e2e harness reconciles against
 //     the client's observations. Chaos off is one branch per request.
 //
-//   - Reload rollback. The last-known-good artifact stays pinned: if a
-//     hot-swapped snapshot fails post-swap validation (or the
-//     reload-fail chaos point fires), the server auto-reverts to the
-//     pinned artifact and counts the rollback.
+//   - Refused reloads. A reload checks the decoded replacement —
+//     validate's structural checks, then the reload-fail chaos point —
+//     before it installs anything. A replacement that fails is refused
+//     (a "rollback" in the metrics and the reload response): the
+//     serving artifact, its generation, its cached bodies and its warm
+//     pass stay exactly as they were, and the refusal is counted.
 //
 //   - Bounded caching. Rendered footprints — the one expensive query,
 //     a full KDE grid per call — live in one render table keyed by
@@ -52,10 +54,11 @@
 //     for (GreedyDual-Frequency). Each install drops the bodies of
 //     every other generation.
 //
-//   - Deadlines. Every request runs under a per-request context
+//   - Deadlines. Footprint requests run under a per-request context
 //     timeout; the footprint estimator observes cancellation at KDE
 //     block boundaries, so a stuck query returns 504 instead of holding
-//     an admission slot forever.
+//     an admission slot forever. The other routes never block, so they
+//     run without one.
 //
 // Every response the data endpoints produce is rendered by the same
 // code paths the offline tools use (RenderFootprint's, over points
@@ -89,8 +92,9 @@ import (
 
 // Options configure a Server. Zero fields take the listed defaults.
 type Options struct {
-	// Timeout bounds each request's handling (default 5s; negative
-	// disables).
+	// Timeout bounds each footprint request's handling (default 5s;
+	// negative disables). Only the footprint routes can block, on a
+	// render, so the other routes take no deadline.
 	Timeout time.Duration
 	// MaxInflight is the adaptive limiter's ceiling on concurrently
 	// served data requests; excess requests are shed with 503 (default
@@ -113,22 +117,18 @@ type Options struct {
 	// not pass ?bw= (default 40, the paper's kernel).
 	BandwidthKm float64
 	// Warm enables the background footprint warmer: after every
-	// artifact install (startup load, reload, rollback) a Warmer
-	// renders, at the default bandwidth, the top min(CacheSize, ASes)
-	// dataset ASes by user count, most-used first, so steady-state
-	// traffic starts on a cache holding the ASes it asks for most
-	// instead of a 504 storm. With caching disabled it renders nothing.
-	// The warmer is cancelled by the next swap and by Close.
+	// artifact install (startup load or reload) a warm pass renders, at
+	// the default bandwidth, the top min(CacheSize, ASes) dataset ASes
+	// by user count, most-used first, so steady-state traffic starts on
+	// a cache holding the ASes it asks for most instead of a 504 storm.
+	// With caching disabled it renders nothing. The pass is cancelled by
+	// the next install and by Close.
 	Warm bool
 	// WarmWorkers bounds concurrent warm renders (default 1): the warm
 	// pass runs on that many of the shared pool's workers. Warm renders
 	// bypass the admission limiter entirely but pause while live traffic
 	// holds a significant share of the admission limit.
 	WarmWorkers int
-	// WarmBudget bounds one warm pass's wall time (0 = unbounded). A
-	// pass that exhausts its budget stops where it is; the cache keeps
-	// whatever was rendered.
-	WarmBudget time.Duration
 	// Obs receives request metrics; nil disables instrumentation.
 	Obs *obs.Registry
 	// Tracer records one request-scoped trace per request into its
@@ -176,8 +176,7 @@ type Artifact struct {
 }
 
 // preparePoints prepares the samples of every AS in ds. It walks the
-// record map rather than the order, which validate has not yet checked
-// when a reload installs.
+// record map rather than the order, which Load does not check.
 func preparePoints(ds *pipeline.Dataset) map[astopo.ASN]*core.Points {
 	points := make(map[astopo.ASN]*core.Points, len(ds.ASes))
 	for asn, rec := range ds.ASes {
@@ -209,18 +208,16 @@ type Server struct {
 	// body with its cost in KDE cells.
 	render renderFunc
 
-	// reloadMu serializes Load/Reload so two concurrent reloads cannot
-	// interleave generation assignment; readers never take it.
-	reloadMu  sync.Mutex
+	// mu serializes the artifact lifecycle — Load, Reload and Close —
+	// and guards what it changes: generation assignment, the reload
+	// counter the reload-fail point draws on, the running warm pass and
+	// closed. Readers never take it.
+	mu        sync.Mutex
 	nextGen   uint64
 	reloadSeq uint64
-
-	// warmMu guards the warmer lifecycle: at most one warm pass runs at
-	// a time, the next swap cancels the previous pass before starting
-	// its own, and Close cancels whatever is running.
-	warmMu sync.Mutex
-	warm   *Warmer
-	closed bool
+	warmStop  context.CancelFunc // cancels the running warm pass; nil when none runs
+	warmDone  chan struct{}      // closed once the running pass's workers exit
+	closed    bool
 }
 
 // renderFunc is the signature of the footprint renderer the server
@@ -246,16 +243,12 @@ func New(opts Options) *Server {
 // Close cancels the running warm pass (if any) and waits for its
 // goroutines to exit. The server keeps answering requests — Close
 // tears down background work, not the handler — but no further warm
-// passes start. Idempotent.
+// passes start. A reload in progress finishes first. Idempotent.
 func (s *Server) Close() {
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
-	if s.warm != nil {
-		s.warm.cancel()
-		<-s.warm.done
-		s.warm = nil
-	}
+	s.stopWarm()
 }
 
 // SetChaos swaps the serve-path fault injector at runtime (nil turns
@@ -266,36 +259,33 @@ func (s *Server) SetChaos(c *Chaos) { s.chaos.Store(c) }
 // ChaosState returns the currently armed injector (nil when chaos is off).
 func (s *Server) ChaosState() *Chaos { return s.chaos.Load() }
 
-// Load installs a parsed snapshot as the serving artifact.
+// Load installs a parsed snapshot as the serving artifact, without
+// the checks LoadFile and Reload run: the caller built or decoded it.
 func (s *Server) Load(snap *snapshot.Snapshot, path string) *Artifact {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.install(snap, path)
 }
 
+// install makes snap the next generation and points the server at it:
+// the render table switches to that generation first, so no render of
+// it can finish before the table would cache it, then the artifact and
+// its gauges go live and a warm pass starts. Callers hold mu.
 func (s *Server) install(snap *snapshot.Snapshot, path string) *Artifact {
 	s.nextGen++
 	a := &Artifact{Snap: snap, Path: path, Gen: s.nextGen, points: preparePoints(snap.Dataset)}
-	s.serveArtifact(a)
-	return a
-}
-
-// serveArtifact points the server at a: the render table switches to
-// its generation first, so no render of a can finish before the table
-// would cache it, then the artifact and its gauges go live and a warm
-// pass starts.
-func (s *Server) serveArtifact(a *Artifact) {
 	s.renders.install(a.Gen)
 	s.art.Store(a)
 	s.opts.Obs.Gauge("eyeball_serve_snapshot_generation").Set(float64(a.Gen))
 	s.opts.Obs.Gauge("eyeball_serve_snapshot_ases").Set(float64(len(a.Snap.Dataset.Order)))
 	s.startWarm(a)
+	return a
 }
 
 // LoadFile reads, validates, and installs a snapshot artifact from
-// disk. It runs the structural checks a reload applies after its swap
-// (see validate) before installing. On error nothing changes: whatever
-// artifact was serving keeps serving.
+// disk. It runs the structural checks a reload runs (see validate)
+// before installing. On error nothing changes: whatever artifact was
+// serving keeps serving.
 func (s *Server) LoadFile(path string) (*Artifact, error) {
 	snap, err := snapshot.ReadFile(path)
 	if err != nil {
@@ -307,27 +297,27 @@ func (s *Server) LoadFile(path string) (*Artifact, error) {
 	return s.Load(snap, path), nil
 }
 
-// ErrReloadRolledBack is the typed result of a reload whose swapped-in
-// snapshot failed post-swap validation: the server auto-reverted to the
-// pinned last-known-good artifact. Match with errors.Is.
+// ErrReloadRolledBack is the typed result of a reload whose re-read
+// snapshot decoded but failed its checks (validate, or the reload-fail
+// chaos point) and was refused before the swap: the last-known-good
+// artifact keeps serving. Match with errors.Is.
 var ErrReloadRolledBack = errors.New("serve: reload rolled back to last-known-good artifact")
 
-// Reload re-reads the current artifact's file and hot-swaps to it. The
-// swap happens only after the new artifact fully parses and validates;
-// on any error — including a snapshot corrupted on disk since the last
-// load — the old artifact keeps serving and the typed snapshot error is
-// returned. In-flight requests that started before the swap finish on
-// the artifact they loaded at entry.
+// Reload re-reads the current artifact's file and hot-swaps to it, in
+// the order LoadFile uses: read, check, install. In-flight requests
+// that started before the swap finish on the artifact they loaded at
+// entry.
 //
-// The previously serving artifact stays pinned as last-known-good: if
-// the swapped-in snapshot fails validation once live (a structural
-// check the decode layer cannot see, or the reload-fail chaos point),
-// the server auto-reverts to the pinned artifact, counts the rollback
-// in eyeball_serve_reload_rollbacks_total, and returns an error
-// matching ErrReloadRolledBack.
+// A file that fails to read or decode — including a snapshot corrupted
+// on disk since the last load — returns the typed snapshot error. One
+// that decodes but fails validate, or draws the reload-fail chaos
+// point, is refused: the error matches ErrReloadRolledBack and the
+// refusal counts in eyeball_serve_reload_rollbacks_total. Either way
+// nothing is installed, so the serving artifact, its generation, its
+// cached bodies and its warm pass stay as they were.
 func (s *Server) Reload() (*Artifact, error) {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	cur := s.art.Load()
 	if cur == nil {
 		return nil, fmt.Errorf("serve: no artifact installed to reload")
@@ -338,32 +328,19 @@ func (s *Server) Reload() (*Artifact, error) {
 		return nil, err
 	}
 	s.reloadSeq++
-	a := s.install(snap, cur.Path)
-	if err := s.verifyLive(a); err != nil {
-		// Roll back: re-point at the pinned last-known-good artifact.
-		// Requests that grabbed the bad artifact mid-flight finish on
-		// it (the standard hot-swap discipline); everything after the
-		// revert serves from the pinned one. Like any install, this
-		// drops the bad artifact's bodies and rewarms the pinned one,
-		// whose bodies the bad install dropped.
-		s.serveArtifact(cur)
+	if s.chaos.Load().reloadFails(s.reloadSeq) {
+		err = fmt.Errorf("chaos: injected reload validation failure (attempt %d)", s.reloadSeq)
+	} else {
+		err = validate(snap)
+	}
+	if err != nil {
 		s.opts.Obs.Counter("eyeball_serve_reload_rollbacks_total").Inc()
 		s.opts.Obs.Counter("eyeball_serve_reloads_total", "result", "rollback").Inc()
 		return nil, fmt.Errorf("%w (generation %d still serving): %v", ErrReloadRolledBack, cur.Gen, err)
 	}
+	a := s.install(snap, cur.Path)
 	s.opts.Obs.Counter("eyeball_serve_reloads_total", "result", "ok").Inc()
 	return a, nil
-}
-
-// verifyLive runs the post-swap validation pass over a just-installed
-// artifact: the structural checks of validate, plus the reload-fail
-// chaos point, which models exactly this class of "valid bytes, broken
-// artifact" failure.
-func (s *Server) verifyLive(a *Artifact) error {
-	if s.chaos.Load().reloadFails(s.reloadSeq) {
-		return fmt.Errorf("chaos: injected reload validation failure (attempt %d)", s.reloadSeq)
-	}
-	return validate(a.Snap)
 }
 
 // validate checks the structural invariants decode alone cannot rule
@@ -404,8 +381,8 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /healthz", s.instrument("healthz", false, s.handleHealthz))
 	mux.Handle("GET /v1/as/{asn}", s.instrument("as", true, s.handleAS))
 	mux.Handle("GET /v1/lookup", s.instrument("lookup", true, s.handleLookup))
-	mux.Handle("GET /v1/footprint/{asn}", s.instrument("footprint", true, s.handleFootprint))
-	mux.Handle("GET /v1/footprints", s.instrument("footprints", true, s.handleFootprints))
+	mux.Handle("GET /v1/footprint/{asn}", s.instrument("footprint", true, s.withDeadline(s.handleFootprint)))
+	mux.Handle("GET /v1/footprints", s.instrument("footprints", true, s.withDeadline(s.handleFootprints)))
 	mux.Handle("POST /-/reload", s.instrument("reload", false, s.handleReload))
 	// Diagnostic surfaces ride outside the serving discipline: no
 	// shedding, no tracing of the trace-inspection requests themselves.
@@ -473,14 +450,28 @@ func spanOf(w http.ResponseWriter) *trace.Span {
 	return nil
 }
 
+// withDeadline bounds h by Options.Timeout. Only the footprint handlers
+// take it: a render is the one thing a handler can block on, and it
+// observes the deadline at KDE block boundaries. instrument calls h
+// after admission and serve-slow, so the deadline starts there.
+func (s *Server) withDeadline(h http.HandlerFunc) http.HandlerFunc {
+	if s.opts.Timeout <= 0 {
+		return h
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
+		defer cancel()
+		h(w, r.WithContext(ctx))
+	}
+}
+
 // instrument wraps a handler with the serving discipline, innermost to
 // outermost per request: chaos injection (when armed), adaptive load
-// shedding (when limited), the per-request deadline, panic recovery,
-// request/latency metrics, and — when configured — the request-scoped
-// trace and the structured access-log line. The three records of one
-// request (trace, log line, metrics) are emitted from the same
-// deferred block over the same statusWriter state, so they cannot
-// disagree about status or outcome.
+// shedding (when limited), panic recovery, request/latency metrics,
+// and — when configured — the request-scoped trace and the structured
+// access-log line. The three records of one request (trace, log line,
+// metrics) are emitted from the same deferred block over the same
+// statusWriter state, so they cannot disagree about status or outcome.
 func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) http.Handler {
 	hist := s.opts.Obs.Histogram("eyeball_serve_latency_seconds", obs.LatencyBuckets(), "endpoint", endpoint)
 	spanName := "serve." + endpoint
@@ -559,11 +550,6 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 		}
 		if chaos != nil {
 			s.applySlow(chaos, d, sw)
-		}
-		if s.opts.Timeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
-			defer cancel()
-			r = r.WithContext(ctx)
 		}
 		h(sw, r)
 	})

@@ -410,13 +410,9 @@ func TestHotReload(t *testing.T) {
 	}
 }
 
-// TestLoadFileRejectsLeakyLedger: an artifact whose bytes are valid but
-// whose funnel ledger leaks is refused at start-up with the same
-// structural error a reload of it rolls back on, and nothing is
-// installed.
-func TestLoadFileRejectsLeakyLedger(t *testing.T) {
-	dir := t.TempDir()
-	path, good := testArtifact(t, dir)
+// leakySnapshot returns good with a funnel ledger that leaks: bytes a
+// decoder accepts, structure validate refuses.
+func leakySnapshot(good *snapshot.Snapshot) *snapshot.Snapshot {
 	leaky := *good
 	ds := *good.Dataset
 	ds.Funnel = obs.NewFunnel("pipeline")
@@ -425,8 +421,18 @@ func TestLoadFileRejectsLeakyLedger(t *testing.T) {
 	geoStage.Drop("no_city_record", 40)
 	geoStage.Out(450) // 10 peers unaccounted for
 	leaky.Dataset = &ds
+	return &leaky
+}
+
+// TestLoadFileRejectsLeakyLedger: an artifact whose bytes are valid but
+// whose funnel ledger leaks is refused at start-up with the same
+// structural error a reload of it is refused on, and nothing is
+// installed.
+func TestLoadFileRejectsLeakyLedger(t *testing.T) {
+	dir := t.TempDir()
+	path, good := testArtifact(t, dir)
 	leakyPath := filepath.Join(dir, "leaky.snap")
-	if err := snapshot.WriteFile(leakyPath, &leaky); err != nil {
+	if err := snapshot.WriteFile(leakyPath, leakySnapshot(good)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -458,7 +464,7 @@ func TestLoadFileRejectsLeakyLedger(t *testing.T) {
 	}
 	_, reloadErr := s.Reload()
 	if !errors.Is(reloadErr, ErrReloadRolledBack) || !strings.Contains(reloadErr.Error(), loadErr.Error()) {
-		t.Errorf("Reload of the leaky file: %v, want a rollback on %q", reloadErr, loadErr)
+		t.Errorf("Reload of the leaky file: %v, want a refusal on %q", reloadErr, loadErr)
 	}
 }
 

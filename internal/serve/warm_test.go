@@ -18,15 +18,23 @@ import (
 	"eyeballas/internal/pipeline"
 )
 
+// warmPass returns the done channel of the server's current warm pass,
+// nil when none was started since the last stop.
+func warmPass(s *Server) chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.warmDone
+}
+
 // awaitWarm blocks until the pass finishes (done closed) or the test
 // deadline trips.
-func awaitWarm(t *testing.T, w *Warmer) {
+func awaitWarm(t *testing.T, done chan struct{}) {
 	t.Helper()
-	if w == nil {
+	if done == nil {
 		t.Fatal("no warm pass running")
 	}
 	select {
-	case <-w.done:
+	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("warm pass never finished")
 	}
@@ -83,7 +91,7 @@ func TestWarmRendersInPriorityOrderThenHits(t *testing.T) {
 	if _, err := s.LoadFile(path); err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
-	awaitWarm(t, s.warmer())
+	awaitWarm(t, warmPass(s))
 
 	mu.Lock()
 	got := append([]astopo.ASN(nil), order...)
@@ -149,7 +157,7 @@ func TestWarmOnlyWhatTheCacheHolds(t *testing.T) {
 			if _, err := s.LoadFile(path); err != nil {
 				t.Fatalf("LoadFile: %v", err)
 			}
-			awaitWarm(t, s.warmer())
+			awaitWarm(t, warmPass(s))
 			mu.Lock()
 			got := append([]astopo.ASN(nil), order...)
 			mu.Unlock()
@@ -195,7 +203,7 @@ func TestWarmCancelOnSwapAndClose(t *testing.T) {
 	if _, err := s.LoadFile(path); err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
-	w1 := s.warmer()
+	w1 := warmPass(s)
 	if w1 == nil {
 		t.Fatal("no warm pass after load")
 	}
@@ -204,16 +212,16 @@ func TestWarmCancelOnSwapAndClose(t *testing.T) {
 	})
 
 	// Swap: Reload must cancel pass 1 and wait it out before pass 2
-	// exists — by the time Reload returns, w1.done is closed.
+	// exists — by the time Reload returns, w1 is closed.
 	if _, err := s.Reload(); err != nil {
 		t.Fatalf("Reload: %v", err)
 	}
 	select {
-	case <-w1.done:
+	case <-w1:
 	default:
 		t.Fatal("previous warm pass still running after the swap")
 	}
-	w2 := s.warmer()
+	w2 := warmPass(s)
 	if w2 == nil || w2 == w1 {
 		t.Fatalf("swap did not start a fresh warm pass (w2=%p w1=%p)", w2, w1)
 	}
@@ -224,7 +232,7 @@ func TestWarmCancelOnSwapAndClose(t *testing.T) {
 	// Close cancels the pass and returns only after its workers exited.
 	s.Close()
 	select {
-	case <-w2.done:
+	case <-w2:
 	default:
 		t.Fatal("Close returned with the warm pass still running")
 	}
@@ -243,36 +251,10 @@ func TestWarmCancelOnSwapAndClose(t *testing.T) {
 	if _, err := s.Reload(); err != nil {
 		t.Fatalf("Reload after Close: %v", err)
 	}
-	if w := s.warmer(); w != nil {
+	if w := warmPass(s); w != nil {
 		t.Error("a closed server started a warm pass")
 	}
 	s.Close() // idempotent
-}
-
-// TestWarmBudgetBoundsPass: a pass that exhausts WarmBudget stops where
-// it is — done stays short of total, and nothing hangs.
-func TestWarmBudgetBoundsPass(t *testing.T) {
-	defer leakcheck.Check(t)()
-	reg := obs.New()
-	path, _ := testArtifact(t, t.TempDir())
-	s := New(Options{Warm: true, WarmBudget: time.Nanosecond, Obs: reg})
-	defer s.Close()
-
-	s.render = func(ctx context.Context, _ *pipeline.ASRecord, _ *core.Points, _ float64, _ *obs.Registry) ([]byte, int, error) {
-		<-ctx.Done() // the budget is the only cancel source in this test
-		return nil, 0, ctx.Err()
-	}
-	if _, err := s.LoadFile(path); err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	awaitWarm(t, s.warmer())
-
-	if v := reg.Gauge("eyeball_serve_warm_total").Value(); v != 2 {
-		t.Errorf("warm_total = %v, want 2", v)
-	}
-	if v := reg.Gauge("eyeball_serve_warm_done").Value(); v != 0 {
-		t.Errorf("warm_done = %v, want 0 (budget expired before any render)", v)
-	}
 }
 
 // TestWarmRenderPanicKeepsServing: the warm pass runs on the shared
@@ -303,7 +285,7 @@ func TestWarmRenderPanicKeepsServing(t *testing.T) {
 			if _, err := s.LoadFile(path); err != nil {
 				t.Fatalf("LoadFile: %v", err)
 			}
-			awaitWarm(t, s.warmer())
+			awaitWarm(t, warmPass(s))
 
 			if n := inFlight(s); n != 0 {
 				t.Errorf("%d renders left in flight after the panic", n)
@@ -332,7 +314,7 @@ func TestWarmRenderPanicKeepsServing(t *testing.T) {
 func TestWarmDisabledByDefault(t *testing.T) {
 	s, _, _ := newTestServer(t, Options{})
 	defer s.Close()
-	if w := s.warmer(); w != nil {
+	if w := warmPass(s); w != nil {
 		t.Fatal("warm pass started without Options.Warm")
 	}
 }
