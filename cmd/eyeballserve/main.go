@@ -194,7 +194,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *warm {
 		logger.LogAttrs(ctx, slog.LevelInfo, "warming footprint cache",
-			slog.Int("ases", len(art.Snap.Dataset.Order)),
+			slog.Int("ases", srv.WarmSize(art)),
 			slog.Int("workers", *warmWorkers))
 	}
 	ds := art.Snap.Dataset

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -20,6 +22,13 @@ import (
 // writeTestSnapshot builds a one-AS snapshot on disk for CLI tests.
 func writeTestSnapshot(t *testing.T) string {
 	t.Helper()
+	return writeSnapshot(t, 64500)
+}
+
+// writeSnapshot builds a snapshot on disk whose ASes, the given ones,
+// each hold the same 120 users around Milan.
+func writeSnapshot(t *testing.T, asns ...astopo.ASN) string {
+	t.Helper()
 	milan, ok := gazetteer.Default().Find("Milan", "IT")
 	if !ok {
 		t.Fatal("gazetteer lost Milan")
@@ -34,21 +43,21 @@ func writeTestSnapshot(t *testing.T) string {
 			Place: &core.Place{City: "Milan", Country: "IT"}, GeoErrKm: float64(i % 25),
 		})
 	}
-	rec := &pipeline.ASRecord{
-		ASN: 64500, Users: 120, Samples: samples,
-		PeersByApp: map[p2p.App]int{p2p.Kad: 120},
-		Class:      core.Classification{Level: astopo.LevelCity, Place: "Milan/IT", Share: 1},
-		Region:     gazetteer.EU,
+	ds := &pipeline.Dataset{
+		ASes:       map[astopo.ASN]*pipeline.ASRecord{},
+		Order:      asns,
+		TotalPeers: 120 * len(asns),
+		Funnel:     obs.NewFunnel("cli-test"),
 	}
-	snap := &snapshot.Snapshot{
-		Meta: snapshot.Meta{Seed: 42, Label: "cli-test"},
-		Dataset: &pipeline.Dataset{
-			ASes:       map[astopo.ASN]*pipeline.ASRecord{64500: rec},
-			Order:      []astopo.ASN{64500},
-			TotalPeers: 120,
-			Funnel:     obs.NewFunnel("cli-test"),
-		},
+	for _, asn := range asns {
+		ds.ASes[asn] = &pipeline.ASRecord{
+			ASN: asn, Users: 120, Samples: samples,
+			PeersByApp: map[p2p.App]int{p2p.Kad: 120},
+			Class:      core.Classification{Level: astopo.LevelCity, Place: "Milan/IT", Share: 1},
+			Region:     gazetteer.EU,
+		}
 	}
+	snap := &snapshot.Snapshot{Meta: snapshot.Meta{Seed: 42, Label: "cli-test"}, Dataset: ds}
 	path := t.TempDir() + "/cli.snap"
 	if err := snapshot.WriteFile(path, snap); err != nil {
 		t.Fatalf("WriteFile: %v", err)
@@ -98,6 +107,54 @@ func TestPrintFootprintMatchesRender(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "loaded ") {
 		t.Errorf("missing load summary on stderr: %q", errOut.String())
+	}
+}
+
+// TestWarmLogReportsWarmSet pins the "warming footprint cache" line to
+// the warm set, min(-cache, ASes), which eyeball_serve_warm_total
+// reports too, not to the dataset's AS count.
+func TestWarmLogReportsWarmSet(t *testing.T) {
+	path := writeSnapshot(t, 64500, 64501, 64502)
+	for _, tc := range []struct {
+		cache string
+		want  int
+	}{{"2", 2}, {"10", 3}, {"-1", 0}} {
+		t.Run("cache"+tc.cache, func(t *testing.T) {
+			metrics := t.TempDir() + "/metrics.json"
+			var out, errOut bytes.Buffer
+			err := run(context.Background(),
+				[]string{"-snap", path, "-warm", "-cache", tc.cache, "-print-footprint", "64500", "-metrics", metrics},
+				&out, &errOut)
+			if err != nil {
+				t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
+			}
+			logged := -1
+			for _, line := range strings.Split(strings.TrimSpace(errOut.String()), "\n") {
+				var rec struct {
+					Msg  string `json:"msg"`
+					ASes int    `json:"ases"`
+				}
+				if json.Unmarshal([]byte(line), &rec) == nil && rec.Msg == "warming footprint cache" {
+					logged = rec.ASes
+				}
+			}
+			if logged != tc.want {
+				t.Errorf("warming line ases = %d, want %d (stderr: %s)", logged, tc.want, errOut.String())
+			}
+			raw, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap struct {
+				Gauges map[string]float64 `json:"gauges"`
+			}
+			if err := json.Unmarshal(raw, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if got := snap.Gauges["eyeball_serve_warm_total"]; got != float64(tc.want) {
+				t.Errorf("eyeball_serve_warm_total = %v, want %d", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -229,7 +229,8 @@ func EstimatePoints(ctx context.Context, gaz *gazetteer.Gazetteer, pts *Points, 
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	dmax, _, _ := g.Max()
+	// The blur recorded the surface's maximum as it wrote each cell.
+	dmax := g.MaxV
 	fp := &Footprint{
 		N:          pts.N,
 		Bandwidth:  o.BandwidthKm,

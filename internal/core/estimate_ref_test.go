@@ -17,7 +17,10 @@ import (
 
 // referenceEstimate is the per-sample estimator that Prepare and
 // EstimatePoints replaced: it sums the centroid and projects every
-// sample, and the KDE bins every sample with weight 1.
+// sample, and the KDE bins every sample with weight 1. Its Dmax, peaks
+// and partitions scan the whole surface, as they did before the grid
+// carried its support; the footprint's Grid keeps the support and
+// maximum the KDE recorded, which the comparison checks field by field.
 func referenceEstimate(ctx context.Context, gaz *gazetteer.Gazetteer, samples []Sample, opts Options) (*Footprint, error) {
 	o := opts.withDefaults()
 	if len(samples) == 0 {
@@ -43,7 +46,9 @@ func referenceEstimate(ctx context.Context, gaz *gazetteer.Gazetteer, samples []
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	dmax, _, _ := g.Max()
+	whole := *g
+	whole.Spans, whole.MaxV = nil, 0
+	dmax, _, _ := whole.Max()
 	fp := &Footprint{
 		N:          len(samples),
 		Bandwidth:  o.BandwidthKm,
@@ -56,14 +61,14 @@ func referenceEstimate(ctx context.Context, gaz *gazetteer.Gazetteer, samples []
 	}
 
 	floor := o.Alpha * dmax
-	rawPeaks := g.Peaks(floor)
+	rawPeaks := whole.Peaks(floor)
 	if len(rawPeaks) > 0 {
 		fp.Peaks = make([]PeakGeo, len(rawPeaks))
 	}
 	for i, p := range rawPeaks {
 		fp.Peaks[i] = PeakGeo{Loc: proj.ToGeo(p.XY), Value: p.Value}
 	}
-	fp.Partitions = g.Components(floor)
+	fp.Partitions = whole.Components(floor)
 
 	type cityKey struct{ name, country string }
 	byCity := map[cityKey]int{}

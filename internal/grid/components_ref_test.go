@@ -237,11 +237,38 @@ func TestComponentsMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if diff := sameComponents(tc.g, tc.level, tc.g.Components(tc.level), !nearTies[tc.name]); diff != "" {
+			bare := tc.g.Components(tc.level)
+			if diff := sameComponents(tc.g, tc.level, bare, !nearTies[tc.name]); diff != "" {
 				t.Fatal(diff)
+			}
+			// The same surface with its support recorded, exact and
+			// widened: the answer must not move, at any level.
+			for _, widen := range [][]byte{nil, {0xc5, 0x00, 0xff, 0x4a, 0x93}} {
+				g := *tc.g
+				g.Spans = supportOf(&g, widen)
+				if diff := identicalComponents(g.Components(tc.level), bare); diff != "" {
+					t.Fatalf("with spans %v: %s", g.Spans, diff)
+				}
 			}
 		})
 	}
+}
+
+// identicalComponents reports the first difference between two
+// partition lists, floats bit for bit ("" when they are identical).
+func identicalComponents(got, want []Component) string {
+	if (got == nil) != (want == nil) || len(got) != len(want) {
+		return fmt.Sprintf("%d partitions (nil %v), want %d (nil %v)", len(got), got == nil, len(want), want == nil)
+	}
+	bits := math.Float64bits
+	for k, g := range got {
+		w := want[k]
+		if g.Cells != w.Cells || g.MinI != w.MinI || g.MinJ != w.MinJ || g.MaxI != w.MaxI || g.MaxJ != w.MaxJ ||
+			bits(g.AreaKm) != bits(w.AreaKm) || bits(g.Mass) != bits(w.Mass) || bits(g.PeakV) != bits(w.PeakV) {
+			return fmt.Sprintf("partition %d = %+v, want %+v", k, g, w)
+		}
+	}
+	return ""
 }
 
 // FuzzComponentsMatchesReference checks Components against the flood
@@ -249,7 +276,9 @@ func TestComponentsMatchesReference(t *testing.T) {
 // values on a few levels, so that runs, gaps, forks and diagonal links
 // are common, and levels at or below zero, between the values and above
 // them all. The values are multiples of 0.1, whose sums round, so Mass
-// moves with the summation order.
+// moves with the summation order. Each grid then records a fuzzed
+// support (supportOf over the input's bytes): Components must answer
+// exactly what it answered without it.
 func FuzzComponentsMatchesReference(f *testing.F) {
 	f.Add([]byte{4, 4, 3, 0, 1, 2, 1, 2, 2, 1, 0, 2, 1, 1, 0, 2, 2, 1, 2})
 	f.Add([]byte{31, 0, 10, 1, 2, 2, 0, 3, 2, 1, 0, 1, 2})
@@ -271,8 +300,13 @@ func FuzzComponentsMatchesReference(f *testing.F) {
 			}
 			g.Data[k] = float64(int(b)%steps) * 0.1
 		}
-		if diff := sameComponents(g, level, g.Components(level), false); diff != "" {
+		bare := g.Components(level)
+		if diff := sameComponents(g, level, bare, false); diff != "" {
 			t.Fatalf("%dx%d grid %v level %v: %s", w, h, g.Data, level, diff)
+		}
+		g.Spans = supportOf(g, data)
+		if diff := identicalComponents(g.Components(level), bare); diff != "" {
+			t.Fatalf("%dx%d grid %v level %v, spans %v: %s", w, h, g.Data, level, g.Spans, diff)
 		}
 	})
 }

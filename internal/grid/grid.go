@@ -20,7 +20,20 @@ type Grid struct {
 	Cell       float64 // cell edge, km
 	W, H       int     // columns (x), rows (y)
 	Data       []float64
+	// Spans, when not nil, is the grid's support, one span per row:
+	// every cell of row j outside Spans[j] is +0. Nil means whole rows.
+	// Max, Peaks and Components scan only the spans wherever a cell of 0
+	// cannot change their answer. Whoever changes Data must keep Spans
+	// true or set it to nil.
+	Spans []Span
+	// MaxV is the largest cell value as the grid's writer recorded it (a
+	// KDE surface records it as the blur writes each cell); 0 when none
+	// did. It is kept true as Spans is.
+	MaxV float64
 }
+
+// Span is the columns [Lo, Hi) of one row; Lo == Hi is an empty row.
+type Span struct{ Lo, Hi int }
 
 // New allocates a zeroed grid. It panics on non-positive dimensions or
 // cell size.
@@ -73,13 +86,29 @@ func cellIndex(x, min, cell float64) int {
 	return i
 }
 
-// Max returns the maximum cell value and its cell coordinates. An empty
-// (all-zero) grid returns 0 at (0, 0).
+// support returns the columns of row j a scan must visit: the row's
+// span when the grid records its support and zeroSkipped says that a
+// cell of 0 cannot change the scan's answer, else the whole row.
+func (g *Grid) support(j int, zeroSkipped bool) (lo, hi int) {
+	if g.Spans == nil || !zeroSkipped {
+		return 0, g.W
+	}
+	s := g.Spans[j]
+	return s.Lo, s.Hi
+}
+
+// Max returns the maximum cell value and its cell coordinates, the first
+// in row-major order on a tie. An empty (all-zero) grid returns 0 at
+// (0, 0). A positive MaxV says the maximum is positive, so it lies in
+// the spans and only they are scanned.
 func (g *Grid) Max() (v float64, i, j int) {
 	v = g.Data[0]
-	for idx, d := range g.Data {
-		if d > v {
-			v, i, j = d, idx%g.W, idx/g.W
+	for r := 0; r < g.H; r++ {
+		lo, hi := g.support(r, g.MaxV > 0)
+		for c, d := range g.Data[r*g.W+lo : r*g.W+hi] {
+			if d > v {
+				v, i, j = d, lo+c, r
+			}
 		}
 	}
 	return v, i, j
@@ -121,7 +150,8 @@ var neighbours = [8][2]int{{-1, -1}, {0, -1}, {1, -1}, {-1, 0}, {1, 0}, {-1, 1},
 // neighbourOrder would give; border cells and cells with no higher
 // neighbour take neighbourOrder itself. One stack and one plateau slice
 // serve every flood of a call, and the visited marks are allocated only
-// once a cell has an equal neighbour.
+// once a cell has an equal neighbour. With a floor ≥ 0 no cell of 0 is a
+// candidate, so only the spans are scanned.
 func (g *Grid) Peaks(floor float64) []Peak {
 	var (
 		peaks          []Peak
@@ -129,25 +159,31 @@ func (g *Grid) Peaks(floor float64) []Peak {
 		stack, plateau []int
 	)
 	for j := 0; j < g.H; j++ {
-		row := g.Data[j*g.W : (j+1)*g.W]
+		// The row's columns to scan, widened by one each side: a cell
+		// outside the span is +0, never a candidate, and every scanned
+		// cell off the grid's border has its neighbours in the slices.
+		lo, hi := g.support(j, floor >= 0)
+		lo, hi = max(lo-1, 0), min(hi+1, g.W)
+		row := g.Data[j*g.W+lo : j*g.W+hi]
 		interior := j > 0 && j+1 < g.H
 		up, down := row, row
 		if interior {
-			up, down = g.Data[(j-1)*g.W:], g.Data[(j+1)*g.W:]
+			up, down = g.Data[(j-1)*g.W+lo:], g.Data[(j+1)*g.W+lo:]
 		}
 		// Resliced to the row's length, so that the compares below need
 		// no bounds checks.
 		up, down = up[:len(row)], down[:len(row)]
-		for i, v := range row {
+		for k, v := range row {
 			if v <= floor {
 				continue
 			}
-			if interior && i > 0 && i+1 < len(row) &&
-				(up[i-1] > v || up[i] > v || up[i+1] > v ||
-					row[i-1] > v || row[i+1] > v ||
-					down[i-1] > v || down[i] > v || down[i+1] > v) {
+			if interior && k > 0 && k+1 < len(row) &&
+				(up[k-1] > v || up[k] > v || up[k+1] > v ||
+					row[k-1] > v || row[k+1] > v ||
+					down[k-1] > v || down[k] > v || down[k+1] > v) {
 				continue
 			}
+			i := lo + k
 			idx := j*g.W + i
 			if visited != nil && visited[idx] {
 				continue
@@ -304,25 +340,28 @@ type run struct {
 // root is its earliest run, and partitions are numbered in the order of
 // their first cells. A pass over the runs in order then sums each
 // partition's cells, so Mass adds them in row-major order. The runs are
-// the only scratch: nothing is sized by the grid.
+// the only scratch: nothing is sized by the grid. With a level > 0 no
+// cell of 0 belongs to a partition, so only the spans are scanned, and a
+// run reaching the end of its row's span ends there.
 func (g *Grid) Components(level float64) []Component {
 	var runs []run
 	above := 0 // the first run of the row above
 	for j := 0; j < g.H; j++ {
 		first, a := len(runs), above
-		lo := -1 // the first cell of the run being scanned, if any
-		for i, v := range g.Data[j*g.W : (j+1)*g.W] {
+		lo, hi := g.support(j, level > 0)
+		start := -1 // the first cell of the run being scanned, if any
+		for k, v := range g.Data[j*g.W+lo : j*g.W+hi] {
 			if v >= level {
-				if lo < 0 {
-					lo = i
+				if start < 0 {
+					start = lo + k
 				}
-			} else if lo >= 0 {
-				runs, a = addRun(runs, a, first, j, lo, i-1)
-				lo = -1
+			} else if start >= 0 {
+				runs, a = addRun(runs, a, first, j, start, lo+k-1)
+				start = -1
 			}
 		}
-		if lo >= 0 {
-			runs, _ = addRun(runs, a, first, j, lo, g.W-1)
+		if start >= 0 {
+			runs, _ = addRun(runs, a, first, j, start, hi-1)
 		}
 		above = first
 	}

@@ -84,6 +84,52 @@ func BenchmarkEstimateParallel(b *testing.B) {
 	}
 }
 
+// servedPoints is the input a served render bins: the distinct
+// locations of one large AS, as core.Prepare gives them, each with its
+// sample count. n points sit in eight metros across a continent about
+// 4,000 × 2,500 km, each point a zip-code location within about 30 km of
+// its metro's centre, with counts skewed towards the first metros.
+func servedPoints(n int) ([]geo.XY, []uint32) {
+	src := rng.New(9002)
+	metros := make([]geo.XY, 8)
+	for i := range metros {
+		metros[i] = geo.XY{X: src.Range(-2000, 2000), Y: src.Range(-1250, 1250)}
+	}
+	xy := make([]geo.XY, n)
+	counts := make([]uint32, n)
+	for i := range xy {
+		m := i % len(metros)
+		xy[i] = geo.XY{X: metros[m].X + src.Norm(0, 15), Y: metros[m].Y + src.Norm(0, 15)}
+		counts[i] = uint32(1 + src.Intn(200/(m+1)))
+	}
+	return xy, counts
+}
+
+// BenchmarkEstimateServed times one weighted estimate of servedPoints'
+// few hundred points at the paper's 40 km, serially, as the server
+// renders a cold footprint: a sparse continental surface, where the
+// passes that follow the support visit about half of the grid.
+func BenchmarkEstimateServed(b *testing.B) {
+	xy, counts := servedPoints(400)
+	g, err := EstimateWeighted(context.Background(), xy, counts, Options{BandwidthKm: 40, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	support := 0
+	for _, sp := range g.Spans {
+		support += sp.Hi - sp.Lo
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EstimateWeighted(context.Background(), xy, counts, Options{BandwidthKm: 40, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(g.W*g.H), "cells")
+	b.ReportMetric(float64(support), "support_cells")
+}
+
 // BenchmarkEstimateObs runs the same estimate as BenchmarkEstimate/n10000
 // with a live registry attached: the counter/gauge/histogram hooks fire
 // on every call. The delta against the uninstrumented run is the kde-layer

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"eyeballas/internal/geo"
@@ -75,8 +76,11 @@ func (o Options) withDefaults() (Options, error) {
 // Estimate computes the density surface for the given samples. The
 // resulting grid integrates to ~1 (a probability density per km²);
 // relative comparisons such as the paper's α·Dmax peak threshold are
-// normalization-independent. It returns an error for an empty sample set,
-// an invalid bandwidth, or a domain exceeding Options.MaxCells.
+// normalization-independent. The grid records its support, the span of
+// each row beyond which every cell is +0, and its largest value
+// (grid.Grid's Spans and MaxV), so the scans that follow need not visit
+// the rest. It returns an error for an empty sample set, an invalid
+// bandwidth, or a domain exceeding Options.MaxCells.
 //
 // Cancellation: ctx is observed at the convolution's block boundaries
 // (the only expensive part); a cancelled estimate returns ctx.Err() and
@@ -167,8 +171,10 @@ func estimate(ctx context.Context, points []geo.XY, counts []uint32, n int, opts
 		o.Obs.Gauge("eyeball_kde_grid_cells").Set(float64(w * h))
 	}
 
-	// Bin points.
+	// Bin points, noting each row's span of bins: the support the blur
+	// starts from.
 	binSpan := span.Child("bin")
+	g.Spans = make([]grid.Span, h)
 	for k, s := range points {
 		i, j, ok := g.CellOf(s)
 		if !ok {
@@ -182,6 +188,11 @@ func estimate(ctx context.Context, points []geo.XY, counts []uint32, n int, opts
 			wt = float64(counts[k])
 		}
 		g.Add(i, j, wt)
+		if sp := &g.Spans[j]; sp.Lo == sp.Hi {
+			*sp = grid.Span{Lo: i, Hi: i + 1}
+		} else {
+			sp.Lo, sp.Hi = min(sp.Lo, i), max(sp.Hi, i+1)
+		}
 	}
 	binSpan.End()
 
@@ -190,6 +201,13 @@ func estimate(ctx context.Context, points []geo.XY, counts []uint32, n int, opts
 	scale := 1 / (float64(n) * o.CellKm * o.CellKm)
 	if err := blurSeparable(ctx, g, o.BandwidthKm, scale, o.Workers, span); err != nil {
 		return nil, err
+	}
+	if span != nil {
+		support := 0
+		for _, sp := range g.Spans {
+			support += sp.Hi - sp.Lo
+		}
+		span.SetInt("support_cells", int64(support))
 	}
 	if o.Obs != nil {
 		o.Obs.Histogram("eyeball_kde_estimate_seconds", obs.LatencyBuckets()).Observe(time.Since(start).Seconds())
@@ -220,6 +238,10 @@ func blurBlock(n, length int) int {
 	return (n + blocks - 1) / blocks
 }
 
+// source is a row the vertical pass reads: row j, nonzero only in
+// columns [lo, hi) after the horizontal pass.
+type source struct{ j, lo, hi int }
+
 // blurSeparable convolves the grid in place with a truncated Gaussian,
 // normalized to preserve total mass, and multiplies every cell by scale
 // as the vertical pass writes it. It needs no second grid: the
@@ -227,17 +249,29 @@ func blurBlock(n, length int) int {
 // vertical pass is an ascending gather that keeps, per block, only the
 // source rows it has already overwritten (see gatherColumns).
 //
+// It works on the support alone. On entry g.Spans bounds the counts'
+// nonzero cells (nil means whole rows). The horizontal pass convolves
+// only the rows with a count, each over its span widened by the kernel
+// radius; the vertical pass reads only those rows, over those widened
+// spans. On return g.Spans bounds the surface's nonzero cells, each row
+// the hull of the widened spans within the radius of it, and g.MaxV is
+// the surface's largest value, the maximum of the values the vertical
+// pass wrote. At a finite scale none of it changes a bit: a cell outside
+// the spans is +0, and the passes skip only cells that add +0 to a sum
+// or stay +0.
+//
 // Both passes fan out over the shared worker pool in blocks whose
 // boundaries are a fixed function of the grid dimensions, and every
 // output cell sums its sources in ascending order wherever its block
 // ends, so the result is byte-identical for every worker count —
 // including workers == 1, which runs inline with zero synchronization.
-// parent (nil when tracing is off) receives one child span per pass,
-// each with one span per convolution block, keyed by the block's low
-// index so the rendered trace is deterministic regardless of worker
-// scheduling. A cancelled ctx stops the fan-out at a block boundary and
-// surfaces ctx.Err(); the grid is then partially blurred and must be
-// discarded by the caller.
+// Each block of the vertical pass keeps its own maximum, and the
+// maxima are combined after the pass. parent (nil when tracing is off)
+// receives one child span per pass, each with one span per convolution
+// block, keyed by the block's low index so the rendered trace is
+// deterministic regardless of worker scheduling. A cancelled ctx stops
+// the fan-out at a block boundary and surfaces ctx.Err(); the grid is
+// then partially blurred and must be discarded by the caller.
 func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, scale float64, workers int, parent *trace.Span) error {
 	radius := int(math.Ceil(truncSigma * bandwidthKm / g.Cell))
 	kernel := make([]float64, 2*radius+1)
@@ -250,9 +284,32 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, scale float64
 	for i := range kernel {
 		kernel[i] /= sum
 	}
+	if g.Spans == nil {
+		g.Spans = make([]grid.Span, g.H)
+		for j := range g.Spans {
+			g.Spans[j] = grid.Span{Lo: 0, Hi: g.W}
+		}
+	}
+	// The rows with a count, ascending, each over its span widened by
+	// the radius: the horizontal pass's support.
+	rows := 0
+	for _, sp := range g.Spans {
+		if sp.Lo < sp.Hi {
+			rows++
+		}
+	}
+	srcs := make([]source, 0, rows)
+	for j, sp := range g.Spans {
+		if sp.Lo < sp.Hi {
+			srcs = append(srcs, source{j, max(sp.Lo-radius, 0), min(sp.Hi+radius, g.W)})
+		}
+	}
 
-	// Horizontal pass: each row convolves from a copy of itself; rows in
-	// a block are processed in order, blocks never overlap.
+	// Horizontal pass: each row with a count convolves from a copy of
+	// its widened span; rows in a block are processed in order, blocks
+	// never overlap. Mass that convolveRow drops at a widened span's edge
+	// is mass it drops at the row's edge: the span is cut short only
+	// there.
 	hSpan := parent.Child("blur_horizontal")
 	err := parallel.Blocks(ctx, workers, g.H, blurBlock(g.H, g.W), func(lo, hi int) error {
 		// Per-block trace spans are created and attributed by this
@@ -264,11 +321,18 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, scale float64
 			bs.SetInt("lo", int64(lo))
 			bs.SetInt("hi", int64(hi))
 		}
-		src := make([]float64, g.W)
-		for j := lo; j < hi; j++ {
-			row := g.Data[j*g.W : (j+1)*g.W]
+		var src []float64
+		first := sort.Search(len(srcs), func(k int) bool { return srcs[k].j >= lo })
+		for _, s := range srcs[first:] {
+			if s.j >= hi {
+				break
+			}
+			if src == nil {
+				src = make([]float64, g.W)
+			}
+			row := g.Data[s.j*g.W+s.lo : s.j*g.W+s.hi]
 			copy(src, row)
-			convolveRow(row, src, kernel, radius)
+			convolveRow(row, src[:len(row)], kernel, radius)
 		}
 		bs.End()
 		return nil
@@ -277,97 +341,139 @@ func blurSeparable(ctx context.Context, g *grid.Grid, bandwidthKm, scale float64
 	if err != nil {
 		return err
 	}
+	// The surface's support: row j is the hull of its sources' spans.
+	first := 0
+	for j := range g.Spans {
+		for first < len(srcs) && srcs[first].j < j-radius {
+			first++
+		}
+		sp := grid.Span{}
+		for _, s := range srcs[first:] {
+			if s.j > j+radius {
+				break
+			}
+			if sp.Lo == sp.Hi {
+				sp = grid.Span{Lo: s.lo, Hi: s.hi}
+			} else {
+				sp.Lo, sp.Hi = min(sp.Lo, s.lo), max(sp.Hi, s.hi)
+			}
+		}
+		g.Spans[j] = sp
+	}
 	// Vertical pass: each block owns a contiguous span of columns and
 	// its own ring; writes target disjoint cells.
+	vBlock := blurBlock(g.W, g.H)
+	tops := make([]float64, (g.W+vBlock-1)/vBlock)
 	vSpan := parent.Child("blur_vertical")
-	err = parallel.Blocks(ctx, workers, g.W, blurBlock(g.W, g.H), func(lo, hi int) error {
+	err = parallel.Blocks(ctx, workers, g.W, vBlock, func(lo, hi int) error {
 		var bs *trace.Span
 		if vSpan != nil {
 			bs = vSpan.ChildSeq("cols", lo)
 			bs.SetInt("lo", int64(lo))
 			bs.SetInt("hi", int64(hi))
 		}
-		gatherColumns(g, lo, hi, kernel, radius, scale)
+		tops[lo/vBlock] = gatherColumns(g, srcs, lo, hi, kernel, radius, scale)
 		bs.End()
 		return nil
 	})
 	vSpan.End()
-	return err
+	if err != nil {
+		return err
+	}
+	g.MaxV = 0
+	for _, t := range tops {
+		if t > g.MaxV {
+			g.MaxV = t
+		}
+	}
+	return nil
 }
 
-// gatherColumns convolves columns [lo, hi) of g in place along y and
-// writes each result times scale. Output row j is the sum over source
-// rows s = j-radius … j+radius, ascending, of row s times
-// kernel[j-s+radius] — the order in which convolveRow's scatter adds
-// them — so each cell gets bit for bit what convolving its column and
-// then multiplying it by scale would give. Rows are produced in ascending
-// order: sources at or below j are still in g, and the radius rows above
-// it that were already overwritten are kept, unscaled, in a ring.
+// gatherColumns convolves columns [lo, hi) of g in place along y, writes
+// each result times scale, and returns the largest value it wrote (0
+// when it wrote none). Output row j is the sum over the sources s within
+// the radius of it, ascending, of row s times kernel[j-s+radius] — the
+// order in which convolveRow's scatter adds them, since every other row
+// is zero after the horizontal pass — so each cell gets bit for bit what
+// convolving its column and then multiplying it by scale would give.
+// Rows are produced in ascending order: sources at or below j are still
+// in g, and the radius rows above it that were already overwritten are
+// kept, unscaled, in a ring.
 //
-// Each source row contributes only over its nonzero extent within the
-// block, as convolveRow skips zero cells; an output row is written only
-// over the union of its sources' extents. Neither can change a bit: a sum
-// starts at +0, can never become −0, and adding ±0 to anything else
-// returns it; outside the union the row was zero and stays zero (the
-// horizontal pass leaves no −0), which is +0 times any finite scale.
-func gatherColumns(g *grid.Grid, lo, hi int, kernel []float64, radius int, scale float64) {
+// Each source contributes only over its span within the block, and an
+// output row is written only over the union of its sources' spans and
+// only where g.Spans says the row can be nonzero. Neither can change a
+// bit: a sum starts at +0, can never become −0, and adding ±0 to
+// anything else returns it; outside the union the row was zero and
+// stays zero (the horizontal pass leaves no −0), which is +0 times any
+// finite scale.
+func gatherColumns(g *grid.Grid, srcs []source, lo, hi int, kernel []float64, radius int, scale float64) float64 {
 	w := hi - lo
 	slots := min(radius, g.H)
-	buf := make([]float64, (slots+1)*w)
-	acc, ring := buf[:w], buf[w:]
-	// ext[j] is row j's nonzero extent [first, end) in block columns;
-	// first == end for a row that is zero across the block.
-	ext := make([][2]int, g.H)
-	for j := range ext {
-		row := g.Data[j*g.W+lo : j*g.W+hi]
-		first, end := 0, 0
-		for x, v := range row {
-			if v != 0 {
-				if first == end {
-					first = x
-				}
-				end = x + 1
-			}
-		}
-		ext[j] = [2]int{first, end}
-	}
+	var acc, ring []float64 // allocated by the first row the block writes
+	top := 0.0
+	first, end := 0, 0 // srcs[first:end] are the sources within the radius of row j
 	for j := 0; j < g.H; j++ {
-		s0, s1 := max(0, j-radius), min(g.H-1, j+radius)
+		for first < len(srcs) && srcs[first].j < j-radius {
+			first++
+		}
+		for end < len(srcs) && srcs[end].j <= j+radius {
+			end++
+		}
+		if sp := g.Spans[j]; sp.Hi <= lo || sp.Lo >= hi {
+			continue // the row is zero across the block
+		}
+		win := srcs[first:end]
+		// The union of the sources' spans within the block, in block
+		// columns.
 		ulo, uhi := w, 0
-		for s := s0; s <= s1; s++ {
-			if e := ext[s]; e[0] < e[1] {
-				ulo, uhi = min(ulo, e[0]), max(uhi, e[1])
+		for _, s := range win {
+			if a, b := max(s.lo, lo), min(s.hi, hi); a < b {
+				ulo, uhi = min(ulo, a-lo), max(uhi, b-lo)
 			}
 		}
 		if ulo >= uhi {
-			continue // every source is zero, and so is row j
+			continue // every source is zero across the block
+		}
+		if acc == nil {
+			buf := make([]float64, (slots+1)*w)
+			acc, ring = buf[:w], buf[w:]
 		}
 		clear(acc[ulo:uhi])
-		for s := s0; s <= s1; s++ {
-			e := ext[s]
-			if e[0] == e[1] {
+		row := g.Data[j*g.W+lo : j*g.W+hi]
+		for _, s := range win {
+			a, b := max(s.lo, lo)-lo, min(s.hi, hi)-lo
+			if a >= b {
 				continue
 			}
-			src := g.Data[s*g.W+lo+e[0] : s*g.W+lo+e[1]]
-			if s < j {
-				src = ring[s%slots*w+e[0] : s%slots*w+e[1]]
+			var src []float64
+			if s.j < j {
+				src = ring[s.j%slots*w+a : s.j%slots*w+b]
+			} else {
+				src = g.Data[s.j*g.W+lo+a : s.j*g.W+lo+b]
+				if s.j == j && slots > 0 {
+					// Row j is overwritten below; the rows after it
+					// read it from the ring.
+					copy(ring[j%slots*w+a:], src)
+				}
 			}
-			k := kernel[j-s+radius]
-			a := acc[e[0]:e[1]]
-			src = src[:len(a)]
+			k := kernel[j-s.j+radius]
+			d := acc[a:b]
+			src = src[:len(d)]
 			for x, v := range src {
-				a[x] += v * k
+				d[x] += v * k
 			}
-		}
-		row := g.Data[j*g.W+lo : j*g.W+hi]
-		if e := ext[j]; e[0] < e[1] && slots > 0 {
-			copy(ring[j%slots*w+e[0]:], row[e[0]:e[1]])
 		}
 		out := row[ulo:uhi]
 		for x, v := range acc[ulo:uhi][:len(out)] {
-			out[x] = v * scale
+			v *= scale
+			out[x] = v
+			if v > top {
+				top = v
+			}
 		}
 	}
+	return top
 }
 
 // convolveRow writes the 1-D convolution of src with kernel into dst.

@@ -3,6 +3,7 @@ package kde
 import (
 	"context"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -41,8 +42,9 @@ func estimateTraced(t *testing.T, workers int) (*trace.Span, obs.TreeNode) {
 
 // TestEstimateTraceTree pins the block-granularity span shape one
 // traced estimate hangs under a request: kde.estimate (samples/points/
-// cells attrs) → bin, blur_horizontal (rows blocks), blur_vertical (cols
-// blocks), with every block span carrying its lo/hi range.
+// cells/support_cells attrs) → bin, blur_horizontal (rows blocks),
+// blur_vertical (cols blocks), with every block span carrying its lo/hi
+// range.
 func TestEstimateTraceTree(t *testing.T) {
 	_, tree := estimateTraced(t, 4)
 	if len(tree.Children) != 1 || tree.Children[0].Name != "kde.estimate" {
@@ -53,11 +55,28 @@ func TestEstimateTraceTree(t *testing.T) {
 	for _, a := range est.Attrs {
 		attrs = append(attrs, a.Key)
 	}
-	if strings.Join(attrs, ",") != "samples,points,cells" {
-		t.Fatalf("kde.estimate attrs = %v, want [samples points cells]", attrs)
+	if strings.Join(attrs, ",") != "samples,points,cells,support_cells" {
+		t.Fatalf("kde.estimate attrs = %v, want [samples points cells support_cells]", attrs)
 	}
 	if est.Attrs[0].Val != "300" || est.Attrs[1].Val != "300" {
 		t.Errorf("samples, points attrs = %q, %q, want 300, 300", est.Attrs[0].Val, est.Attrs[1].Val)
+	}
+	// The support is the cells the blur visits: every cell the surface
+	// holds above zero, and no more than the grid.
+	g, err := Estimate(context.Background(), traceSamples(), Options{BandwidthKm: 40, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonzero := 0
+	for _, v := range g.Data {
+		if v != 0 {
+			nonzero++
+		}
+	}
+	cells, _ := strconv.Atoi(est.Attrs[2].Val)
+	support, _ := strconv.Atoi(est.Attrs[3].Val)
+	if support < nonzero || support > cells {
+		t.Errorf("support_cells = %d, want between the %d nonzero cells and the %d cells", support, nonzero, cells)
 	}
 	var names []string
 	for _, c := range est.Children {

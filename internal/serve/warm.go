@@ -60,13 +60,22 @@ func (s *Server) startWarm(a *Artifact) {
 	if s.closed {
 		return
 	}
-	order := warmOrder(a.Snap.Dataset)
-	order = order[:min(len(order), max(s.opts.CacheSize, 0))]
+	order := warmOrder(a.Snap.Dataset)[:s.WarmSize(a)]
 	s.opts.Obs.Gauge("eyeball_serve_warm_total").Set(float64(len(order)))
 	s.opts.Obs.Gauge("eyeball_serve_warm_done").Set(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	s.warmStop, s.warmDone = cancel, make(chan struct{})
 	go s.runWarm(ctx, a, order, s.warmDone)
+}
+
+// WarmSize is the number of ASes a warm pass over a renders, the warm
+// set's size that eyeball_serve_warm_total reports: the top
+// min(CacheSize, ASes) by users, or 0 when the server does not warm.
+func (s *Server) WarmSize(a *Artifact) int {
+	if !s.opts.Warm {
+		return 0
+	}
+	return min(len(a.Snap.Dataset.Order), max(s.opts.CacheSize, 0))
 }
 
 // stopWarm cancels the running warm pass, if any, and waits for its
