@@ -3,8 +3,7 @@ package eyeball
 // The benchmark harness: one target per table and figure of the paper's
 // evaluation (Table 1, Figure 1, Figures 2a/2b, the §5 statistics and
 // DIMES comparison, the §6 case study), plus substrate benchmarks and the
-// ablations DESIGN.md calls out (bandwidth sweep, α sweep, AS-dependent
-// bandwidth policy).
+// ablations DESIGN.md calls out (bandwidth sweep, α sweep).
 //
 // Benchmarks run at test scale so `go test -bench=.` finishes quickly;
 // the experiment binaries (cmd/eyeballexp) run the same code at full
@@ -17,10 +16,7 @@ import (
 	"sync"
 	"testing"
 
-	"eyeballas/internal/core"
 	"eyeballas/internal/experiments"
-	"eyeballas/internal/geo"
-	"eyeballas/internal/kde"
 	"eyeballas/internal/parallel"
 )
 
@@ -385,82 +381,6 @@ func BenchmarkAblationAlpha(b *testing.B) {
 			b.ReportMetric(float64(pops), "pops")
 		})
 	}
-}
-
-// BenchmarkAblationASBandwidth compares the paper's fixed 40 km policy
-// against the AS-dependent alternative §3.1 describes and rejects: the
-// 90th percentile of each AS's geolocation error, floored at 40 km.
-func BenchmarkAblationASBandwidth(b *testing.B) {
-	env := benchEnv(b)
-	records := env.Dataset.Records()
-	if len(records) > 12 {
-		records = records[:12]
-	}
-	b.Run("fixed40km", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, rec := range records {
-				if _, err := EstimateFootprint(env.World, rec.Samples, FootprintOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("geoErrP90", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, rec := range records {
-				errs := make([]float64, len(rec.Samples))
-				for j, s := range rec.Samples {
-					errs[j] = s.GeoErrKm
-				}
-				bw := kde.GeoErrorBandwidth(errs, 40)
-				if _, err := EstimateFootprint(env.World, rec.Samples, FootprintOptions{BandwidthKm: bw}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkAblationBandwidthSelectors compares data-driven bandwidth
-// selection (Silverman, LSCV) against the fixed policy on one AS's
-// samples.
-func BenchmarkAblationBandwidthSelectors(b *testing.B) {
-	env := benchEnv(b)
-	rec := biggestRecord(env)
-	samples := make([]core.Sample, len(rec.Samples))
-	copy(samples, rec.Samples)
-	proj := projectSamples(samples)
-	b.Run("silverman", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := kde.SilvermanBandwidth(proj); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lscv", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := kde.LSCVBandwidth(proj, []float64{10, 20, 40, 80}, 400); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("botevISJ", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := kde.ISJBandwidth(proj); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func projectSamples(samples []core.Sample) []geo.XY {
-	pts := make([]geo.Point, len(samples))
-	for i, s := range samples {
-		pts[i] = s.Loc
-	}
-	centroid, _ := geo.Centroid(pts)
-	proj := geo.NewProjection(centroid)
-	return proj.ProjectAll(pts)
 }
 
 // BenchmarkExperimentEnv measures building the full small-scale

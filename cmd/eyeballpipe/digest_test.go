@@ -90,7 +90,10 @@ func TestSnapshotDigests(t *testing.T) {
 const footprintDigest = "b61fc1ad48b60a2fc0916a9d8a766b00f9b5d70ce4d6de2f364e55c4a988f9b0"
 
 // TestFootprintDigests is the gate on the served footprint bytes: the
-// estimator kernels may change how they compute, never what.
+// estimator kernels may change how they compute, never what. It renders
+// every body with one KDE worker, as the server does, and again with
+// four, and both streams must hash to the pin: 17 of the 260 surfaces
+// span more than one blur block, so four workers split their passes.
 func TestFootprintDigests(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.snap")
 	if err := run(context.Background(), []string{"-small", "-seed", "42", "-quiet", "-snapshot", path}, io.Discard, io.Discard); err != nil {
@@ -101,17 +104,19 @@ func TestFootprintDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := snap.Dataset
-	h := sha256.New()
-	for _, asn := range ds.Order {
-		for _, bw := range []float64{40, 60, 80, 100} {
-			body, err := serve.RenderFootprint(context.Background(), eyeball.Gazetteer(), ds.AS(asn), bw, 1, nil)
-			if err != nil {
-				t.Fatalf("AS%d at %v km: %v", asn, bw, err)
+	for _, workers := range []int{1, 4} {
+		h := sha256.New()
+		for _, asn := range ds.Order {
+			for _, bw := range []float64{40, 60, 80, 100} {
+				body, err := serve.RenderFootprint(context.Background(), eyeball.Gazetteer(), ds.AS(asn), bw, workers, nil)
+				if err != nil {
+					t.Fatalf("AS%d at %v km, %d workers: %v", asn, bw, workers, err)
+				}
+				h.Write(body)
 			}
-			h.Write(body)
 		}
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != footprintDigest {
-		t.Errorf("sha256 %s over %d ASes, pinned %s", got, len(ds.Order), footprintDigest)
+		if got := hex.EncodeToString(h.Sum(nil)); got != footprintDigest {
+			t.Errorf("%d workers: sha256 %s over %d ASes, pinned %s", workers, got, len(ds.Order), footprintDigest)
+		}
 	}
 }

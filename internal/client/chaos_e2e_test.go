@@ -356,6 +356,39 @@ func TestE2ECircuitBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
+// TestE2EBandwidthTooSmallIsOneAttempt: a bandwidth too small for the
+// AS's extent is the caller's error. The server answers 400, so each call
+// takes one wire attempt and fails with that status, and no number of
+// them opens the footprint breaker: a call at the paper's bandwidth
+// still goes through.
+func TestE2EBandwidthTooSmallIsOneAttempt(t *testing.T) {
+	_, ts := e2eServer(t, serve.Options{})
+	defer ts.Close()
+	var attempts []Attempt
+	c := New(ts.URL, Options{
+		Observer: func(a Attempt) { attempts = append(attempts, a) },
+		Sleep:    func(ctx context.Context, d time.Duration) error { return nil },
+	})
+	ctx := context.Background()
+	const calls = 8 // more than the default breaker threshold of 5
+	for i := 0; i < calls; i++ {
+		_, err := c.Footprint(ctx, 64500, 1e-300)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+			t.Fatalf("call %d: err %v, want an HTTP 400 APIError", i, err)
+		}
+	}
+	if len(attempts) != calls {
+		t.Errorf("%d wire attempts for %d calls, want one each", len(attempts), calls)
+	}
+	if st := c.BreakerState("footprint"); st != "closed" {
+		t.Errorf("footprint breaker %s, want closed", st)
+	}
+	if body, err := c.Footprint(ctx, 64500, 40); err != nil || len(body) == 0 {
+		t.Errorf("bw=40 after the 400s: %d bytes, err %v", len(body), err)
+	}
+}
+
 // TestE2EShedAndTimeoutPathsLeakFree drives the two degraded serve
 // paths — 503 shed under a tiny admission limit and 504 render
 // timeout — through the real client and verifies no goroutine outlives

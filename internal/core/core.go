@@ -75,8 +75,6 @@ type Options struct {
 	// Alpha is the peak-selection threshold: peaks with density
 	// > Alpha·Dmax become PoP candidates; default 0.01 (§4.1).
 	Alpha float64
-	// CellKm overrides the KDE grid resolution; default BandwidthKm/4.
-	CellKm float64
 	// Workers bounds the goroutines used by the KDE convolution (and, in
 	// MultiScaleFootprint, the per-bandwidth fan-out); 0 means
 	// GOMAXPROCS, 1 forces serial execution. Footprints are
@@ -222,7 +220,6 @@ func EstimatePoints(ctx context.Context, gaz *gazetteer.Gazetteer, pts *Points, 
 	proj := pts.Projection
 	g, err := kde.EstimateWeighted(ctx, pts.XY, pts.Count, kde.Options{
 		BandwidthKm: o.BandwidthKm,
-		CellKm:      o.CellKm,
 		Workers:     o.Workers,
 		Obs:         o.Obs,
 	})

@@ -39,7 +39,6 @@ func referenceEstimate(ctx context.Context, gaz *gazetteer.Gazetteer, samples []
 	}
 	g, err := kde.Estimate(ctx, xys, kde.Options{
 		BandwidthKm: o.BandwidthKm,
-		CellKm:      o.CellKm,
 		Workers:     o.Workers,
 		Obs:         o.Obs,
 	})
@@ -205,12 +204,18 @@ func TestEstimatePointsMatchesReference(t *testing.T) {
 	}
 	nan := zipSamples(5, 0.05, 100, milan)
 	nan[37].Loc.Lat = math.NaN()
+	// Prepare validates no coordinates (the nan case relies on it too),
+	// so one latitude far outside ±90° stretches the samples' extent
+	// past what the grid cap allows at every paper bandwidth: there the
+	// cell, a quarter of the bandwidth, is too small for the span.
+	wide := zipSamples(4, 0.05, 100, rome)
+	wide[63].Loc.Lat = 1e6
 
 	cases := []struct {
 		name    string
 		samples []Sample
-		opts    Options
-		fails   bool // both paths must fail, with the same text
+		bws     []float64 // nil means the paper's four
+		fails   bool      // both paths must fail, with the same text
 	}{
 		{name: "duplicated", samples: zipSamples(1, 0.1, 1500, milan, rome, naples)},
 		{name: "all-distinct", samples: distinct},
@@ -220,14 +225,17 @@ func TestEstimatePointsMatchesReference(t *testing.T) {
 		{name: "high-latitude", samples: zipSamples(3, 0.1, 400, geo.Point{Lat: 78.2, Lon: 15.6}, geo.Point{Lat: 69.6, Lon: 18.9})},
 		{name: "signed-zeros", samples: zeros},
 		{name: "nan", samples: nan, fails: true},
-		{name: "cell-too-small", samples: zipSamples(4, 0.05, 100, rome), opts: Options{CellKm: 1e-300}, fails: true},
+		{name: "cell-too-small", samples: wide, fails: true},
+		{name: "bandwidth-too-small", samples: zipSamples(4, 0.05, 100, rome), bws: []float64{0.001, 1e-300}, fails: true},
 	}
 	for _, tc := range cases {
-		for _, bw := range []float64{40, 60, 80, 100} {
+		bws := tc.bws
+		if bws == nil {
+			bws = []float64{40, 60, 80, 100}
+		}
+		for _, bw := range bws {
 			t.Run(fmt.Sprintf("%s/bw%g", tc.name, bw), func(t *testing.T) {
-				opts := tc.opts
-				opts.BandwidthKm = bw
-				diff, failed := estimatePointsDiff(gaz, tc.samples, opts)
+				diff, failed := estimatePointsDiff(gaz, tc.samples, Options{BandwidthKm: bw})
 				if diff != "" {
 					t.Fatal(diff)
 				}

@@ -46,26 +46,6 @@ func (r *CrawlResult) Coverage(net *Network) float64 {
 	return float64(len(r.Discovered)) / float64(net.Size())
 }
 
-// AliveCoverage returns the fraction of still-responsive nodes
-// discovered — the relevant metric under churn, where the plain coverage
-// also counts stale entries of departed peers.
-func (r *CrawlResult) AliveCoverage(net *Network) float64 {
-	alive, found := 0, 0
-	for _, id := range net.IDs() {
-		if !net.Alive(id) {
-			continue
-		}
-		alive++
-		if _, ok := r.Discovered[id]; ok {
-			found++
-		}
-	}
-	if alive == 0 {
-		return 0
-	}
-	return float64(found) / float64(alive)
-}
-
 // Crawl walks the ID space zone by zone with iterative α-parallel
 // lookups, the protocol the paper's Kad dataset was gathered with. The
 // crawler is an outside observer: it learns node addresses only through

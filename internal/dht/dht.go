@@ -7,8 +7,8 @@
 // itself — node IDs, XOR metric, k-buckets, FIND_NODE RPCs, and an
 // α-parallel iterative lookup walking the ID space zone by zone — so the
 // summary can be validated against protocol-level behaviour (see the
-// package tests) and so crawl dynamics (RPC budgets, bucket sizes, churn)
-// can be studied directly.
+// package tests) and so crawl dynamics (RPC budgets, bucket sizes) can be
+// studied directly.
 package dht
 
 import (
@@ -52,31 +52,7 @@ type Network struct {
 	nodes map[NodeID]*Node
 	ids   []NodeID // sorted, for construction and verification
 	k     int
-	// departed nodes (churn) still appear in other nodes' buckets as
-	// stale entries but no longer answer RPCs.
-	departed map[NodeID]bool
 }
-
-// ApplyChurn marks the given fraction of nodes as departed: their bucket
-// entries elsewhere go stale (they are still handed out in FIND_NODE
-// responses) but they stop answering queries — the dominant coverage
-// limiter of real crawls. It panics on a fraction outside [0, 1).
-func (n *Network) ApplyChurn(frac float64, src *rng.Source) {
-	if frac < 0 || frac >= 1 {
-		panic(fmt.Sprintf("dht: churn fraction %v outside [0, 1)", frac))
-	}
-	if n.departed == nil {
-		n.departed = make(map[NodeID]bool)
-	}
-	for _, id := range n.ids {
-		if src.Bool(frac) {
-			n.departed[id] = true
-		}
-	}
-}
-
-// Alive reports whether the node still answers RPCs.
-func (n *Network) Alive(id NodeID) bool { return n.nodes[id] != nil && !n.departed[id] }
 
 // K returns the bucket capacity the network was built with.
 func (n *Network) K() int { return k(n) }
@@ -157,12 +133,11 @@ func bucketRange(id NodeID, b int) (lo, hi NodeID) {
 }
 
 // FindNode is the FIND_NODE RPC: the queried node returns the k closest
-// nodes to target that it knows (from its buckets), by XOR distance.
-// Departed nodes time out (nil response); their stale entries in other
-// nodes' buckets are still returned.
+// nodes to target that it knows (from its buckets), by XOR distance. An
+// unknown node does not answer (nil response).
 func (n *Network) FindNode(queried NodeID, target NodeID) []NodeID {
 	node := n.nodes[queried]
-	if node == nil || n.departed[queried] {
+	if node == nil {
 		return nil
 	}
 	var known []NodeID

@@ -230,59 +230,3 @@ func BenchmarkCrawl(b *testing.B) {
 		}
 	}
 }
-
-func TestChurnReducesCoverage(t *testing.T) {
-	baseline := buildNet(t, 3000, 8, 20)
-	resBase, err := Crawl(baseline, DefaultCrawlConfig(), rng.New(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	churned := buildNet(t, 3000, 8, 20)
-	churned.ApplyChurn(0.4, rng.New(22))
-	resChurn, err := Crawl(churned, DefaultCrawlConfig(), rng.New(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resChurn.AliveCoverage(churned) >= resBase.AliveCoverage(baseline) {
-		t.Errorf("churned alive-coverage %.3f >= baseline %.3f",
-			resChurn.AliveCoverage(churned), resBase.AliveCoverage(baseline))
-	}
-	// Departed nodes never answer.
-	for id := range churned.departed {
-		if got := churned.FindNode(id, id); got != nil {
-			t.Fatalf("departed node %x answered", id)
-		}
-	}
-}
-
-func TestApplyChurnPanics(t *testing.T) {
-	net := buildNet(t, 100, 8, 23)
-	defer func() {
-		if recover() == nil {
-			t.Error("churn fraction 1 should panic")
-		}
-	}()
-	net.ApplyChurn(1, rng.New(1))
-}
-
-func TestAlive(t *testing.T) {
-	net := buildNet(t, 100, 8, 24)
-	id := net.IDs()[0]
-	if !net.Alive(id) {
-		t.Error("fresh node not alive")
-	}
-	if net.Alive(NodeID(123456789)) {
-		t.Error("unknown node alive")
-	}
-	net.ApplyChurn(0.99, rng.New(2))
-	anyDeparted := false
-	for _, x := range net.IDs() {
-		if !net.Alive(x) {
-			anyDeparted = true
-			break
-		}
-	}
-	if !anyDeparted {
-		t.Error("heavy churn departed nobody")
-	}
-}

@@ -292,14 +292,6 @@ type Injector struct {
 	rate float64
 }
 
-// Rate returns the injector's rate (0 for nil).
-func (in *Injector) Rate() float64 {
-	if in == nil {
-		return 0
-	}
-	return in.rate
-}
-
 // Hit reports whether the fault fires at this site.
 func (in *Injector) Hit(site uint64) bool {
 	if in == nil {

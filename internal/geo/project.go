@@ -66,57 +66,3 @@ func (pr *Projection) ProjectAll(pts []Point) []XY {
 	}
 	return out
 }
-
-// BBox is a geographic bounding box. Min is the south-west corner and Max
-// the north-east corner; boxes never span the antimeridian in this library.
-type BBox struct {
-	Min, Max Point
-}
-
-// Contains reports whether p lies inside the box (inclusive).
-func (b BBox) Contains(p Point) bool {
-	return p.Lat >= b.Min.Lat && p.Lat <= b.Max.Lat &&
-		p.Lon >= b.Min.Lon && p.Lon <= b.Max.Lon
-}
-
-// Expand grows the box by km kilometres on every side.
-func (b BBox) Expand(km float64) BBox {
-	dLat := km / kmPerDegLat
-	// Longitude padding uses the narrower (higher-latitude) edge so the
-	// padding is at least km everywhere inside the box.
-	lat := math.Max(math.Abs(b.Min.Lat), math.Abs(b.Max.Lat))
-	cos := math.Cos(Radians(lat))
-	if cos < 0.05 {
-		cos = 0.05
-	}
-	dLon := km / (kmPerDegLat * cos)
-	return BBox{
-		Min: Point{Lat: ClampLat(b.Min.Lat - dLat), Lon: NormalizeLon(b.Min.Lon - dLon)},
-		Max: Point{Lat: ClampLat(b.Max.Lat + dLat), Lon: NormalizeLon(b.Max.Lon + dLon)},
-	}
-}
-
-// BoundingBox returns the smallest box containing all points. ok is false
-// if pts is empty.
-func BoundingBox(pts []Point) (b BBox, ok bool) {
-	if len(pts) == 0 {
-		return BBox{}, false
-	}
-	b.Min = pts[0]
-	b.Max = pts[0]
-	for _, p := range pts[1:] {
-		if p.Lat < b.Min.Lat {
-			b.Min.Lat = p.Lat
-		}
-		if p.Lat > b.Max.Lat {
-			b.Max.Lat = p.Lat
-		}
-		if p.Lon < b.Min.Lon {
-			b.Min.Lon = p.Lon
-		}
-		if p.Lon > b.Max.Lon {
-			b.Max.Lon = p.Lon
-		}
-	}
-	return b, true
-}

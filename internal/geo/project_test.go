@@ -66,44 +66,6 @@ func TestProjectAll(t *testing.T) {
 	}
 }
 
-func TestBBoxContainsExpand(t *testing.T) {
-	b := BBox{Min: Point{40, 10}, Max: Point{42, 14}}
-	if !b.Contains(Point{41, 12}) {
-		t.Error("interior point not contained")
-	}
-	if b.Contains(Point{39.9, 12}) || b.Contains(Point{41, 14.1}) {
-		t.Error("exterior point contained")
-	}
-	e := b.Expand(100)
-	if e.Contains(Point{41, 12}) == false {
-		t.Error("expand lost interior")
-	}
-	// The expanded box must contain points 90 km outside each edge.
-	for _, p := range []Point{
-		Destination(Point{40, 12}, 180, 90),
-		Destination(Point{42, 12}, 0, 90),
-		Destination(Point{41, 10}, 270, 90),
-		Destination(Point{41, 14}, 90, 90),
-	} {
-		if !e.Contains(p) {
-			t.Errorf("expanded box misses %v", p)
-		}
-	}
-}
-
-func TestBoundingBox(t *testing.T) {
-	if _, ok := BoundingBox(nil); ok {
-		t.Error("empty bounding box should report !ok")
-	}
-	b, ok := BoundingBox([]Point{{41, 12}, {45, 9}, {38, 15}})
-	if !ok {
-		t.Fatal("!ok")
-	}
-	if b.Min.Lat != 38 || b.Max.Lat != 45 || b.Min.Lon != 9 || b.Max.Lon != 15 {
-		t.Errorf("bbox = %+v", b)
-	}
-}
-
 func TestXYDistance(t *testing.T) {
 	a := XY{0, 0}
 	b := XY{3, 4}

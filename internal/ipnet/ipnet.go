@@ -112,16 +112,6 @@ func (p Prefix) Nth(n uint64) Addr {
 	return p.Addr + Addr(n%p.NumAddrs())
 }
 
-// Halves splits the prefix into its two children. It panics on a /32.
-func (p Prefix) Halves() (lo, hi Prefix) {
-	if p.Bits >= 32 {
-		panic("ipnet: cannot split a /32")
-	}
-	lo = Prefix{Addr: p.Addr, Bits: p.Bits + 1}
-	hi = Prefix{Addr: p.Addr | (1 << (31 - p.Bits)), Bits: p.Bits + 1}
-	return lo, hi
-}
-
 // Allocator hands out disjoint prefixes of requested sizes from the
 // globally-routable-looking space [1.0.0.0, 224.0.0.0), skipping the
 // private and loopback ranges so synthetic addresses look plausible.

@@ -101,17 +101,6 @@ func TestOverlaps(t *testing.T) {
 	}
 }
 
-func TestHalves(t *testing.T) {
-	p, _ := ParsePrefix("10.0.0.0/8")
-	lo, hi := p.Halves()
-	if lo.String() != "10.0.0.0/9" || hi.String() != "10.128.0.0/9" {
-		t.Errorf("Halves = %v, %v", lo, hi)
-	}
-	if lo.Overlaps(hi) {
-		t.Error("halves overlap")
-	}
-}
-
 func TestNth(t *testing.T) {
 	p, _ := ParsePrefix("10.0.0.0/24")
 	if p.Nth(0) != MakeAddr(10, 0, 0, 0) || p.Nth(255) != MakeAddr(10, 0, 0, 255) {
@@ -180,27 +169,6 @@ func TestOverlapsSymmetricProperty(t *testing.T) {
 		a := MakePrefix(Addr(a32), int(aBitsSeed%33))
 		b := MakePrefix(Addr(b32), int(bBitsSeed%33))
 		return a.Overlaps(b) == b.Overlaps(a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHalvesPartitionProperty(t *testing.T) {
-	// The two halves are disjoint, each inside the parent, and their
-	// sizes sum to the parent's.
-	f := func(a32 uint32, bitsSeed uint8) bool {
-		bits := int(bitsSeed % 32) // 0..31, splittable
-		p := MakePrefix(Addr(a32), bits)
-		lo, hi := p.Halves()
-		if lo.Overlaps(hi) {
-			return false
-		}
-		if !p.Contains(lo.First()) || !p.Contains(lo.Last()) ||
-			!p.Contains(hi.First()) || !p.Contains(hi.Last()) {
-			return false
-		}
-		return lo.NumAddrs()+hi.NumAddrs() == p.NumAddrs()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -162,23 +162,3 @@ func BenchmarkDensityAt(b *testing.B) {
 		DensityAt(samples, 40, geo.XY{X: 10, Y: 10})
 	}
 }
-
-func BenchmarkSilverman(b *testing.B) {
-	samples := benchSamples(10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SilvermanBandwidth(samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkISJ(b *testing.B) {
-	samples := benchSamples(10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ISJBandwidth(samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

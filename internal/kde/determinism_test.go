@@ -66,10 +66,11 @@ func TestEstimateDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestEstimateDeterministicFineGrid repeats the bit-identity check on a
-// finer grid (more, smaller blocks) and a default-workers run.
+// finer grid (3 km cells: more, smaller blocks) and a default-workers
+// run.
 func TestEstimateDeterministicFineGrid(t *testing.T) {
 	samples := determinismSamples(5000, 800)
-	opts := Options{BandwidthKm: 15, CellKm: 3}
+	opts := Options{BandwidthKm: 12}
 	o1 := opts
 	o1.Workers = 1
 	ref, err := Estimate(context.Background(), samples, o1)

@@ -6,12 +6,19 @@
 //
 // The estimator bins samples onto a regular km-space grid and convolves
 // with a separable, truncated Gaussian — O(W·H·k) independent of the
-// sample count, with binning error bounded by half a cell (cell defaults
-// to bandwidth/4, far below the zip-code resolution of the input data).
+// sample count, with binning error bounded by half a cell (the cell is
+// a quarter of the bandwidth, far below the zip-code resolution of the
+// input data).
+//
+// The bandwidth is the caller's: the paper fixes it at 40 km for
+// city-level resolution (§3.1, CityLevelBandwidthKm) and cites Botev et
+// al. (2010) for data-driven selection only as an alternative it does
+// not use.
 package kde
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -24,17 +31,26 @@ import (
 	"eyeballas/internal/trace"
 )
 
-// Options configure an estimation run.
+// CityLevelBandwidthKm is the paper's fixed bandwidth: larger than the
+// 30–35 km radius of a typical large city so a city produces one peak,
+// small enough to separate cities (§3.1).
+const CityLevelBandwidthKm = 40
+
+// maxCells caps a grid's W·H to bound memory: 16 Mi cells, 128 MiB of
+// float64s.
+const maxCells = 16 << 20
+
+// ErrGridTooLarge is the error Estimate wraps when the bandwidth is too
+// small for the samples' extent: its grid, at a quarter of the bandwidth
+// per cell, would exceed the cell cap. Only a larger bandwidth helps.
+var ErrGridTooLarge = errors.New("kde: grid too large")
+
+// Options configure an estimation run. The grid's cell is a quarter of
+// the bandwidth.
 type Options struct {
 	// BandwidthKm is the Gaussian kernel's standard deviation in km. The
 	// paper's default for city-level resolution is 40 km (§3.1).
 	BandwidthKm float64
-	// CellKm is the grid resolution; 0 means BandwidthKm/4.
-	CellKm float64
-	// MaxCells caps W·H to bound memory; 0 means 16M cells. Estimate
-	// returns an error if the domain would exceed the cap (callers choose
-	// a coarser cell or larger bandwidth).
-	MaxCells int
 	// Workers bounds the goroutines used for the separable convolution;
 	// 0 means GOMAXPROCS, 1 forces a serial pass. The surface is
 	// byte-identical for every setting: the grid is decomposed into
@@ -54,33 +70,15 @@ type Options struct {
 // beyond the sample bounding box, so no kernel mass falls off it.
 const truncSigma = 4
 
-// DefaultOptions returns the paper's §3.1 configuration: 40 km bandwidth,
-// 10 km grid cells.
-func DefaultOptions() Options {
-	return Options{BandwidthKm: 40}
-}
-
-func (o Options) withDefaults() (Options, error) {
-	if o.BandwidthKm <= 0 {
-		return o, fmt.Errorf("kde: bandwidth must be positive, got %v", o.BandwidthKm)
-	}
-	if o.CellKm <= 0 {
-		o.CellKm = o.BandwidthKm / 4
-	}
-	if o.MaxCells <= 0 {
-		o.MaxCells = 16 << 20
-	}
-	return o, nil
-}
-
 // Estimate computes the density surface for the given samples. The
 // resulting grid integrates to ~1 (a probability density per km²);
 // relative comparisons such as the paper's α·Dmax peak threshold are
 // normalization-independent. The grid records its support, the span of
 // each row beyond which every cell is +0, and its largest value
 // (grid.Grid's Spans and MaxV), so the scans that follow need not visit
-// the rest. It returns an error for an empty sample set, an invalid
-// bandwidth, or a domain exceeding Options.MaxCells.
+// the rest. It returns an error for an empty sample set or an invalid
+// bandwidth, and one wrapping ErrGridTooLarge for a bandwidth too small
+// for the samples' extent.
 //
 // Cancellation: ctx is observed at the convolution's block boundaries
 // (the only expensive part); a cancelled estimate returns ctx.Err() and
@@ -110,10 +108,9 @@ func EstimateWeighted(ctx context.Context, points []geo.XY, counts []uint32, opt
 // estimate bins points (with weight 1 when counts is nil) and blurs
 // them into a surface normalized by n, the number of samples they stand
 // for.
-func estimate(ctx context.Context, points []geo.XY, counts []uint32, n int, opts Options) (*grid.Grid, error) {
-	o, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
+func estimate(ctx context.Context, points []geo.XY, counts []uint32, n int, o Options) (*grid.Grid, error) {
+	if o.BandwidthKm <= 0 {
+		return nil, fmt.Errorf("kde: bandwidth must be positive, got %v", o.BandwidthKm)
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("kde: no samples")
@@ -146,22 +143,23 @@ func estimate(ctx context.Context, points []geo.XY, counts []uint32, n int, opts
 	// Size the domain in floating point: a cell small enough to overflow
 	// an int, or one that underflowed to 0, must fail the cap check
 	// rather than reach the conversion.
-	fw := math.Ceil((maxX-minX)/o.CellKm) + 1
-	fh := math.Ceil((maxY-minY)/o.CellKm) + 1
-	if cells := fw * fh; !(o.CellKm > 0) || !(cells <= float64(o.MaxCells)) {
-		if !(o.CellKm > 0) || math.IsNaN(cells) {
+	cell := o.BandwidthKm / 4
+	fw := math.Ceil((maxX-minX)/cell) + 1
+	fh := math.Ceil((maxY-minY)/cell) + 1
+	if cells := fw * fh; !(cell > 0) || !(cells <= maxCells) {
+		if !(cell > 0) || math.IsNaN(cells) {
 			cells = math.Inf(1)
 		}
-		// Counts a float holds exactly print in full, as the int product
-		// did; larger ones in short scientific form.
+		// Counts a float holds exactly print in full; larger ones in
+		// short scientific form.
 		need := fmt.Sprintf("%.0f", cells)
 		if cells >= 1<<53 {
 			need = fmt.Sprintf("%.3g", cells)
 		}
-		return nil, fmt.Errorf("kde: domain needs %s cells (cap %d); increase CellKm", need, o.MaxCells)
+		return nil, fmt.Errorf("%w: bandwidth %v km needs %s cells (cap %d)", ErrGridTooLarge, o.BandwidthKm, need, maxCells)
 	}
 	w, h := int(fw), int(fh)
-	g := grid.New(minX, minY, o.CellKm, w, h)
+	g := grid.New(minX, minY, cell, w, h)
 	span.SetInt("samples", int64(n))
 	span.SetInt("points", int64(len(points)))
 	span.SetInt("cells", int64(w*h))
@@ -198,7 +196,7 @@ func estimate(ctx context.Context, points []geo.XY, counts []uint32, n int, opts
 
 	// counts → density: the blur divides by N·cell² as it writes, so the
 	// surface integrates to 1.
-	scale := 1 / (float64(n) * o.CellKm * o.CellKm)
+	scale := 1 / (float64(n) * cell * cell)
 	if err := blurSeparable(ctx, g, o.BandwidthKm, scale, o.Workers, span); err != nil {
 		return nil, err
 	}

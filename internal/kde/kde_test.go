@@ -2,6 +2,7 @@ package kde
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -12,33 +13,33 @@ import (
 )
 
 func TestEstimateErrors(t *testing.T) {
-	if _, err := Estimate(context.Background(), nil, DefaultOptions()); err == nil {
+	if _, err := Estimate(context.Background(), nil, Options{BandwidthKm: CityLevelBandwidthKm}); err == nil {
 		t.Error("empty samples should error")
 	}
 	if _, err := Estimate(context.Background(), []geo.XY{{X: 0, Y: 0}}, Options{BandwidthKm: -1}); err == nil {
 		t.Error("negative bandwidth should error")
 	}
 	big := []geo.XY{{X: 0, Y: 0}, {X: 1e6, Y: 1e6}}
-	if _, err := Estimate(context.Background(), big, Options{BandwidthKm: 1, MaxCells: 1000}); err == nil {
-		t.Error("oversized domain should error")
+	if _, err := Estimate(context.Background(), big, Options{BandwidthKm: 1}); !errors.Is(err, ErrGridTooLarge) {
+		t.Errorf("oversized domain: err %v, want ErrGridTooLarge", err)
 	}
 }
 
 // TestEstimateTinyBandwidthErrors: a bandwidth small enough that the
 // cell count overflows an int (1e-300), or that the cell underflows to 0
 // (5e-324, the smallest positive float), is an oversized domain — the
-// same error a merely too-fine bandwidth gets — and never a panic in
-// grid.New.
+// same ErrGridTooLarge a merely too-fine bandwidth gets — and never a
+// panic in grid.New.
 func TestEstimateTinyBandwidthErrors(t *testing.T) {
 	samples := []geo.XY{{X: 0, Y: 0}, {X: 300, Y: 200}}
 	cases := []struct {
 		bw   float64
 		want string
 	}{
-		{0.001, "kde: domain needs 960066801122 cells (cap 16777216); increase CellKm"},
-		{1e-150, "kde: domain needs 9.6e+305 cells (cap 16777216); increase CellKm"},
-		{1e-300, "kde: domain needs +Inf cells (cap 16777216); increase CellKm"},
-		{5e-324, "kde: domain needs +Inf cells (cap 16777216); increase CellKm"},
+		{0.001, "kde: grid too large: bandwidth 0.001 km needs 960066801122 cells (cap 16777216)"},
+		{1e-150, "kde: grid too large: bandwidth 1e-150 km needs 9.6e+305 cells (cap 16777216)"},
+		{1e-300, "kde: grid too large: bandwidth 1e-300 km needs +Inf cells (cap 16777216)"},
+		{5e-324, "kde: grid too large: bandwidth 5e-324 km needs +Inf cells (cap 16777216)"},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprint(tc.bw), func(t *testing.T) {
@@ -48,7 +49,7 @@ func TestEstimateTinyBandwidthErrors(t *testing.T) {
 				}
 			}()
 			g, err := Estimate(context.Background(), samples, Options{BandwidthKm: tc.bw})
-			if err == nil || err.Error() != tc.want {
+			if !errors.Is(err, ErrGridTooLarge) || err.Error() != tc.want {
 				t.Fatalf("bw=%v: got grid %v, err %v; want %q", tc.bw, g != nil, err, tc.want)
 			}
 		})
@@ -199,7 +200,7 @@ func TestEstimateMatchesDirect(t *testing.T) {
 	for i := range samples {
 		samples[i] = geo.XY{X: src.Norm(0, 25), Y: src.Norm(10, 25)}
 	}
-	g, err := Estimate(context.Background(), samples, Options{BandwidthKm: 20, CellKm: 2})
+	g, err := Estimate(context.Background(), samples, Options{BandwidthKm: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestEstimateTranslationEquivariance(t *testing.T) {
 	for i, s := range samples {
 		shifted[i] = geo.XY{X: s.X + dx, Y: s.Y + dy}
 	}
-	opts := Options{BandwidthKm: 20, CellKm: 5}
+	opts := Options{BandwidthKm: 20}
 	g1, err := Estimate(context.Background(), samples, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +251,7 @@ func TestEstimateTranslationEquivariance(t *testing.T) {
 	}
 	c1 := g1.Center(i1, j1)
 	c2 := g2.Center(i2, j2)
-	if math.Abs(c2.X-c1.X-dx) > opts.CellKm || math.Abs(c2.Y-c1.Y-dy) > opts.CellKm {
+	if math.Abs(c2.X-c1.X-dx) > g1.Cell || math.Abs(c2.Y-c1.Y-dy) > g1.Cell {
 		t.Errorf("mode moved from %v to %v, want shift (%v,%v)", c1, c2, dx, dy)
 	}
 }

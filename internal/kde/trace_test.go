@@ -30,9 +30,7 @@ func estimateTraced(t *testing.T, workers int) (*trace.Span, obs.TreeNode) {
 	tracer := trace.New(trace.Options{Seed: 11})
 	root := tracer.Start("test.estimate")
 	ctx := trace.NewContext(context.Background(), root)
-	opts := DefaultOptions()
-	opts.BandwidthKm = 40
-	opts.Workers = workers
+	opts := Options{BandwidthKm: 40, Workers: workers}
 	if _, err := Estimate(ctx, traceSamples(), opts); err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +147,7 @@ func TestEstimateTraceScheduleIndependent(t *testing.T) {
 // the untraced surface — tracing observes the convolution, it cannot
 // perturb it.
 func TestEstimateOutputIdenticalTraced(t *testing.T) {
-	opts := DefaultOptions()
-	opts.BandwidthKm = 40
-	opts.Workers = 4
+	opts := Options{BandwidthKm: 40, Workers: 4}
 	plain, err := Estimate(context.Background(), traceSamples(), opts)
 	if err != nil {
 		t.Fatal(err)

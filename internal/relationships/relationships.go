@@ -67,23 +67,6 @@ func (inf *Inferred) Providers(a astopo.ASN) []astopo.ASN {
 	return out
 }
 
-// Peers returns the inferred peers of an AS, ascending.
-func (inf *Inferred) Peers(a astopo.ASN) []astopo.ASN {
-	var out []astopo.ASN
-	for _, e := range inf.Edges {
-		if e.Kind != PeerToPeer {
-			continue
-		}
-		if e.A == a {
-			out = append(out, e.B)
-		} else if e.B == a {
-			out = append(out, e.A)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // KindOf returns the inferred relationship between two ASes. ok is false
 // if the pair never appeared adjacent on an observed path. When the kind
 // is CustomerToProvider, customerFirst reports whether a (the first

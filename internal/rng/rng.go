@@ -173,9 +173,6 @@ func (z *Zipf) Draw(s *Source) int {
 	return lo
 }
 
-// N returns the support size.
-func (z *Zipf) N() int { return len(z.cum) }
-
 // WeightedIndex draws an index with probability proportional to weights[i].
 // It returns -1 if weights is empty or sums to a non-positive value.
 func (s *Source) WeightedIndex(weights []float64) int {

@@ -84,6 +84,7 @@ import (
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/core"
 	"eyeballas/internal/ipnet"
+	"eyeballas/internal/kde"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/pipeline"
 	"eyeballas/internal/snapshot"
@@ -846,9 +847,11 @@ func (s *Server) lead(ctx context.Context, sp *trace.Span, e *entry, rec *pipeli
 // endpoint would put on the wire — success body or error payload — plus
 // the HTTP status that body carries there and the cache-result label
 // ("" when the AS is not in the dataset and the cache layer was never
-// reached). The bulk endpoint streams these same bytes as lines, which
-// is what makes bulk output the concatenation of single responses,
-// byte for byte.
+// reached). A bandwidth too small for the AS's extent, whose grid would
+// exceed the KDE's cell cap, is the client's error: a 400, not a 500 a
+// client would retry. The bulk endpoint streams these same bytes as
+// lines, which is what makes bulk output the concatenation of single
+// responses, byte for byte.
 func (s *Server) footprintBody(ctx context.Context, sp *trace.Span, a *Artifact, asn astopo.ASN, bw float64) ([]byte, int, string) {
 	rec := a.Snap.Dataset.AS(asn)
 	if rec == nil {
@@ -859,6 +862,9 @@ func (s *Server) footprintBody(ctx context.Context, sp *trace.Span, a *Artifact,
 	if err != nil {
 		if ctx.Err() != nil {
 			return errorBody("footprint render timed out: %v", err), http.StatusGatewayTimeout, result
+		}
+		if errors.Is(err, kde.ErrGridTooLarge) {
+			return errorBody("bad bandwidth for AS%d: %v", asn, err), http.StatusBadRequest, result
 		}
 		return errorBody("footprint render failed: %v", err), http.StatusInternalServerError, result
 	}
@@ -899,8 +905,9 @@ const maxBulkASNs = 1024
 // handleFootprints is the bulk endpoint: GET /v1/footprints?asns=a,b,c
 // streams one line per requested AS, in request order, each line
 // byte-identical to the single endpoint's body for that AS — including
-// per-AS errors (unknown AS, render failure), which arrive inline as
-// the single endpoint's error payload instead of aborting the stream.
+// per-AS errors (unknown AS, a bandwidth too small for the AS, render
+// failure), which arrive inline as the single endpoint's error payload
+// instead of aborting the stream.
 // The response is 200 once streaming starts; only whole-request
 // problems (bad asns list, bad bw, no artifact) fail up front.
 func (s *Server) handleFootprints(w http.ResponseWriter, r *http.Request) {

@@ -458,24 +458,26 @@ func awaitWaiters(t *testing.T, s *Server, n int) {
 }
 
 // TestFootprintTinyBandwidthFailsAtOnce: ?bw=1e-300 passes parseBW's
-// (0, 5000] envelope but needs more grid cells than an int holds. Both
-// requests for the key get the estimator's "domain needs" error as a
-// plain 500 — no panic, no 504 for a second request parked on an
-// abandoned render — and nothing stays in flight.
+// (0, 5000] envelope but needs more grid cells than the KDE's cap. Both
+// requests for the key get the estimator's ErrGridTooLarge as a 400 that
+// names the bandwidth and the cap (the client's error, which a client
+// does not retry), with no panic and no 504 for a second request parked
+// on an abandoned render, and nothing stays in flight. The bulk endpoint
+// inlines the same bytes.
 func TestFootprintTinyBandwidthFailsAtOnce(t *testing.T) {
 	reg := obs.New()
 	s, _, _ := newTestServer(t, Options{Obs: reg, Timeout: 300 * time.Millisecond})
 	h := s.Handler()
 	first := get(t, h, "/v1/footprint/64500?bw=1e-300")
 	second := get(t, h, "/v1/footprint/64500?bw=1e-300")
+	const want = `{"error":"bad bandwidth for AS64500: core: kde: grid too large: bandwidth 1e-300 km needs +Inf cells (cap 16777216)"}` + "\n"
 	for i, rec := range []*httptest.ResponseRecorder{first, second} {
-		if rec.Code != http.StatusInternalServerError || !strings500(rec.Body.String()) ||
-			!bytes.Contains(rec.Body.Bytes(), []byte("domain needs")) {
-			t.Errorf("request %d: HTTP %d %s, want 500 with the domain-size error", i, rec.Code, rec.Body.String())
+		if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+			t.Errorf("request %d: HTTP %d %s, want 400 %s", i, rec.Code, rec.Body.String(), want)
 		}
 	}
-	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
-		t.Errorf("bodies differ:\n%s\n%s", first.Body.String(), second.Body.String())
+	if bulk := get(t, h, "/v1/footprints?asns=64500&bw=1e-300"); bulk.Code != http.StatusOK || bulk.Body.String() != want {
+		t.Errorf("bulk: HTTP %d %s, want 200 with the single body as its line", bulk.Code, bulk.Body.String())
 	}
 	if n := inFlight(s); n != 0 {
 		t.Errorf("%d renders left in flight after the requests", n)

@@ -12,8 +12,8 @@ import (
 // torn artifact. Always nil in production.
 var crashPoint func()
 
-// WriteFileAtomic publishes the rendered snapshot at path so that a
-// reader — a concurrent eyeballserve reload, or anyone after a crash —
+// WriteFile publishes the rendered snapshot at path, mode 0644, so that
+// a reader — a concurrent eyeballserve reload, or anyone after a crash —
 // sees either the complete previous artifact or the complete new one,
 // never a prefix of the new bytes.
 //
@@ -23,11 +23,11 @@ var crashPoint func()
 // rename itself is durable. A crash before the rename leaves the old
 // artifact untouched (plus a stray .tmp file, which the next write
 // ignores); a crash after it leaves the new artifact fully in place.
-func WriteFileAtomic(path string, s *Snapshot) error {
+func WriteFile(path string, s *Snapshot) error {
 	return WriteFileAtomicBytes(path, Encode(s))
 }
 
-// WriteFileAtomicBytes is WriteFileAtomic for pre-rendered bytes —
+// WriteFileAtomicBytes is WriteFile for pre-rendered bytes —
 // the eyeballpipe publish path, which mangles the encoded artifact
 // through the fault plan before it hits disk, uses this form.
 func WriteFileAtomicBytes(path string, data []byte) error {

@@ -8,14 +8,15 @@ import (
 	"testing"
 )
 
-// TestWriteFileAtomicRoundTrip: the happy path publishes a readable
-// artifact with the expected bytes and mode, and leaves no temp debris.
+// TestWriteFileAtomicRoundTrip: WriteFile's happy path publishes a
+// readable artifact with the expected bytes and mode, and leaves no temp
+// debris.
 func TestWriteFileAtomicRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.snap")
 	snap := testSnapshot(t)
-	if err := WriteFileAtomic(path, snap); err != nil {
-		t.Fatalf("WriteFileAtomic: %v", err)
+	if err := WriteFile(path, snap); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
@@ -38,7 +39,7 @@ func TestWriteFileAtomicTornWrite(t *testing.T) {
 	path := filepath.Join(dir, "out.snap")
 	old := testSnapshot(t)
 	old.Meta.Label = "old-generation"
-	if err := WriteFileAtomic(path, old); err != nil {
+	if err := WriteFile(path, old); err != nil {
 		t.Fatalf("publishing old artifact: %v", err)
 	}
 	oldBytes := Encode(old)
@@ -55,7 +56,7 @@ func TestWriteFileAtomicTornWrite(t *testing.T) {
 				t.Fatalf("unexpected panic %v", r)
 			}
 		}()
-		_ = WriteFileAtomic(path, next)
+		_ = WriteFile(path, next)
 		t.Error("crash point never fired")
 	}()
 
@@ -75,7 +76,7 @@ func TestWriteFileAtomicTornWrite(t *testing.T) {
 	// Recovery: the next publish succeeds and replaces the artifact
 	// whole, with the stray temp file from the crash left inert.
 	crashPoint = nil
-	if err := WriteFileAtomic(path, next); err != nil {
+	if err := WriteFile(path, next); err != nil {
 		t.Fatalf("re-publish after crash: %v", err)
 	}
 	if snap, err := ReadFile(path); err != nil || snap.Meta.Label != "next-generation" {
@@ -94,7 +95,7 @@ func TestWriteFileAtomicNeverTorn(t *testing.T) {
 	a.Meta.Label = "gen-a"
 	b := testSnapshot(t)
 	b.Meta.Label = "gen-b-with-a-longer-label-so-sizes-differ"
-	if err := WriteFileAtomic(path, a); err != nil {
+	if err := WriteFile(path, a); err != nil {
 		t.Fatalf("seeding artifact: %v", err)
 	}
 
@@ -108,7 +109,7 @@ func TestWriteFileAtomicNeverTorn(t *testing.T) {
 			if i%2 == 1 {
 				s = b
 			}
-			if err := WriteFileAtomic(path, s); err != nil {
+			if err := WriteFile(path, s); err != nil {
 				t.Errorf("write %d: %v", i, err)
 				return
 			}
@@ -138,9 +139,9 @@ func TestWriteFileAtomicNeverTorn(t *testing.T) {
 	assertNoTempFiles(t, dir)
 }
 
-// TestWriteFileDelegatesToAtomic pins the satellite contract: the
-// long-standing WriteFile signature now publishes atomically, so no
-// caller is left on the torn-write path.
+// TestWriteFileDelegatesToAtomic: WriteFile publishes through the
+// crash-safe path (its crash point fires), so no caller is left on a
+// torn-write path.
 func TestWriteFileDelegatesToAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.snap")

@@ -68,15 +68,6 @@ func Write(w io.Writer, s *Snapshot) error {
 	return err
 }
 
-// WriteFile writes the rendered artifact to path with 0644
-// permissions. Since the crash-safe publish work it delegates to
-// WriteFileAtomic: the artifact appears atomically (temp file + fsync
-// + rename), so a crash or concurrent reload never observes a torn
-// snapshot.
-func WriteFile(path string, s *Snapshot) error {
-	return WriteFileAtomic(path, s)
-}
-
 // strSize is the encoded size of a length-prefixed string.
 func strSize(s string) int { return 4 + len(s) }
 

@@ -1,5 +1,6 @@
 // Package stats provides the small statistical toolkit the experiments
-// need: empirical CDFs, percentiles, histograms and summary statistics.
+// need: empirical CDFs, percentiles, rank correlation, a streaming
+// quantile sketch and terminal plots.
 package stats
 
 import (
@@ -9,22 +10,11 @@ import (
 	"strings"
 )
 
-// Summary holds basic moments of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Stddev float64
-	Median float64
-}
-
 // checkNaN panics if the sample contains a NaN, naming the caller and
 // the offending index. A NaN silently absorbed by a sort-based
-// percentile or a Welford update does not crash — it quietly poisons
-// every downstream number (sort.Float64s places NaNs arbitrarily, and
-// mean/stddev become NaN without a trace of where the corruption
-// entered). The experiments' contract is that samples are cleaned at
+// percentile or CDF does not crash — it quietly poisons every
+// downstream number (sort.Float64s places NaNs arbitrarily, without a
+// trace of where the corruption entered). The experiments' contract is that samples are cleaned at
 // ingestion (the pipeline drops non-finite coordinates), so a NaN here
 // is a bug upstream and the loudest possible failure is the right one.
 func checkNaN(fn string, xs []float64) {
@@ -33,44 +23,6 @@ func checkNaN(fn string, xs []float64) {
 			panic(fmt.Sprintf("stats: %s: NaN at index %d of %d-point sample", fn, i, len(xs)))
 		}
 	}
-}
-
-// Summarize computes a Summary. The zero Summary is returned for an empty
-// sample. It panics if the sample contains a NaN (see checkNaN).
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	checkNaN("Summarize", xs)
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	// Welford's one-pass algorithm. The textbook E[x²]−mean² form
-	// catastrophically cancels for samples with a large common offset
-	// (e.g. geo-error values near 1e8): both terms are ~mean² and the
-	// variance lives entirely in their last few bits. Welford's update
-	// keeps every intermediate on the scale of the deviations, and its
-	// m2 accumulator is non-negative by construction.
-	var mean, m2 float64
-	for i, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		d := x - mean
-		mean += d / float64(i+1)
-		m2 += d * (x - mean)
-	}
-	s.Mean = mean
-	s.Stddev = math.Sqrt(m2 / float64(len(xs)))
-	s.Median = Percentile(xs, 50)
-	return s
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.3g max=%.3g mean=%.3g stddev=%.3g median=%.3g",
-		s.N, s.Min, s.Max, s.Mean, s.Stddev, s.Median)
 }
 
 // Percentile returns the p-th percentile (0–100) of xs using linear
@@ -218,78 +170,6 @@ func ranks(xs []float64) []float64 {
 		i = j
 	}
 	return out
-}
-
-// KSDistance returns the two-sample Kolmogorov–Smirnov statistic: the
-// maximum absolute difference between the empirical CDFs. It returns 1
-// if either sample is empty.
-func KSDistance(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 1
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	i, j := 0, 0
-	maxD := 0.0
-	for i < len(sa) && j < len(sb) {
-		var x float64
-		if sa[i] <= sb[j] {
-			x = sa[i]
-		} else {
-			x = sb[j]
-		}
-		for i < len(sa) && sa[i] <= x {
-			i++
-		}
-		for j < len(sb) && sb[j] <= x {
-			j++
-		}
-		d := math.Abs(float64(i)/float64(len(sa)) - float64(j)/float64(len(sb)))
-		if d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}
-
-// Histogram counts samples into nbins equal-width bins over [lo, hi].
-// Samples outside the range are clamped into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds a histogram. It panics if nbins <= 0 or hi <= lo.
-func NewHistogram(xs []float64, lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 {
-		panic("stats: nbins must be positive")
-	}
-	if hi <= lo {
-		panic("stats: hi must exceed lo")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-	for _, x := range xs {
-		bin := int((x - lo) / (hi - lo) * float64(nbins))
-		if bin < 0 {
-			bin = 0
-		}
-		if bin >= nbins {
-			bin = nbins - 1
-		}
-		h.Counts[bin]++
-	}
-	return h
-}
-
-// Total returns the number of samples counted.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }
 
 // ASCIIPlot renders series of (x, y) points as a crude terminal plot, used

@@ -8,65 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.Median != 3 {
-		t.Errorf("bad summary: %+v", s)
-	}
-	if math.Abs(s.Stddev-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("stddev = %v, want sqrt(2)", s.Stddev)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Errorf("empty summary N = %d", z.N)
-	}
-}
-
-// TestSummarizeLargeOffset pins the Welford fix: for a sample with a huge
-// common offset the old E[x²]−mean² formula cancels catastrophically
-// (x² ≈ 1e16 has ULP 2, on the order of the true variance itself) and
-// returns garbage — often exactly 0 after clamping.
-func TestSummarizeLargeOffset(t *testing.T) {
-	const offset = 1e8
-	xs := []float64{offset, offset + 1, offset + 2}
-	want := math.Sqrt(2.0 / 3.0) // population stddev of {0,1,2}
-
-	s := Summarize(xs)
-	if math.Abs(s.Stddev-want) > 1e-9 {
-		t.Errorf("Stddev = %.17g, want %.17g", s.Stddev, want)
-	}
-	if s.Mean != offset+1 {
-		t.Errorf("Mean = %.17g, want %v", s.Mean, offset+1)
-	}
-
-	// Demonstrate that the naive formula genuinely fails here, so this
-	// test would have caught the bug.
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / 3
-	naive := sumSq/3 - mean*mean
-	if naive < 0 {
-		naive = 0
-	}
-	if math.Abs(math.Sqrt(naive)-want) <= 1e-9 {
-		t.Fatal("naive variance unexpectedly accurate; test sample no longer exercises the cancellation")
-	}
-}
-
-// TestSummarizeConstantSample: zero variance must come out exactly zero
-// (Welford's m2 is non-negative by construction, no clamp needed).
-func TestSummarizeConstantSample(t *testing.T) {
-	s := Summarize([]float64{4e9, 4e9, 4e9, 4e9})
-	if s.Stddev != 0 {
-		t.Errorf("Stddev = %v, want 0", s.Stddev)
-	}
-	if s.Mean != 4e9 || s.Min != 4e9 || s.Max != 4e9 {
-		t.Errorf("bad summary: %+v", s)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40}
 	cases := []struct{ p, want float64 }{
@@ -176,35 +117,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 9.99, -5, 50}, 0, 10, 10)
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and clamped -5
-		t.Errorf("bin 0 = %d", h.Counts[0])
-	}
-	if h.Counts[9] != 2 { // 9.99 and clamped 50
-		t.Errorf("bin 9 = %d", h.Counts[9])
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"nbins": func() { NewHistogram(nil, 0, 1, 0) },
-		"range": func() { NewHistogram(nil, 1, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestASCIIPlot(t *testing.T) {
 	out := ASCIIPlot(40, 10, map[rune][][2]float64{
 		'a': {{0, 0}, {50, 50}, {100, 100}},
@@ -292,26 +204,6 @@ func TestSpearmanEdge(t *testing.T) {
 	Spearman([]float64{1, 2}, []float64{1})
 }
 
-func TestKSDistance(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if d := KSDistance(a, a); d != 0 {
-		t.Errorf("identical samples d = %v", d)
-	}
-	b := []float64{100, 200, 300}
-	if d := KSDistance(a, b); math.Abs(d-1) > 1e-12 {
-		t.Errorf("disjoint samples d = %v, want 1", d)
-	}
-	if d := KSDistance(nil, a); d != 1 {
-		t.Errorf("empty sample d = %v", d)
-	}
-	// Half-shifted overlap gives an intermediate distance.
-	c := []float64{3, 4, 5, 6, 7}
-	d := KSDistance(a, c)
-	if d <= 0 || d >= 1 {
-		t.Errorf("shifted samples d = %v, want in (0,1)", d)
-	}
-}
-
 // mustPanic runs fn and fails the test unless it panics with a message
 // containing want.
 func mustPanic(t *testing.T, want string, fn func()) {
@@ -329,7 +221,7 @@ func mustPanic(t *testing.T, want string, fn func()) {
 }
 
 // TestNaNDetection: a NaN anywhere in a sample must crash Percentile and
-// Summarize loudly, naming the function and index, instead of silently
+// NewCDF loudly, naming the function and index, instead of silently
 // poisoning the result (sort.Float64s places NaNs arbitrarily, so a
 // quiet answer would be nondeterministic garbage).
 func TestNaNDetection(t *testing.T) {
@@ -345,7 +237,6 @@ func TestNaNDetection(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mustPanic(t, "Percentile: NaN", func() { Percentile(tc.xs, 50) })
-			mustPanic(t, "Summarize: NaN", func() { Summarize(tc.xs) })
 			mustPanic(t, "NewCDF: NaN", func() { NewCDF(tc.xs) })
 		})
 	}
@@ -358,9 +249,8 @@ func TestNaNDetectionCleanSamplesUnaffected(t *testing.T) {
 	if got := Percentile(xs, 50); got != 2 {
 		t.Errorf("median = %v, want 2", got)
 	}
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Median != 2 {
-		t.Errorf("Summarize changed on clean input: %+v", s)
+	if c := NewCDF(xs); c.N() != 5 || c.At(2) != 0.6 {
+		t.Errorf("NewCDF changed on clean input: N %d, P(X<=2) %v", c.N(), c.At(2))
 	}
 	// Empty sample still returns NaN from Percentile, no panic.
 	if !math.IsNaN(Percentile(nil, 50)) {

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"context"
-	"net/http"
-)
+import "context"
 
 type ctxKey struct{}
 
@@ -25,14 +22,4 @@ func FromContext(ctx context.Context) *Span {
 	}
 	s, _ := ctx.Value(ctxKey{}).(*Span)
 	return s
-}
-
-// Inject writes the span's W3C traceparent header into h — the outbound
-// half of context propagation, for clients calling downstream services
-// with an active span. No-op on a nil span.
-func Inject(h http.Header, s *Span) {
-	if s == nil {
-		return
-	}
-	h.Set("Traceparent", s.Traceparent())
 }

@@ -104,7 +104,8 @@ func ParseTraceparent(h string) (tid TraceID, parent SpanID, ok bool) {
 }
 
 // FormatTraceparent renders a version-00 traceparent header with the
-// sampled flag set — the form Inject writes and the serve smoke sends.
+// sampled flag set — the form Span.Traceparent returns and the serve
+// smoke sends.
 func FormatTraceparent(tid TraceID, sid SpanID) string {
 	var buf [55]byte
 	buf[0], buf[1], buf[2] = '0', '0', '-'

@@ -342,14 +342,6 @@ func (s *Span) SpanID() SpanID {
 	return s.id
 }
 
-// Name returns the span's name ("" on a nil span).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Traceparent renders the trace's W3C traceparent header with this span
 // as the parent ("" on a nil span).
 func (s *Span) Traceparent() string {

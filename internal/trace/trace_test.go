@@ -2,7 +2,6 @@ package trace
 
 import (
 	"context"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -150,7 +149,6 @@ func TestNilTracerAllocationFree(t *testing.T) {
 		"Traceparent": func() { sp.Traceparent() },
 		"NewContext":  func() { NewContext(ctx, sp) },
 		"FromContext": func() { FromContext(ctx) },
-		"Inject":      func() { Inject(http.Header{}, sp) },
 	}
 	for name, fn := range checks {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
@@ -176,17 +174,6 @@ func TestContextRoundTrip(t *testing.T) {
 	base := context.Background()
 	if NewContext(base, nil) != base {
 		t.Fatal("NewContext with nil span rewrapped the context")
-	}
-}
-
-func TestInjectWritesTraceparent(t *testing.T) {
-	tr := New(Options{Seed: 11})
-	s := tr.Start("client.call")
-	h := http.Header{}
-	Inject(h, s)
-	tid, sid, ok := ParseTraceparent(h.Get("Traceparent"))
-	if !ok || tid != s.TraceID() || sid != s.SpanID() {
-		t.Fatalf("injected header %q does not round-trip to span identity", h.Get("Traceparent"))
 	}
 }
 
