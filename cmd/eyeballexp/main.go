@@ -4,9 +4,16 @@
 //
 // Usage:
 //
-//	eyeballexp [-seed N] [-small] [-out dir] [-exp all|table1|figure1|figure2|section5|dimes|casestudy]
-//	           [-faults spec] [-fault-seed N]
+//	eyeballexp [-seed N] [-small|-paper|-world file] [-out dir] [-exp name]
+//	           [-batch N] [-faults spec] [-fault-seed N]
 //	           [-metrics out.json|out.prom|-] [-trace] [-pprof :6060]
+//
+// -exp all (the default) runs every experiment, in this order: table1,
+// figure1, figure2, section5, dimes and casestudy reproduce the paper's
+// evaluation; multiscale, bias, fusion, predict, peergeo, density,
+// services, crawlquality, stability and degradation go beyond it. Any
+// other -exp runs that one experiment. An unknown name is refused
+// before the environment is built.
 //
 // SIGINT/SIGTERM cancel the run: every experiment's worker pools stop
 // within one work unit, the process exits non-zero, and -metrics still
@@ -22,6 +29,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
+	"strings"
 	"syscall"
 
 	"eyeballas"
@@ -49,13 +58,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	paper := fs.Bool("paper", false, "use the paper-scale world (1233 eyeball ASes; takes minutes)")
 	worldPath := fs.String("world", "", "load the world from a snapshot written by eyeballgen -save")
 	outDir := fs.String("out", "", "directory to write per-experiment artifacts into")
-	expSel := fs.String("exp", "all", "experiment to run: all|table1|figure1|figure2|section5|dimes|casestudy|multiscale|bias|fusion|predict|degradation")
+	expSel := fs.String("exp", "all", "experiment to run: all|"+experimentNames())
 	batch := fs.Int("batch", 0, "peers per streaming ingestion batch for the pipeline build (0 = default; output is identical for every setting)")
 	faultFlags := faults.BindCLIFlags(fs)
 	obsFlags := obs.BindCLIFlags(fs)
 	traceFlags := trace.BindCLIFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *expSel != "all" && !slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == *expSel }) {
+		return fmt.Errorf("unknown experiment %q (want all|%s)", *expSel, experimentNames())
 	}
 	plan, err := faultFlags.Plan()
 	if err != nil {
@@ -103,159 +115,32 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "environment: seed=%d, %d eligible ASes, %d usable peers, %d crawled peers\n\n",
 		*seed, len(env.Dataset.Order), env.Dataset.TotalPeers, env.Dataset.CrawledPeers)
 
-	want := func(name string) bool { return *expSel == "all" || *expSel == name }
-	var emitErr error
-	emit := func(name, text, csv string) {
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return err
+		}
+	}
+	sess := &session{env: env}
+	for _, e := range experiments {
+		if *expSel != "all" && *expSel != e.name {
+			continue
+		}
+		text, csv, err := e.run(sess)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintln(stdout, text)
 		if *outDir == "" {
-			return
+			continue
 		}
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			emitErr = err
-			return
-		}
-		if err := os.WriteFile(filepath.Join(*outDir, name+".txt"), []byte(text), 0o644); err != nil {
-			emitErr = err
-			return
+		if err := os.WriteFile(filepath.Join(*outDir, e.name+".txt"), []byte(text), 0o644); err != nil {
+			return err
 		}
 		if csv != "" {
-			if err := os.WriteFile(filepath.Join(*outDir, name+".csv"), []byte(csv), 0o644); err != nil {
-				emitErr = err
+			if err := os.WriteFile(filepath.Join(*outDir, e.name+".csv"), []byte(csv), 0o644); err != nil {
+				return err
 			}
 		}
-	}
-
-	ran := false
-	if want("table1") {
-		t := eyeball.RunTable1(env)
-		emit("table1", t.Render(), t.CSV())
-		ran = true
-	}
-	if want("figure1") {
-		f, err := eyeball.RunFigure1(env, nil)
-		if err != nil {
-			return err
-		}
-		emit("figure1", f.Render(), "")
-		ran = true
-	}
-	var f2 *eyeball.Figure2Result
-	if want("figure2") || want("section5") {
-		f2, err = eyeball.RunFigure2(env, nil)
-		if err != nil {
-			return err
-		}
-	}
-	if want("figure2") {
-		emit("figure2", f2.Render(), f2.CSV())
-		ran = true
-	}
-	if want("section5") {
-		emit("section5", eyeball.RunSection5(f2).Render(), "")
-		ran = true
-	}
-	if want("dimes") {
-		d, err := eyeball.RunDIMES(env)
-		if err != nil {
-			return err
-		}
-		emit("dimes", d.Render(), "")
-		ran = true
-	}
-	if want("casestudy") {
-		cs, err := eyeball.RunCaseStudy(env)
-		if err != nil {
-			return err
-		}
-		emit("casestudy", cs.Render(), "")
-		ran = true
-	}
-	// Extensions beyond the paper (future-work items implemented).
-	if want("multiscale") {
-		m, err := eyeball.RunMultiScale(env)
-		if err != nil {
-			return err
-		}
-		emit("multiscale", m.Render(), "")
-		ran = true
-	}
-	if want("bias") {
-		bi, err := eyeball.RunBias(env)
-		if err != nil {
-			return err
-		}
-		emit("bias", bi.Render(), "")
-		ran = true
-	}
-	if want("fusion") {
-		fu, err := eyeball.RunFusion(env)
-		if err != nil {
-			return err
-		}
-		emit("fusion", fu.Render(), "")
-		ran = true
-	}
-	if want("predict") {
-		pr, err := eyeball.RunPredict(env)
-		if err != nil {
-			return err
-		}
-		emit("predict", pr.Render(), "")
-		ran = true
-	}
-	if want("peergeo") {
-		pg, err := eyeball.RunPeerGeo(env)
-		if err != nil {
-			return err
-		}
-		emit("peergeo", pg.Render(), "")
-		ran = true
-	}
-	if want("density") {
-		de, err := eyeball.RunDensity(env)
-		if err != nil {
-			return err
-		}
-		emit("density", de.Render(), "")
-		ran = true
-	}
-	if want("services") {
-		sv, err := eyeball.RunServices(env)
-		if err != nil {
-			return err
-		}
-		emit("services", sv.Render(), "")
-		ran = true
-	}
-	if want("crawlquality") {
-		cq, err := eyeball.RunCrawlQuality(env, nil)
-		if err != nil {
-			return err
-		}
-		emit("crawlquality", cq.Render(), "")
-		ran = true
-	}
-	if want("stability") {
-		st, err := eyeball.RunStability(env, 3)
-		if err != nil {
-			return err
-		}
-		emit("stability", st.Render(), "")
-		ran = true
-	}
-	if want("degradation") {
-		dg, err := eyeball.RunDegradation(env, nil)
-		if err != nil {
-			return err
-		}
-		emit("degradation", dg.Render(), dg.CSV())
-		ran = true
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q (want all|table1|figure1|figure2|section5|dimes|casestudy|multiscale|bias|fusion|predict|peergeo|stability|density|services|crawlquality|degradation)", *expSel)
-	}
-	if emitErr != nil {
-		return emitErr
 	}
 	if *outDir != "" {
 		fmt.Fprintf(stdout, "artifacts written to %s\n", *outDir)
@@ -264,4 +149,81 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	return obsFlags.Finish(stdout)
+}
+
+// experiment is one -exp selection: run returns its text and, when it
+// has one, its CSV.
+type experiment struct {
+	name string
+	run  func(s *session) (text, csv string, err error)
+}
+
+// experiments lists every -exp name in the order -exp all runs them:
+// the paper's evaluation, then the extensions beyond it.
+var experiments = []experiment{
+	{"table1", func(s *session) (string, string, error) { return withCSV(eyeball.RunTable1(s.env), nil) }},
+	{"figure1", func(s *session) (string, string, error) { return plain(eyeball.RunFigure1(s.env, nil)) }},
+	{"figure2", func(s *session) (string, string, error) { return withCSV(s.figure2()) }},
+	{"section5", func(s *session) (string, string, error) {
+		f2, err := s.figure2()
+		if err != nil {
+			return "", "", err
+		}
+		return plain(eyeball.RunSection5(f2), nil)
+	}},
+	{"dimes", func(s *session) (string, string, error) { return plain(eyeball.RunDIMES(s.env)) }},
+	{"casestudy", func(s *session) (string, string, error) { return plain(eyeball.RunCaseStudy(s.env)) }},
+	{"multiscale", func(s *session) (string, string, error) { return plain(eyeball.RunMultiScale(s.env)) }},
+	{"bias", func(s *session) (string, string, error) { return plain(eyeball.RunBias(s.env)) }},
+	{"fusion", func(s *session) (string, string, error) { return plain(eyeball.RunFusion(s.env)) }},
+	{"predict", func(s *session) (string, string, error) { return plain(eyeball.RunPredict(s.env)) }},
+	{"peergeo", func(s *session) (string, string, error) { return plain(eyeball.RunPeerGeo(s.env)) }},
+	{"density", func(s *session) (string, string, error) { return plain(eyeball.RunDensity(s.env)) }},
+	{"services", func(s *session) (string, string, error) { return plain(eyeball.RunServices(s.env)) }},
+	{"crawlquality", func(s *session) (string, string, error) { return plain(eyeball.RunCrawlQuality(s.env, nil)) }},
+	{"stability", func(s *session) (string, string, error) { return plain(eyeball.RunStability(s.env, 3)) }},
+	{"degradation", func(s *session) (string, string, error) { return withCSV(eyeball.RunDegradation(s.env, nil)) }},
+}
+
+// experimentNames joins the experiment names with "|", in run order.
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, "|")
+}
+
+// session is one run's shared state: the environment, and Figure 2,
+// which figure2 and section5 both report and which is computed once.
+type session struct {
+	env *eyeball.Experiments
+	f2  *eyeball.Figure2Result
+}
+
+func (s *session) figure2() (*eyeball.Figure2Result, error) {
+	var err error
+	if s.f2 == nil {
+		s.f2, err = eyeball.RunFigure2(s.env, nil)
+	}
+	return s.f2, err
+}
+
+// plain and withCSV adapt an experiment's result to its output: the
+// rendered text, and for withCSV the CSV too.
+func plain[R interface{ Render() string }](r R, err error) (string, string, error) {
+	if err != nil {
+		return "", "", err
+	}
+	return r.Render(), "", nil
+}
+
+func withCSV[R interface {
+	Render() string
+	CSV() string
+}](r R, err error) (string, string, error) {
+	if err != nil {
+		return "", "", err
+	}
+	return r.Render(), r.CSV(), nil
 }

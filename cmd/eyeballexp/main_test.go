@@ -47,10 +47,25 @@ func TestRunAllWritesArtifacts(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: an unknown -exp is refused before the
+// environment is built, with an error that names every experiment.
 func TestRunUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-small", "-seed", "5", "-exp", "nonsense"}, &out, io.Discard); err == nil {
-		t.Error("unknown experiment accepted")
+	err := run(context.Background(), []string{"-small", "-seed", "5", "-exp", "nonsense"}, &out, io.Discard)
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, name := range []string{
+		"table1", "figure1", "figure2", "section5", "dimes", "casestudy",
+		"multiscale", "bias", "fusion", "predict", "peergeo", "density",
+		"services", "crawlquality", "stability", "degradation",
+	} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name experiment %s", err, name)
+		}
+	}
+	if strings.Contains(out.String(), "environment:") {
+		t.Errorf("the environment was built before the refusal:\n%s", out.String())
 	}
 }
 

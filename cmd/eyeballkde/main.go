@@ -31,6 +31,7 @@ import (
 	"eyeballas/internal/faults"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/parallel"
+	"eyeballas/internal/serve"
 	"eyeballas/internal/trace"
 )
 
@@ -185,17 +186,16 @@ func renderMultiScale(ctx context.Context, stdout io.Writer, env *eyeball.Experi
 	return nil
 }
 
+// parseBandwidths reads the -bw list; each entry must pass
+// serve.ValidBandwidth, the rule the server applies to ?bw=.
 func parseBandwidths(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("invalid bandwidth %q", part)
+		if err != nil || !serve.ValidBandwidth(v) {
+			return nil, fmt.Errorf("-bw: invalid bandwidth %q (want 0 < bw <= %d km)", part, serve.MaxBandwidthKm)
 		}
 		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no bandwidths given")
 	}
 	return out, nil
 }

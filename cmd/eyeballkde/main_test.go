@@ -54,9 +54,20 @@ func TestParseBandwidths(t *testing.T) {
 	if err != nil || len(got) != 3 || got[0] != 10 || got[2] != 80 {
 		t.Errorf("parse = %v, %v", got, err)
 	}
-	for _, bad := range []string{"", "x", "-5", "10,,20", "0"} {
+	for _, bad := range []string{"", "x", "-5", "10,,20", "0", "NaN", "Inf", "6000"} {
 		if _, err := parseBandwidths(bad); err == nil {
 			t.Errorf("accepted %q", bad)
+		}
+	}
+}
+
+// TestRunRejectsNonFiniteBandwidth: NaN and Inf are refused as -bw
+// values before the world is built, not by the KDE's grid cap after it.
+func TestRunRejectsNonFiniteBandwidth(t *testing.T) {
+	for _, bw := range []string{"NaN", "Inf"} {
+		err := run(context.Background(), []string{"-small", "-bw", bw}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-bw") || strings.Contains(err.Error(), "grid too large") {
+			t.Errorf("-bw %s: err = %v, want the flag's error", bw, err)
 		}
 	}
 }

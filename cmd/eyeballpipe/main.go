@@ -49,6 +49,7 @@ import (
 	"eyeballas/internal/faults"
 	"eyeballas/internal/obs"
 	"eyeballas/internal/parallel"
+	"eyeballas/internal/pipeline"
 	"eyeballas/internal/serve"
 	"eyeballas/internal/snapshot"
 	"eyeballas/internal/trace"
@@ -91,6 +92,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	traceFlags := trace.BindCLIFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !serve.ValidBandwidth(*footprintBW) {
+		return fmt.Errorf("-footprint-bw %g: want 0 < bw <= %d km", *footprintBW, serve.MaxBandwidthKm)
 	}
 	plan, err := faultFlags.Plan()
 	if err != nil {
@@ -171,9 +175,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "target dataset: %d eligible eyeball ASes, %d usable peers\n",
 		len(ds.Order), ds.TotalPeers)
 	fmt.Fprintf(stdout, "drops: %d no-city, %d geo-err>%.0fkm, %d unmapped IP, %d duplicate IP\n",
-		ds.Drops.NoCityRecord, ds.Drops.HighGeoErr, cfg.MaxGeoErrKm, ds.Drops.UnmappedIP, ds.Drops.DupIP)
+		ds.Drops.NoCityRecord, ds.Drops.HighGeoErr, pipeline.MaxGeoErrKm, ds.Drops.UnmappedIP, ds.Drops.DupIP)
 	fmt.Fprintf(stdout, "       %d ASes below %d peers, %d ASes with p90 geo err > %.0f km\n\n",
-		ds.Drops.SmallAS, cfg.MinPeers, ds.Drops.HighErrAS, cfg.MaxP90GeoErrKm)
+		ds.Drops.SmallAS, cfg.MinPeers, ds.Drops.HighErrAS, pipeline.MaxP90GeoErrKm)
 
 	env := &eyeball.Experiments{World: w, Dataset: ds}
 	fmt.Fprint(stdout, eyeball.RunTable1(env).Render())

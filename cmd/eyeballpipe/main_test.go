@@ -188,6 +188,20 @@ func TestRunBadInputs(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFootprintBandwidth: a -footprint-bw outside
+// (0, 5000] km is refused before the build instead of rendering the
+// KDE's default bandwidth.
+func TestRunRejectsBadFootprintBandwidth(t *testing.T) {
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-small", "-footprint", "254", "-footprint-bw", "-5"}, &out, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-footprint-bw") {
+		t.Fatalf("err = %v, want a -footprint-bw error", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("run wrote output before refusing the flag:\n%s", out.String())
+	}
+}
+
 // TestRunFaultsDeterministic: the same -faults spec and -fault-seed must
 // reproduce byte-identical output; a different seed must not.
 func TestRunFaultsDeterministic(t *testing.T) {

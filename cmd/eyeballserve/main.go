@@ -40,8 +40,8 @@
 // untouched. SIGINT and SIGTERM shut the server down gracefully.
 //
 // -print-footprint renders one AS's footprint JSON to stdout and exits
-// without serving — the offline mode CI uses to prove served bytes
-// match the pipeline's.
+// without serving, through the same handler the server answers with.
+// A -bw outside (0, 5000] km is refused before the snapshot loads.
 package main
 
 import (
@@ -137,6 +137,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *snapPath == "" {
 		return errors.New("-snap is required")
+	}
+	if !serve.ValidBandwidth(*bw) {
+		return fmt.Errorf("-bw %g: want 0 < bw <= %d km", *bw, serve.MaxBandwidthKm)
 	}
 	logger, err := newLogger(*logFormat, stderr)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/core"
@@ -78,6 +79,27 @@ func TestRunRejectsMissingFile(t *testing.T) {
 	err := run(context.Background(), []string{"-snap", t.TempDir() + "/absent.snap"}, &out, &errOut)
 	if err == nil || !strings.Contains(err.Error(), "loading") {
 		t.Fatalf("err = %v, want loading error", err)
+	}
+}
+
+// TestRunRejectsBadBandwidth: a -bw outside (0, 5000] km is refused
+// before the snapshot loads, so the server never listens and answers
+// no request at a bandwidth it cannot render.
+func TestRunRejectsBadBandwidth(t *testing.T) {
+	path := writeTestSnapshot(t)
+	for _, bw := range []string{"NaN", "-5", "6000"} {
+		t.Run(bw, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			var out, errOut bytes.Buffer
+			err := run(ctx, []string{"-snap", path, "-addr", "127.0.0.1:0", "-bw", bw}, &out, &errOut)
+			if err == nil || !strings.Contains(err.Error(), "-bw") {
+				t.Fatalf("err = %v, want a -bw error", err)
+			}
+			if strings.Contains(errOut.String(), "listening") {
+				t.Fatalf("server listened with -bw %s: %s", bw, errOut.String())
+			}
+		})
 	}
 }
 

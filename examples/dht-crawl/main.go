@@ -56,12 +56,7 @@ func main() {
 	fmt.Println("\nRPC budget sweep (zone crawl, alpha=3, 64 zones):")
 	fmt.Printf("  %-10s %10s %10s %10s\n", "budget", "RPCs", "nodes", "coverage")
 	for _, budget := range []int{200, 1000, 5000, 0} {
-		cfg := dht.DefaultCrawlConfig()
-		cfg.RPCBudget = budget
-		res, err := dht.Crawl(network, cfg, rng.New(7).Split("crawl"))
-		if err != nil {
-			log.Fatal(err)
-		}
+		res := dht.Crawl(network, dht.CrawlConfig{RPCBudget: budget}, rng.New(7).Split("crawl"))
 		label := fmt.Sprintf("%d", budget)
 		if budget == 0 {
 			label = "unlimited"
@@ -73,11 +68,7 @@ func main() {
 	// The crawl's output is exactly the paper's input: IP addresses
 	// attributable to eyeball ASes. Show the per-AS sample counts the
 	// unlimited crawl would hand to the pipeline.
-	cfg := dht.DefaultCrawlConfig()
-	res, err := dht.Crawl(network, cfg, rng.New(7).Split("crawl"))
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := dht.Crawl(network, dht.CrawlConfig{}, rng.New(7).Split("crawl"))
 	perAS := map[eyeball.ASN]int{}
 	for _, addr := range res.Discovered {
 		perAS[owner[addr]]++

@@ -78,7 +78,9 @@ type (
 	Dataset = pipeline.Dataset
 	// ASRecord is one eligible eyeball AS with its usable samples.
 	ASRecord = pipeline.ASRecord
-	// PipelineConfig holds the §2/§3.1 conditioning thresholds.
+	// PipelineConfig holds the conditioning settings: the peer floor,
+	// error budgets, workers and fault plan (the §2/§3.1 geo-error cuts
+	// are fixed at the paper's 100 and 80 km).
 	PipelineConfig = pipeline.Config
 	// CrawlConfig controls the P2P crawl simulation.
 	CrawlConfig = p2p.Config
@@ -243,7 +245,7 @@ func DefaultCrawlConfig() CrawlConfig { return p2p.DefaultConfig() }
 // net/http/pprof.
 func NewRegistry() *Registry { return obs.New() }
 
-// DefaultPipelineConfig returns the conditioning thresholds at synthetic
+// DefaultPipelineConfig returns the conditioning settings at synthetic
 // scale.
 func DefaultPipelineConfig() PipelineConfig { return pipeline.DefaultConfig() }
 

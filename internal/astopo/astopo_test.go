@@ -272,26 +272,12 @@ func TestCaseStudyPlanted(t *testing.T) {
 	}
 }
 
-func TestGenerateWithoutCaseStudy(t *testing.T) {
-	cfg := SmallConfig(10)
-	cfg.PlantCaseStudy = false
-	w, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.CaseStudy() != nil {
-		t.Error("case study planted despite PlantCaseStudy=false")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.EyeballsPerRegion = nil },
 		func(c *Config) { c.NTier1 = 1 },
 		func(c *Config) { c.CustomerMin = 0 },
 		func(c *Config) { c.CustomerCap = 10 },
-		func(c *Config) { c.UpstreamMax = 0 },
-		func(c *Config) { c.LevelMix[gazetteer.NA] = [3]float64{0, 0, 0} },
 	}
 	for i, mutate := range bad {
 		cfg := SmallConfig(1)
@@ -319,7 +305,7 @@ func TestStats(t *testing.T) {
 
 func TestPublishersExist(t *testing.T) {
 	// The §5 reference dataset needs publishing ASes; with ~60 eyeballs
-	// and PublishProb≈0.067·3 on non-city ASes this can be sparse, so use
+	// and publishProb≈0.067·3 on non-city ASes this can be sparse, so use
 	// the default config scaled check over several seeds.
 	total := 0
 	for seed := uint64(0); seed < 3; seed++ {

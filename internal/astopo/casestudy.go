@@ -26,8 +26,8 @@ type CaseStudyRefs struct {
 	RemoteIXP      IXPID
 }
 
-// CaseStudy returns the planted §6 scenario, or nil if the world was
-// generated without one.
+// CaseStudy returns the planted §6 scenario, or nil for a loaded world
+// that carries none.
 func (w *World) CaseStudy() *CaseStudyRefs { return w.caseStudy }
 
 // plantCaseStudy deterministically embeds the paper's §6 connectivity

@@ -6,62 +6,70 @@ import (
 	"eyeballas/internal/gazetteer"
 )
 
-// Config controls world generation. The zero value is not usable; start
-// from DefaultConfig (full scale) or SmallConfig (test scale).
+// Config controls world generation: its scale. The zero value is not
+// usable; start from DefaultConfig (full scale) or SmallConfig (test
+// scale). The calibration every scale shares is fixed below.
 type Config struct {
 	Seed uint64
 
 	// EyeballsPerRegion sets how many eyeball ASes each region receives.
 	EyeballsPerRegion map[gazetteer.Region]int
 
-	// LevelMix gives per-region weights for city/state/country-level
-	// eyeball ASes. Defaults follow the asymmetry of the paper's Table 1:
-	// North America is state-heavy, Europe country-heavy, Asia city-heavy.
-	LevelMix map[gazetteer.Region][3]float64
-
 	// NTier1 is the number of global transit-free backbones.
 	NTier1 int
 
-	// TransitsPerCountryMax caps national transit providers per country
-	// (at least one is always created for countries hosting eyeballs).
-	TransitsPerCountryMax int
-
-	// Customer population per eyeball AS: bounded Pareto.
-	CustomerMin   float64
-	CustomerAlpha float64
-	CustomerCap   int
-
-	// UpstreamMax caps providers per eyeball AS (the paper's case study
-	// found five on a "simple" eyeball; richness is the point).
-	UpstreamMax int
-
-	// InfraPoPProb is the probability an eyeball AS has an extra
-	// infrastructure-only PoP away from its customers (§5's first
-	// mismatch cause).
-	InfraPoPProb float64
-
-	// PublishProb is the probability a state- or country-level eyeball
-	// AS publishes its PoP list online (the §5 reference dataset: 45 of
-	// 672 searched, ≈ 6.7%).
-	PublishProb float64
+	// Customer population per eyeball AS: bounded Pareto with tail index
+	// customerAlpha.
+	CustomerMin float64
+	CustomerCap int
 
 	// IXPsPerRegion places exchanges at each region's largest cities.
 	IXPsPerRegion map[gazetteer.Region]int
 
-	// LocalIXPJoinProb and RemoteIXPJoinProb control how readily eyeball
-	// and transit ASes join exchanges in (resp. away from) their PoP
-	// cities. Europe peers most actively (§1, §6).
-	LocalIXPJoinProb  map[gazetteer.Region]float64
-	RemoteIXPJoinProb map[gazetteer.Region]float64
-
 	// ContentPerRegion adds small content/enterprise ASes (RAI-like).
 	ContentPerRegion map[gazetteer.Region]int
-
-	// PlantCaseStudy deterministically embeds the §6 scenario: a Rome
-	// city-level content eyeball with five upstreams that peers remotely
-	// at the Milan IXP, plus an Italy-wide residential provider.
-	PlantCaseStudy bool
 }
+
+// levelMix gives per-region weights for city/state/country-level eyeball
+// ASes, following the asymmetry of the paper's Table 1: North America is
+// state-heavy, Europe country-heavy, Asia city-heavy.
+var levelMix = map[gazetteer.Region][3]float64{
+	// city, state, country — Table 1 ratios.
+	gazetteer.NA: {36, 162, 129},
+	gazetteer.EU: {60, 76, 292},
+	gazetteer.AS: {117, 35, 134},
+	gazetteer.SA: {30, 30, 40},
+	gazetteer.AF: {30, 20, 50},
+	gazetteer.OC: {30, 30, 40},
+}
+
+// customerAlpha is the tail index of the bounded-Pareto customer
+// population per eyeball AS.
+const customerAlpha float64 = 0.9
+
+// infraPoPProb is the probability an eyeball AS has an extra
+// infrastructure-only PoP away from its customers (§5's first mismatch
+// cause).
+const infraPoPProb float64 = 0.25
+
+// publishProb is the probability a state- or country-level eyeball AS
+// publishes its PoP list online (the §5 reference dataset: 45 of 672
+// searched, ≈ 6.7%).
+const publishProb float64 = 0.067
+
+// localIXPJoinProb and remoteIXPJoinProb control how readily eyeball and
+// transit ASes join exchanges in (resp. away from) their PoP cities.
+// Europe peers most actively (§1, §6).
+var (
+	localIXPJoinProb = map[gazetteer.Region]float64{
+		gazetteer.NA: 0.40, gazetteer.EU: 0.70, gazetteer.AS: 0.40,
+		gazetteer.SA: 0.35, gazetteer.AF: 0.30, gazetteer.OC: 0.35,
+	}
+	remoteIXPJoinProb = map[gazetteer.Region]float64{
+		gazetteer.NA: 0.05, gazetteer.EU: 0.18, gazetteer.AS: 0.06,
+		gazetteer.SA: 0.04, gazetteer.AF: 0.03, gazetteer.OC: 0.04,
+	}
+)
 
 // DefaultConfig returns the full-scale configuration used by the
 // experiment harness: ~650 eyeball ASes (the paper's 1233, scaled to keep
@@ -73,39 +81,16 @@ func DefaultConfig(seed uint64) Config {
 			gazetteer.NA: 180, gazetteer.EU: 250, gazetteer.AS: 170,
 			gazetteer.SA: 25, gazetteer.AF: 12, gazetteer.OC: 13,
 		},
-		LevelMix: map[gazetteer.Region][3]float64{
-			// city, state, country — Table 1 ratios.
-			gazetteer.NA: {36, 162, 129},
-			gazetteer.EU: {60, 76, 292},
-			gazetteer.AS: {117, 35, 134},
-			gazetteer.SA: {30, 30, 40},
-			gazetteer.AF: {30, 20, 50},
-			gazetteer.OC: {30, 30, 40},
-		},
-		NTier1:                12,
-		TransitsPerCountryMax: 3,
-		CustomerMin:           6000,
-		CustomerAlpha:         0.9,
-		CustomerCap:           400000,
-		UpstreamMax:           5,
-		InfraPoPProb:          0.25,
-		PublishProb:           0.067,
+		NTier1:      12,
+		CustomerMin: 6000,
+		CustomerCap: 400000,
 		IXPsPerRegion: map[gazetteer.Region]int{
 			gazetteer.NA: 8, gazetteer.EU: 16, gazetteer.AS: 8,
 			gazetteer.SA: 3, gazetteer.AF: 2, gazetteer.OC: 2,
 		},
-		LocalIXPJoinProb: map[gazetteer.Region]float64{
-			gazetteer.NA: 0.40, gazetteer.EU: 0.70, gazetteer.AS: 0.40,
-			gazetteer.SA: 0.35, gazetteer.AF: 0.30, gazetteer.OC: 0.35,
-		},
-		RemoteIXPJoinProb: map[gazetteer.Region]float64{
-			gazetteer.NA: 0.05, gazetteer.EU: 0.18, gazetteer.AS: 0.06,
-			gazetteer.SA: 0.04, gazetteer.AF: 0.03, gazetteer.OC: 0.04,
-		},
 		ContentPerRegion: map[gazetteer.Region]int{
 			gazetteer.NA: 12, gazetteer.EU: 18, gazetteer.AS: 10,
 		},
-		PlantCaseStudy: true,
 	}
 }
 
@@ -155,17 +140,9 @@ func (c Config) validate() error {
 	if c.NTier1 < 2 {
 		return fmt.Errorf("astopo: need at least 2 tier-1 ASes, got %d", c.NTier1)
 	}
-	if c.CustomerMin <= 0 || c.CustomerAlpha <= 0 || c.CustomerCap < int(c.CustomerMin) {
-		return fmt.Errorf("astopo: invalid customer distribution (min %v alpha %v cap %d)",
-			c.CustomerMin, c.CustomerAlpha, c.CustomerCap)
-	}
-	if c.UpstreamMax < 1 {
-		return fmt.Errorf("astopo: UpstreamMax must be >= 1")
-	}
-	for r, mix := range c.LevelMix {
-		if mix[0]+mix[1]+mix[2] <= 0 {
-			return fmt.Errorf("astopo: level mix for %s sums to 0", r)
-		}
+	if c.CustomerMin <= 0 || c.CustomerCap < int(c.CustomerMin) {
+		return fmt.Errorf("astopo: invalid customer distribution (min %v cap %d)",
+			c.CustomerMin, c.CustomerCap)
 	}
 	return nil
 }

@@ -18,7 +18,7 @@ func Generate(cfg Config) (*World, error) {
 	}
 	gaz := gazetteer.Default()
 	root := rng.New(cfg.Seed)
-	zips := gazetteer.SynthesizeZips(gaz, gazetteer.DefaultZipPlan(), root.Split("zips"))
+	zips := gazetteer.SynthesizeZips(gaz, root.Split("zips"))
 	w := newWorld(cfg.Seed, gaz, gazetteer.NewZipIndex(zips))
 
 	g := &generator{
@@ -35,10 +35,8 @@ func Generate(cfg Config) (*World, error) {
 	g.genEyeballs()
 	g.genContents()
 	g.genIXPs()
-	if cfg.PlantCaseStudy {
-		if err := g.plantCaseStudy(); err != nil {
-			return nil, err
-		}
+	if err := g.plantCaseStudy(); err != nil {
+		return nil, err
 	}
 	g.genIXPPeerings()
 	return w, nil
@@ -116,8 +114,9 @@ func (g *generator) genTier1s() {
 	}
 }
 
-// genTransits creates national transit providers for every country in the
-// gazetteer; they are the default upstreams of that country's eyeballs.
+// genTransits creates one to three national transit providers for every
+// country in the gazetteer (one more past 10M inhabitants, another past
+// 40M); they are the default upstreams of that country's eyeballs.
 func (g *generator) genTransits() {
 	for _, cc := range g.w.Gazetteer.Countries() {
 		cities := g.w.Gazetteer.MajorInCountry(cc)
@@ -133,11 +132,8 @@ func (g *generator) genTransits() {
 		if totalPop > 10_000_000 {
 			count++
 		}
-		if totalPop > 40_000_000 && g.cfg.TransitsPerCountryMax >= 3 {
+		if totalPop > 40_000_000 {
 			count++
-		}
-		if count > g.cfg.TransitsPerCountryMax {
-			count = g.cfg.TransitsPerCountryMax
 		}
 		for t := 0; t < count; t++ {
 			asn := g.newASN()
@@ -235,18 +231,18 @@ func (g *generator) genEyeballs() {
 		if len(ccs) == 0 {
 			continue
 		}
-		mix := g.cfg.LevelMix[region]
 		for i := 0; i < quota; i++ {
 			s := g.src.SplitN("eyeball-"+string(region), i)
 			cc := ccs[s.WeightedIndex(weights)]
-			g.genOneEyeball(s, region, cc, mix)
+			g.genOneEyeball(s, region, cc)
 		}
 	}
 }
 
 // genOneEyeball creates one eyeball AS in the given country.
-func (g *generator) genOneEyeball(s *rng.Source, region gazetteer.Region, cc string, mix [3]float64) *AS {
+func (g *generator) genOneEyeball(s *rng.Source, region gazetteer.Region, cc string) *AS {
 	cities := g.w.Gazetteer.MajorInCountry(cc)
+	mix := levelMix[region]
 	level := []Level{LevelCity, LevelState, LevelCountry}[s.WeightedIndex(mix[:])]
 
 	var home []gazetteer.City
@@ -296,7 +292,7 @@ func (g *generator) genOneEyeball(s *rng.Source, region gazetteer.Region, cc str
 	}
 
 	// Optional infrastructure-only PoP away from customers (§5).
-	if s.Bool(g.cfg.InfraPoPProb) {
+	if s.Bool(infraPoPProb) {
 		if infra, ok := g.pickInfraCity(s, a, cities); ok {
 			a.PoPs = append(a.PoPs, PoP{City: infra, ServesUsers: false})
 		}
@@ -304,7 +300,7 @@ func (g *generator) genOneEyeball(s *rng.Source, region gazetteer.Region, cc str
 
 	// Customer population: bounded Pareto with a level multiplier.
 	mult := map[Level]float64{LevelCity: 0.3, LevelState: 0.7, LevelCountry: 1.5}[level]
-	customers := int(s.Pareto(g.cfg.CustomerMin, g.cfg.CustomerAlpha) * mult)
+	customers := int(s.Pareto(g.cfg.CustomerMin, customerAlpha) * mult)
 	if customers > g.cfg.CustomerCap {
 		customers = g.cfg.CustomerCap
 	}
@@ -318,9 +314,9 @@ func (g *generator) genOneEyeball(s *rng.Source, region gazetteer.Region, cc str
 	g.attachProviders(s, a)
 
 	// Publish PoP lists rarely, and only for wider-scope ASes.
-	if level != LevelCity && s.Bool(g.cfg.PublishProb*3) {
+	if level != LevelCity && s.Bool(publishProb*3) {
 		// The searchable population in §5 is state/country-level ASes;
-		// 45/672 found. PublishProb is calibrated on the whole population,
+		// 45/672 found. publishProb is calibrated on the whole population,
 		// ×3 compensates for restricting to the non-city levels here.
 		a.PublishesPoPs = true
 	}
@@ -346,13 +342,12 @@ func (g *generator) pickInfraCity(s *rng.Source, a *AS, countryCities []gazettee
 	return gazetteer.City{}, false
 }
 
-// attachProviders connects an eyeball/content AS to 1..UpstreamMax
-// upstreams: national transits first, then regional ones, then tier-1s.
+// attachProviders connects an eyeball/content AS to one to five
+// upstreams (the paper's case study found five on a "simple" eyeball;
+// richness is the point): national transits first, then regional ones,
+// then tier-1s.
 func (g *generator) attachProviders(s *rng.Source, a *AS) {
 	nProv := 1 + s.WeightedIndex([]float64{0.30, 0.30, 0.20, 0.12, 0.08})
-	if nProv > g.cfg.UpstreamMax {
-		nProv = g.cfg.UpstreamMax
-	}
 	var pool []ASN
 	pool = append(pool, g.transits[a.Country]...)
 	for _, t := range g.regionTra[a.Region] {
@@ -443,15 +438,15 @@ func (g *generator) genIXPs() {
 				sameRegion := a.Region == ix.City.Region
 				switch {
 				case local:
-					if s.Bool(g.cfg.LocalIXPJoinProb[a.Region]) {
+					if s.Bool(localIXPJoinProb[a.Region]) {
 						g.w.joinIXP(ix.ID, asn)
 					}
 				case sameCountry:
-					if s.Bool(g.cfg.RemoteIXPJoinProb[a.Region]) {
+					if s.Bool(remoteIXPJoinProb[a.Region]) {
 						g.w.joinIXP(ix.ID, asn)
 					}
 				case sameRegion:
-					if s.Bool(g.cfg.RemoteIXPJoinProb[a.Region] * 0.25) {
+					if s.Bool(remoteIXPJoinProb[a.Region] * 0.25) {
 						g.w.joinIXP(ix.ID, asn)
 					}
 				}
@@ -540,18 +535,4 @@ func containsCity(cs []gazetteer.City, c gazetteer.City) bool {
 		}
 	}
 	return false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

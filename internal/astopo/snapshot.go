@@ -145,7 +145,7 @@ func ReadSnapshot(in io.Reader) (*World, error) {
 		return nil, fmt.Errorf("astopo: snapshot version %d unsupported (want %d)", s.Version, snapshotVersion)
 	}
 	gaz := gazetteer.Default()
-	zips := gazetteer.SynthesizeZips(gaz, gazetteer.DefaultZipPlan(), rng.New(s.Seed).Split("zips"))
+	zips := gazetteer.SynthesizeZips(gaz, rng.New(s.Seed).Split("zips"))
 	w := newWorld(s.Seed, gaz, gazetteer.NewZipIndex(zips))
 
 	city := func(name, country string) (gazetteer.City, error) {

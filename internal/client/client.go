@@ -40,7 +40,6 @@ type Attempt struct {
 	Endpoint string
 	Status   int
 	Chaos    string
-	Hedged   bool
 	Err      error
 }
 
@@ -469,12 +468,12 @@ func (c *Client) pause(ctx context.Context, retry int, lastErr error) error {
 // attempt performs one wire attempt, hedged when armed and idempotent.
 func (c *Client) attempt(ctx context.Context, endpoint, method, path string) attemptResult {
 	if c.opts.HedgeAfter <= 0 || method != http.MethodGet {
-		return c.roundTrip(ctx, endpoint, method, path, false)
+		return c.roundTrip(ctx, endpoint, method, path)
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan attemptResult, 2)
-	go func() { ch <- c.roundTrip(hctx, endpoint, method, path, false) }()
+	go func() { ch <- c.roundTrip(hctx, endpoint, method, path) }()
 	timer := time.NewTimer(c.opts.HedgeAfter)
 	defer timer.Stop()
 	inflight := 1
@@ -492,7 +491,7 @@ func (c *Client) attempt(ctx context.Context, endpoint, method, path string) att
 			// decide the attempt.
 		case <-timer.C:
 			inflight++
-			go func() { ch <- c.roundTrip(hctx, endpoint, method, path, true) }()
+			go func() { ch <- c.roundTrip(hctx, endpoint, method, path) }()
 		}
 	}
 }
@@ -500,7 +499,7 @@ func (c *Client) attempt(ctx context.Context, endpoint, method, path string) att
 // roundTrip is the single-request primitive: one HTTP exchange, one
 // Observer event. Attempts canceled by hedging (not by the caller)
 // are not observed — they are bookkeeping, not outcomes.
-func (c *Client) roundTrip(ctx context.Context, endpoint, method, path string, hedged bool) attemptResult {
+func (c *Client) roundTrip(ctx context.Context, endpoint, method, path string) attemptResult {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, nil)
 	if err != nil {
 		return attemptResult{err: err}
@@ -513,13 +512,13 @@ func (c *Client) roundTrip(ctx context.Context, endpoint, method, path string, h
 			// Observer so ledgers stay exact.
 			return attemptResult{err: err}
 		}
-		c.observe(Attempt{Endpoint: endpoint, Err: err, Hedged: hedged})
+		c.observe(Attempt{Endpoint: endpoint, Err: err})
 		return attemptResult{err: err}
 	}
 	defer resp.Body.Close()
 	body, readErr := io.ReadAll(resp.Body)
 	if readErr != nil {
-		c.observe(Attempt{Endpoint: endpoint, Err: readErr, Hedged: hedged})
+		c.observe(Attempt{Endpoint: endpoint, Err: readErr})
 		return attemptResult{err: readErr}
 	}
 	res := attemptResult{
@@ -532,7 +531,7 @@ func (c *Client) roundTrip(ctx context.Context, endpoint, method, path string, h
 			res.retryAfter = n
 		}
 	}
-	c.observe(Attempt{Endpoint: endpoint, Status: res.status, Chaos: res.chaos, Hedged: hedged})
+	c.observe(Attempt{Endpoint: endpoint, Status: res.status, Chaos: res.chaos})
 	return res
 }
 

@@ -1,34 +1,33 @@
 package dht
 
 import (
-	"fmt"
 	"sort"
 
 	"eyeballas/internal/ipnet"
 	"eyeballas/internal/rng"
 )
 
-// CrawlConfig parameterizes the zone crawler.
-type CrawlConfig struct {
-	// Zones is the number of equal slices of the ID space walked; the
+// The zone crawler's fixed settings mirror common crawler choices.
+const (
+	// zones is the number of equal slices of the ID space walked; the
 	// paper-era Kad crawlers sweep zones to bound per-lookup state.
-	Zones int
-	// Alpha is the lookup parallelism (queries in flight per step).
-	Alpha int
+	zones int = 64
+	// alpha is the lookup parallelism (queries in flight per step).
+	alpha int = 3
+	// seedNodes is how many random seed nodes the crawler starts from.
+	seedNodes int = 8
+	// sweepProbes is how many FIND_NODE targets each in-zone node is
+	// probed with during the exhaustive sweep.
+	sweepProbes int = 4
+)
+
+// CrawlConfig parameterizes the zone crawler. The zero value crawls
+// without a budget.
+type CrawlConfig struct {
 	// RPCBudget caps the total FIND_NODE calls (0 = unlimited); partial
 	// budgets model the bandwidth limits that give real crawls their
 	// <100% coverage.
 	RPCBudget int
-	// Bootstrap is how many random seed nodes the crawler starts from.
-	Bootstrap int
-	// SweepProbes is how many FIND_NODE targets each in-zone node is
-	// probed with during the exhaustive sweep.
-	SweepProbes int
-}
-
-// DefaultCrawlConfig mirrors common crawler settings (α = 3, 64 zones).
-func DefaultCrawlConfig() CrawlConfig {
-	return CrawlConfig{Zones: 64, Alpha: 3, Bootstrap: 8, SweepProbes: 4}
 }
 
 // CrawlResult summarizes a crawl.
@@ -50,16 +49,13 @@ func (r *CrawlResult) Coverage(net *Network) float64 {
 // lookups, the protocol the paper's Kad dataset was gathered with. The
 // crawler is an outside observer: it learns node addresses only through
 // FIND_NODE responses.
-func Crawl(net *Network, cfg CrawlConfig, src *rng.Source) (*CrawlResult, error) {
-	if cfg.Zones < 1 || cfg.Alpha < 1 || cfg.Bootstrap < 1 || cfg.SweepProbes < 1 {
-		return nil, fmt.Errorf("dht: Zones, Alpha, Bootstrap and SweepProbes must be >= 1")
-	}
+func Crawl(net *Network, cfg CrawlConfig, src *rng.Source) *CrawlResult {
 	res := &CrawlResult{Discovered: make(map[NodeID]ipnet.Addr)}
 	ids := net.IDs()
 
 	// Bootstrap peers (a crawler ships a seed list).
-	bootstrap := make([]NodeID, 0, cfg.Bootstrap)
-	for len(bootstrap) < cfg.Bootstrap && len(bootstrap) < len(ids) {
+	bootstrap := make([]NodeID, 0, seedNodes)
+	for len(bootstrap) < seedNodes && len(bootstrap) < len(ids) {
 		id := ids[src.Intn(len(ids))]
 		bootstrap = append(bootstrap, id)
 		res.Discovered[id] = net.Node(id).Addr
@@ -70,11 +66,11 @@ func Crawl(net *Network, cfg CrawlConfig, src *rng.Source) (*CrawlResult, error)
 	}
 
 	queriedGlobal := map[NodeID]bool{}
-	zoneWidth := NodeID(^uint64(0)) / NodeID(cfg.Zones)
-	for z := 0; z < cfg.Zones && budgetLeft(); z++ {
+	zoneWidth := NodeID(^uint64(0)) / NodeID(zones)
+	for z := 0; z < zones && budgetLeft(); z++ {
 		zLo := NodeID(z) * zoneWidth
 		zHi := zLo + zoneWidth - 1
-		if z == cfg.Zones-1 {
+		if z == zones-1 {
 			zHi = NodeID(^uint64(0))
 		}
 		target := zLo + zoneWidth/2
@@ -100,7 +96,7 @@ func Crawl(net *Network, cfg CrawlConfig, src *rng.Source) (*CrawlResult, error)
 			for _, c := range candidates {
 				if !queried[c] {
 					batch = append(batch, c)
-					if len(batch) == cfg.Alpha {
+					if len(batch) == alpha {
 						break
 					}
 				}
@@ -128,11 +124,11 @@ func Crawl(net *Network, cfg CrawlConfig, src *rng.Source) (*CrawlResult, error)
 				break
 			}
 			// Standard crawler memory bound on lookup state.
-			if len(candidates) > 8*net.K()*cfg.Alpha {
+			if len(candidates) > 8*net.K()*alpha {
 				sort.Slice(candidates, func(i, j int) bool {
 					return Distance(candidates[i], target) < Distance(candidates[j], target)
 				})
-				candidates = candidates[:8*net.K()*cfg.Alpha]
+				candidates = candidates[:8*net.K()*alpha]
 			}
 		}
 
@@ -158,8 +154,7 @@ func Crawl(net *Network, cfg CrawlConfig, src *rng.Source) (*CrawlResult, error)
 			}
 			queriedGlobal[q] = true
 			res.Queried++
-			probes := cfg.SweepProbes
-			for r := 0; r < probes && budgetLeft(); r++ {
+			for r := 0; r < sweepProbes && budgetLeft(); r++ {
 				probe := q // first probe: the node's own neighbourhood
 				if r > 0 {
 					probe = zLo + NodeID(src.Uint64())%zoneWidth
@@ -176,5 +171,5 @@ func Crawl(net *Network, cfg CrawlConfig, src *rng.Source) (*CrawlResult, error)
 			}
 		}
 	}
-	return res, nil
+	return res
 }

@@ -8,7 +8,9 @@
 // α-parallel iterative lookup walking the ID space zone by zone — so the
 // summary can be validated against protocol-level behaviour (see the
 // package tests) and so crawl dynamics (RPC budgets, bucket sizes) can be
-// studied directly.
+// studied directly. The crawler's own settings are constants — zones
+// (64), alpha (3), seedNodes (8) and sweepProbes (4) — and only its RPC
+// budget varies.
 package dht
 
 import (

@@ -127,10 +127,7 @@ func TestFindNodeReturnsClosest(t *testing.T) {
 
 func TestCrawlFullBudgetHighCoverage(t *testing.T) {
 	net := buildNet(t, 2000, 8, 5)
-	res, err := Crawl(net, DefaultCrawlConfig(), rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Crawl(net, CrawlConfig{}, rng.New(6))
 	if cov := res.Coverage(net); cov < 0.9 {
 		t.Errorf("unbudgeted crawl coverage %.3f < 0.9", cov)
 	}
@@ -147,16 +144,8 @@ func TestCrawlFullBudgetHighCoverage(t *testing.T) {
 
 func TestCrawlBudgetLimitsCoverage(t *testing.T) {
 	net := buildNet(t, 2000, 8, 7)
-	full, err := Crawl(net, DefaultCrawlConfig(), rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight := DefaultCrawlConfig()
-	tight.RPCBudget = 50
-	partial, err := Crawl(net, tight, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := Crawl(net, CrawlConfig{}, rng.New(8))
+	partial := Crawl(net, CrawlConfig{RPCBudget: 50}, rng.New(8))
 	if partial.RPCs > 50 {
 		t.Errorf("budget exceeded: %d RPCs", partial.RPCs)
 	}
@@ -168,30 +157,10 @@ func TestCrawlBudgetLimitsCoverage(t *testing.T) {
 
 func TestCrawlDeterministic(t *testing.T) {
 	net := buildNet(t, 1000, 8, 9)
-	r1, err := Crawl(net, DefaultCrawlConfig(), rng.New(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Crawl(net, DefaultCrawlConfig(), rng.New(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := Crawl(net, CrawlConfig{}, rng.New(10))
+	r2 := Crawl(net, CrawlConfig{}, rng.New(10))
 	if len(r1.Discovered) != len(r2.Discovered) || r1.RPCs != r2.RPCs {
 		t.Error("crawl not deterministic")
-	}
-}
-
-func TestCrawlConfigValidation(t *testing.T) {
-	net := buildNet(t, 100, 8, 11)
-	for _, cfg := range []CrawlConfig{
-		{Zones: 0, Alpha: 1, Bootstrap: 1, SweepProbes: 1},
-		{Zones: 1, Alpha: 0, Bootstrap: 1, SweepProbes: 1},
-		{Zones: 1, Alpha: 1, Bootstrap: 0, SweepProbes: 1},
-		{Zones: 1, Alpha: 1, Bootstrap: 1, SweepProbes: 0},
-	} {
-		if _, err := Crawl(net, cfg, rng.New(1)); err == nil {
-			t.Errorf("bad config %+v accepted", cfg)
-		}
 	}
 }
 
@@ -201,10 +170,7 @@ func TestCrawlConfigValidation(t *testing.T) {
 // should land in the same coverage regime.
 func TestCrawlCoverageMatchesStatisticalModel(t *testing.T) {
 	net := buildNet(t, 5000, 10, 12)
-	res, err := Crawl(net, DefaultCrawlConfig(), rng.New(13))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Crawl(net, CrawlConfig{}, rng.New(13))
 	cov := res.Coverage(net)
 	if cov < 0.8 || cov > 1.0 {
 		t.Errorf("protocol-level coverage %.3f outside the statistical model's regime [0.8, 1.0]", cov)
@@ -225,8 +191,6 @@ func BenchmarkCrawl(b *testing.B) {
 	net := buildNet(b, 5000, 8, 14)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Crawl(net, DefaultCrawlConfig(), rng.New(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
+		Crawl(net, CrawlConfig{}, rng.New(uint64(i)))
 	}
 }

@@ -54,7 +54,7 @@ type CaseStudy struct {
 func RunCaseStudy(env *Env) (*CaseStudy, error) {
 	refs := env.World.CaseStudy()
 	if refs == nil {
-		return nil, fmt.Errorf("experiments: world was generated without a case study")
+		return nil, fmt.Errorf("experiments: world carries no case study")
 	}
 	rec := env.Dataset.AS(refs.Subject)
 	if rec == nil {

@@ -16,13 +16,11 @@ import (
 // check how often the KDE-discovered set is a superset of the
 // traceroute-observed set.
 type DIMES struct {
-	CommonASes     int
-	OurMeanPoPs    float64
-	DIMESMeanPoPs  float64
-	SupersetFrac   float64 // fraction of common ASes where ours ⊇ DIMES
-	BandwidthKm    float64
-	perASOur       []int
-	perASTraceOnly []int
+	CommonASes    int
+	OurMeanPoPs   float64
+	DIMESMeanPoPs float64
+	SupersetFrac  float64 // fraction of common ASes where ours ⊇ DIMES
+	BandwidthKm   float64
 }
 
 // RunDIMES executes the comparison at the paper's 40 km bandwidth.
@@ -57,8 +55,6 @@ func RunDIMES(env *Env) (*DIMES, error) {
 		if core.MatchPoPs(pops[i], observed, core.MatchRadiusKm).Superset() {
 			supersets++
 		}
-		d.perASOur = append(d.perASOur, len(pops[i]))
-		d.perASTraceOnly = append(d.perASTraceOnly, len(observed))
 	}
 	d.OurMeanPoPs = float64(ourTotal) / float64(d.CommonASes)
 	d.DIMESMeanPoPs = float64(traceTotal) / float64(d.CommonASes)

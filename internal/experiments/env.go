@@ -145,16 +145,15 @@ func NewEnvWithWorldCtx(ctx context.Context, w *astopo.World, seed uint64, pipeC
 	}
 	root := rng.New(seed)
 	refSpan := span.Child("refdata")
-	env.Reference = refdata.Build(w, refdata.DefaultConfig(), root.Split("refdata"))
+	env.Reference = refdata.Build(w, root.Split("refdata"))
 	refSpan.End()
 	// The paper consults the IXP mapping dataset as best-effort ground
-	// truth (§6); use full detection here. Partial detection is modelled
-	// and exercised in the ixp package itself.
+	// truth (§6), so every IXP peering is observed.
 	ixpSpan := span.Child("ixpdata")
-	env.IXPData = ixp.Build(w, 1.0, root.Split("ixpdata"))
+	env.IXPData = ixp.Build(w)
 	ixpSpan.End()
 	trSpan := span.Child("traceroute")
-	env.Traces, err = traceroute.Simulate(w, env.Routing, traceroute.DefaultConfig(), root.Split("traceroute"))
+	env.Traces, err = traceroute.Simulate(w, env.Routing)
 	trSpan.End()
 	if err != nil {
 		return nil, err

@@ -17,7 +17,7 @@ var benchData struct {
 func benchSetup() (*Gazetteer, *ZipIndex) {
 	benchData.once.Do(func() {
 		benchData.g = Default()
-		benchData.zips = NewZipIndex(SynthesizeZips(benchData.g, DefaultZipPlan(), rng.New(9002)))
+		benchData.zips = NewZipIndex(SynthesizeZips(benchData.g, rng.New(9002)))
 	})
 	return benchData.g, benchData.zips
 }

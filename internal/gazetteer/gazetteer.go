@@ -8,7 +8,9 @@
 // directly (~500 real cities across North America, Europe, Asia, and the
 // rest of the world). Coordinates are city centres to roughly ±0.05°,
 // populations are approximate metro populations — fully adequate for a
-// synthetic world whose users are generated around these cities.
+// synthetic world whose users are generated around these cities. Each
+// city gets one synthetic zip centroid per peoplePerZip (60,000)
+// inhabitants, between minZipsPerCity (3) and maxZipsPerCity (48).
 package gazetteer
 
 import (

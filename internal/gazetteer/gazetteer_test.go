@@ -214,12 +214,12 @@ func TestCountries(t *testing.T) {
 func TestSynthesizeZips(t *testing.T) {
 	g := Default()
 	src := rng.New(1)
-	zips := SynthesizeZips(g, DefaultZipPlan(), src)
+	zips := SynthesizeZips(g, src)
 	if len(zips) < 3*g.Len() {
 		t.Fatalf("too few zips: %d", len(zips))
 	}
 	// Determinism.
-	zips2 := SynthesizeZips(g, DefaultZipPlan(), rng.New(1))
+	zips2 := SynthesizeZips(g, rng.New(1))
 	if len(zips) != len(zips2) || zips[0].Loc != zips2[0].Loc || zips[100].Loc != zips2[100].Loc {
 		t.Error("zip synthesis is not deterministic")
 	}
@@ -240,7 +240,7 @@ func TestSynthesizeZips(t *testing.T) {
 
 func TestZipIndexNearest(t *testing.T) {
 	g := Default()
-	zips := SynthesizeZips(g, DefaultZipPlan(), rng.New(2))
+	zips := SynthesizeZips(g, rng.New(2))
 	idx := NewZipIndex(zips)
 	if idx.Len() != len(zips) {
 		t.Fatalf("index len %d != %d", idx.Len(), len(zips))

@@ -70,7 +70,7 @@ var oracleRegions = []Region{NA, EU, AS, SA, AF, OC}
 // 40 km first pass both succeeds and falls back to the wide scan.
 func TestKNearestMatchesBruteForce(t *testing.T) {
 	g := Default()
-	zips := SynthesizeZips(g, DefaultZipPlan(), rng.New(5))
+	zips := SynthesizeZips(g, rng.New(5))
 	idx := NewZipIndex(zips)
 	byRegion := map[Region][]City{}
 	for _, r := range oracleRegions {
@@ -108,7 +108,7 @@ func TestKNearestMatchesBruteForce(t *testing.T) {
 // and radii.
 func FuzzZipKNearest(f *testing.F) {
 	g := Default()
-	zips := SynthesizeZips(g, DefaultZipPlan(), rng.New(5))
+	zips := SynthesizeZips(g, rng.New(5))
 	idx := NewZipIndex(zips)
 	f.Add(41.9, 12.5, uint8(3), uint8(2))    // Rome
 	f.Add(48.2, 11.0, uint8(7), uint8(3))    // between Munich and Augsburg

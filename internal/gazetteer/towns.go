@@ -43,7 +43,7 @@ func generateTowns(cities []City) []City {
 		}
 		r := c.RadiusKm()
 		for t := 0; t < n; t++ {
-			dist := s.Range(maxF(12, 0.6*r), 2.2*r)
+			dist := s.Range(max(12, 0.6*r), 2.2*r)
 			towns = append(towns, City{
 				Name:    fmt.Sprintf("%s Town %d", c.Name, t+1),
 				State:   c.State,
@@ -56,11 +56,4 @@ func generateTowns(cities []City) []City {
 		}
 	}
 	return towns
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -18,44 +18,23 @@ type ZipCentroid struct {
 	Loc     geo.Point
 }
 
-// ZipPlan describes how zip centroids are synthesized per city.
-type ZipPlan struct {
-	// PeoplePerZip controls how many centroids a city gets:
-	// count = clamp(Pop/PeoplePerZip, MinPerCity, MaxPerCity).
-	PeoplePerZip int
-	MinPerCity   int
-	MaxPerCity   int
-}
-
-// DefaultZipPlan mirrors the density of real metropolitan postal systems
-// closely enough for the pipeline: one centroid per ~60k inhabitants,
-// between 3 and 48 per city.
-func DefaultZipPlan() ZipPlan {
-	return ZipPlan{PeoplePerZip: 60000, MinPerCity: 3, MaxPerCity: 48}
-}
-
-// zipCount returns the number of centroids a city receives under the plan.
-func (p ZipPlan) zipCount(c City) int {
-	n := c.Pop / p.PeoplePerZip
-	if n < p.MinPerCity {
-		n = p.MinPerCity
-	}
-	if n > p.MaxPerCity {
-		n = p.MaxPerCity
-	}
-	return n
-}
+// Zip centroids per city, close enough to real postal density.
+const (
+	peoplePerZip   int = 60000
+	minZipsPerCity int = 3
+	maxZipsPerCity int = 48
+)
 
 // SynthesizeZips deterministically generates zip centroids for every city
 // in the gazetteer. Centroids are scattered within each city's metro
 // radius with a density that decays away from the centre (triangular
 // radial profile), mimicking real population layout.
-func SynthesizeZips(g *Gazetteer, plan ZipPlan, src *rng.Source) []ZipCentroid {
+func SynthesizeZips(g *Gazetteer, src *rng.Source) []ZipCentroid {
 	var out []ZipCentroid
 	for i := 0; i < g.Len(); i++ {
 		c := g.City(i)
 		s := src.SplitN("zips", i)
-		n := plan.zipCount(c)
+		n := min(max(c.Pop/peoplePerZip, minZipsPerCity), maxZipsPerCity)
 		r := c.RadiusKm()
 		for j := 0; j < n; j++ {
 			// sqrt(u)*triangular pull toward centre: u1*u2 gives a

@@ -1,32 +1,30 @@
 // Package ixp materializes the IXP-mapping dataset the paper's §6 case
 // study consults (Augustin, Krishnamurthy, Willinger: "IXPs: Mapped?").
-// It observes the ground-truth world the way that project observed the
-// real Internet: membership lists are public and essentially complete,
-// while the peering matrix at each exchange is detected only partially.
+// The paper consults that dataset as best-effort ground truth, so every
+// exchange's membership list and every IXP peering of the ground-truth
+// world is observed; private peerings are invisible to it.
 package ixp
 
 import (
 	"sort"
 
 	"eyeballas/internal/astopo"
-	"eyeballas/internal/rng"
 )
 
 // Dataset is the observed IXP substrate.
 type Dataset struct {
 	// Members lists each exchange's member ASes, ascending.
 	Members map[astopo.IXPID][]astopo.ASN
-	// Peerings are the detected IXP peerings.
+	// Peerings are the IXP peerings.
 	Peerings []astopo.Peering
 
 	memberSet map[astopo.IXPID]map[astopo.ASN]bool
 	peersOf   map[astopo.ASN][]astopo.Peering
 }
 
-// Build observes the world's exchanges. detectProb is the probability a
-// true IXP peering is detected (the mapping project's methodology misses
-// sessions it cannot trigger); membership is taken as-is.
-func Build(w *astopo.World, detectProb float64, src *rng.Source) *Dataset {
+// Build observes the world's exchanges: their members and their
+// peerings.
+func Build(w *astopo.World) *Dataset {
 	d := &Dataset{
 		Members:   make(map[astopo.IXPID][]astopo.ASN),
 		memberSet: make(map[astopo.IXPID]map[astopo.ASN]bool),
@@ -42,13 +40,9 @@ func Build(w *astopo.World, detectProb float64, src *rng.Source) *Dataset {
 		}
 		d.memberSet[x.ID] = set
 	}
-	for i, p := range w.Peerings() {
+	for _, p := range w.Peerings() {
 		if p.IXP == 0 {
 			continue // private peerings are invisible to IXP mapping
-		}
-		s := src.SplitN("ixp-detect", i)
-		if !s.Bool(detectProb) {
-			continue
 		}
 		d.Peerings = append(d.Peerings, p)
 		d.peersOf[p.A] = append(d.peersOf[p.A], p)
@@ -74,8 +68,8 @@ func (d *Dataset) IXPsOf(a astopo.ASN) []astopo.IXPID {
 	return out
 }
 
-// PeersAt returns the ASes the given AS is detected peering with at the
-// given exchange, ascending.
+// PeersAt returns the ASes the given AS peers with at the given
+// exchange, ascending.
 func (d *Dataset) PeersAt(a astopo.ASN, id astopo.IXPID) []astopo.ASN {
 	var out []astopo.ASN
 	for _, p := range d.peersOf[a] {

@@ -4,20 +4,19 @@ import (
 	"testing"
 
 	"eyeballas/internal/astopo"
-	"eyeballas/internal/rng"
 )
 
-func build(t *testing.T, detect float64) (*astopo.World, *Dataset) {
+func build(t *testing.T) (*astopo.World, *Dataset) {
 	t.Helper()
 	w, err := astopo.Generate(astopo.SmallConfig(91))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, Build(w, detect, rng.New(91).Split("ixp"))
+	return w, Build(w)
 }
 
 func TestMembershipComplete(t *testing.T) {
-	w, d := build(t, 1.0)
+	w, d := build(t)
 	for _, x := range w.IXPs() {
 		if len(d.Members[x.ID]) != len(x.Members) {
 			t.Errorf("IXP %s: %d members in dataset, %d in truth", x.Name, len(d.Members[x.ID]), len(x.Members))
@@ -38,7 +37,7 @@ func TestMembershipComplete(t *testing.T) {
 }
 
 func TestFullDetection(t *testing.T) {
-	w, d := build(t, 1.0)
+	w, d := build(t)
 	wantIXP := 0
 	for _, p := range w.Peerings() {
 		if p.IXP != 0 {
@@ -46,7 +45,7 @@ func TestFullDetection(t *testing.T) {
 		}
 	}
 	if len(d.Peerings) != wantIXP {
-		t.Errorf("detected %d of %d IXP peerings at prob 1", len(d.Peerings), wantIXP)
+		t.Errorf("observed %d of %d IXP peerings", len(d.Peerings), wantIXP)
 	}
 	for _, p := range d.Peerings {
 		if p.IXP == 0 {
@@ -55,19 +54,8 @@ func TestFullDetection(t *testing.T) {
 	}
 }
 
-func TestPartialDetection(t *testing.T) {
-	w, full := build(t, 1.0)
-	partial := Build(w, 0.5, rng.New(91).Split("ixp"))
-	if len(partial.Peerings) >= len(full.Peerings) {
-		t.Errorf("partial detection found %d >= full %d", len(partial.Peerings), len(full.Peerings))
-	}
-	if len(partial.Peerings) == 0 {
-		t.Error("detection probability 0.5 found nothing")
-	}
-}
-
 func TestCaseStudyQueries(t *testing.T) {
-	w, d := build(t, 1.0)
+	w, d := build(t)
 	cs := w.CaseStudy()
 	if !d.MemberOf(cs.RemoteIXP, cs.Subject) {
 		t.Error("subject missing from remote IXP membership")

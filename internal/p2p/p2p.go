@@ -72,13 +72,6 @@ type Config struct {
 	// Scale multiplies every expected observation count — the knob that
 	// shrinks the paper's 89M-peer crawl to laptop size.
 	Scale float64
-	// Penetration[app][region] is the fraction of a region's end users
-	// running the app.
-	Penetration map[App]map[gazetteer.Region]float64
-	// KadZones is the number of DHT ID-space zones the Kad crawler walks.
-	KadZones int
-	// Torrents is the number of swarms the BitTorrent crawler scrapes.
-	Torrents int
 	// Obs receives crawl metrics (contacts/peers/dups per app); nil
 	// disables instrumentation. Metrics are a
 	// read-only side channel: the crawl is byte-identical either way.
@@ -92,40 +85,38 @@ type Config struct {
 	Faults *faults.Plan
 }
 
-// DefaultConfig returns penetration rates tuned so the per-region peer
-// totals mirror Table 1's asymmetry: Kad dominates EU and AS, Gnutella
-// dominates NA, BitTorrent is a modest third everywhere.
-func DefaultConfig() Config {
-	return Config{
-		Scale:    0.5,
-		KadZones: 64,
-		Torrents: 400,
-		Penetration: map[App]map[gazetteer.Region]float64{
-			Kad: {
-				gazetteer.NA: 0.012, gazetteer.EU: 0.14, gazetteer.AS: 0.14,
-				gazetteer.SA: 0.05, gazetteer.AF: 0.03, gazetteer.OC: 0.04,
-			},
-			Gnutella: {
-				gazetteer.NA: 0.090, gazetteer.EU: 0.020, gazetteer.AS: 0.013,
-				gazetteer.SA: 0.02, gazetteer.AF: 0.01, gazetteer.OC: 0.03,
-			},
-			BitTorrent: {
-				gazetteer.NA: 0.018, gazetteer.EU: 0.020, gazetteer.AS: 0.008,
-				gazetteer.SA: 0.02, gazetteer.AF: 0.01, gazetteer.OC: 0.02,
-			},
-		},
-	}
+// penetration[app][region] is the fraction of a region's end users
+// running the app, tuned so the per-region peer totals mirror Table 1's
+// asymmetry: Kad dominates EU and AS, Gnutella dominates NA, BitTorrent
+// is a modest third everywhere.
+var penetration = map[App]map[gazetteer.Region]float64{
+	Kad: {
+		gazetteer.NA: 0.012, gazetteer.EU: 0.14, gazetteer.AS: 0.14,
+		gazetteer.SA: 0.05, gazetteer.AF: 0.03, gazetteer.OC: 0.04,
+	},
+	Gnutella: {
+		gazetteer.NA: 0.090, gazetteer.EU: 0.020, gazetteer.AS: 0.013,
+		gazetteer.SA: 0.02, gazetteer.AF: 0.01, gazetteer.OC: 0.03,
+	},
+	BitTorrent: {
+		gazetteer.NA: 0.018, gazetteer.EU: 0.020, gazetteer.AS: 0.008,
+		gazetteer.SA: 0.02, gazetteer.AF: 0.01, gazetteer.OC: 0.02,
+	},
 }
+
+// kadZones is the number of DHT ID-space zones the Kad crawler walks.
+const kadZones int = 64
+
+// torrents is the number of swarms the BitTorrent crawler scrapes.
+const torrents int = 400
+
+// DefaultConfig returns the default crawl: half of every expected
+// observation count.
+func DefaultConfig() Config { return Config{Scale: 0.5} }
 
 func (c Config) validate() error {
 	if c.Scale <= 0 {
 		return fmt.Errorf("p2p: Scale must be positive")
-	}
-	if len(c.Penetration) == 0 {
-		return fmt.Errorf("p2p: Penetration is empty")
-	}
-	if c.KadZones <= 0 || c.Torrents <= 0 {
-		return fmt.Errorf("p2p: KadZones and Torrents must be positive")
 	}
 	return nil
 }
@@ -212,7 +203,7 @@ func newCrawlState(w *astopo.World, cfg Config) *crawlState {
 // the caller batches or schedules the output.
 func (cs *crawlState) unit(a *astopo.AS, app App, src *rng.Source, emit func(Peer)) {
 	cfg := cs.cfg
-	pen := cfg.Penetration[app][a.Region]
+	pen := penetration[app][a.Region]
 	if pen <= 0 {
 		return
 	}
@@ -221,11 +212,11 @@ func (cs *crawlState) unit(a *astopo.AS, app App, src *rng.Source, emit func(Pee
 	var n int
 	switch app {
 	case Kad:
-		n = kadObserved(s, appUsers, cfg.KadZones)
+		n = kadObserved(s, appUsers)
 	case Gnutella:
 		n = gnutellaObserved(s, appUsers)
 	case BitTorrent:
-		n = bittorrentObserved(s, appUsers, cfg.Torrents)
+		n = bittorrentObserved(s, appUsers)
 	}
 	if n == 0 {
 		return
@@ -278,13 +269,13 @@ func (cs *crawlState) unit(a *astopo.AS, app App, src *rng.Source, emit func(Pee
 	}
 }
 
-// kadObserved models a DHT ID-space walk: the crawler sweeps KadZones
+// kadObserved models a DHT ID-space walk: the crawler sweeps kadZones
 // zones of the hash space; each zone is covered well but not perfectly,
 // with independent per-zone coverage.
-func kadObserved(s *rng.Source, appUsers float64, zones int) int {
-	perZone := appUsers / float64(zones)
+func kadObserved(s *rng.Source, appUsers float64) int {
+	perZone := appUsers / float64(kadZones)
 	total := 0
-	for z := 0; z < zones; z++ {
+	for z := 0; z < kadZones; z++ {
 		cov := s.TruncNorm(0.88, 0.08, 0.5, 1.0)
 		total += s.Poisson(perZone * cov)
 	}
@@ -306,7 +297,7 @@ func gnutellaObserved(s *rng.Source, appUsers float64) int {
 // bittorrentObserved models tracker/PEX scrapes of Zipf-popular swarms:
 // the observed fraction fluctuates strongly AS to AS (swarm membership is
 // bursty), modelled as a Poisson with an exponentially-mixed mean.
-func bittorrentObserved(s *rng.Source, appUsers float64, torrents int) int {
+func bittorrentObserved(s *rng.Source, appUsers float64) int {
 	// Larger torrent sets smooth the dispersion.
 	dispersion := 1.0 / math.Sqrt(float64(torrents)/100)
 	mult := s.Exp(1) // mean 1, heavy fluctuation

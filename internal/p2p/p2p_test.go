@@ -126,7 +126,7 @@ func TestCoverageIsPartial(t *testing.T) {
 	for asn, apps := range perASApp {
 		a := w.AS(asn)
 		for app, n := range apps {
-			expected := float64(a.Customers) * cfg.Penetration[app][a.Region] * cfg.Scale
+			expected := float64(a.Customers) * penetration[app][a.Region] * cfg.Scale
 			if float64(n) > expected*1.8+20 {
 				t.Errorf("AS %d %s: observed %d >> expected %.0f", asn, app, n, expected)
 			}
@@ -154,9 +154,7 @@ func TestConfigValidation(t *testing.T) {
 	src := rng.New(1)
 	bad := []Config{
 		{},
-		{Scale: -1, Penetration: DefaultConfig().Penetration, KadZones: 8, Torrents: 8},
-		{Scale: 1, Penetration: nil, KadZones: 8, Torrents: 8},
-		{Scale: 1, Penetration: DefaultConfig().Penetration, KadZones: 0, Torrents: 8},
+		{Scale: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(context.Background(), w, cfg, src); err == nil {

@@ -61,15 +61,17 @@ import (
 // seedSource derives the crawl's RNG stream from a seed.
 func seedSource(seed uint64) *rng.Source { return rng.New(seed).Split("p2p") }
 
-// Config holds the conditioning thresholds.
+// MaxGeoErrKm drops individual peers with larger cross-database error;
+// the paper uses 100 km ("the diameter of a typical metropolitan area",
+// §2).
+const MaxGeoErrKm float64 = 100
+
+// MaxP90GeoErrKm drops whole ASes whose 90th-percentile geo error
+// exceeds it; the paper uses 80 km (§3.1).
+const MaxP90GeoErrKm float64 = 80
+
+// Config holds the conditioning settings.
 type Config struct {
-	// MaxGeoErrKm drops individual peers with larger cross-database
-	// error; the paper uses 100 km ("the diameter of a typical
-	// metropolitan area", §2).
-	MaxGeoErrKm float64
-	// MaxP90GeoErrKm drops whole ASes whose 90th-percentile geo error
-	// exceeds it; the paper uses 80 km (§3.1).
-	MaxP90GeoErrKm float64
 	// MinPeers drops ASes with fewer usable peers. The paper uses 1000
 	// at 89M-crawl scale; the default here is scaled to the synthetic
 	// crawl size.
@@ -134,22 +136,15 @@ type Config struct {
 	MaxSamplesPerAS int
 }
 
-// DefaultConfig returns thresholds for the default synthetic scale
-// (~paper/75 peers ⇒ proportionally scaled peer floor).
-func DefaultConfig() Config {
-	return Config{MaxGeoErrKm: 100, MaxP90GeoErrKm: 80, MinPeers: 100}
-}
+// DefaultConfig returns the peer floor for the default synthetic scale
+// (~paper/75 peers ⇒ proportionally scaled floor).
+func DefaultConfig() Config { return Config{MinPeers: 100} }
 
-// PaperConfig returns the paper's literal thresholds (for full-scale
+// PaperConfig returns the paper's literal peer floor (for full-scale
 // runs).
-func PaperConfig() Config {
-	return Config{MaxGeoErrKm: 100, MaxP90GeoErrKm: 80, MinPeers: 1000}
-}
+func PaperConfig() Config { return Config{MinPeers: 1000} }
 
 func (c Config) validate() error {
-	if c.MaxGeoErrKm <= 0 || c.MaxP90GeoErrKm <= 0 {
-		return fmt.Errorf("pipeline: error thresholds must be positive")
-	}
 	if c.MinPeers < 1 {
 		return fmt.Errorf("pipeline: MinPeers must be >= 1")
 	}
@@ -610,7 +605,7 @@ func locateOne(peer p2p.Peer, primary, secondary *geodb.DB, origins bgp.Resolver
 			l.drop = dropGarbage
 			return l
 		}
-		if geoErr > cfg.MaxGeoErrKm {
+		if geoErr > MaxGeoErrKm {
 			l.drop = dropHighGeoErr
 			return l
 		}
@@ -679,7 +674,7 @@ func condition(ctx context.Context, ds *Dataset, cfg Config, stCond *obs.Stage, 
 			}
 			p90 = stats.Percentile(errs, 90)
 		}
-		if p90 > cfg.MaxP90GeoErrKm {
+		if p90 > MaxP90GeoErrKm {
 			verdicts[i].highErr = true
 			verdicts[i].p90 = p90
 			return nil

@@ -71,7 +71,7 @@ func TestRecordsWellFormed(t *testing.T) {
 		if len(rec.Samples) < cfg.MinPeers {
 			t.Fatalf("AS %d kept with %d < %d peers", rec.ASN, len(rec.Samples), cfg.MinPeers)
 		}
-		if rec.P90GeoErrKm > cfg.MaxP90GeoErrKm {
+		if rec.P90GeoErrKm > MaxP90GeoErrKm {
 			t.Fatalf("AS %d kept with p90 geo err %.1f", rec.ASN, rec.P90GeoErrKm)
 		}
 		appSum := 0
@@ -85,7 +85,7 @@ func TestRecordsWellFormed(t *testing.T) {
 			if s.City == "" || s.Country == "" {
 				t.Fatalf("AS %d sample lacks labels: %+v", rec.ASN, s)
 			}
-			if s.GeoErrKm > cfg.MaxGeoErrKm {
+			if s.GeoErrKm > MaxGeoErrKm {
 				t.Fatalf("AS %d sample with geo err %.1f", rec.ASN, s.GeoErrKm)
 			}
 		}
@@ -177,9 +177,7 @@ func TestCaseStudySubjectInDataset(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	_, _, crawl := setup(t)
 	for i, cfg := range []Config{
-		{MaxGeoErrKm: 0, MaxP90GeoErrKm: 80, MinPeers: 10},
-		{MaxGeoErrKm: 100, MaxP90GeoErrKm: 0, MinPeers: 10},
-		{MaxGeoErrKm: 100, MaxP90GeoErrKm: 80, MinPeers: 0},
+		{MinPeers: 0},
 	} {
 		if _, err := Build(context.Background(), crawl, nil, nil, nil, cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)

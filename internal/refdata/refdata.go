@@ -4,7 +4,9 @@
 // paper itself enumerates — they include PoPs serving no end users, they
 // use inconsistent granularity (access points listed as PoPs), and they
 // go stale — and this generator reproduces all three, which is what makes
-// the Figure 2 validation curves non-trivial.
+// the Figure 2 validation curves non-trivial. The noise is fixed by three
+// constants: includeProb (0.93), accessPerPoP (2.2) and foreignProb
+// (0.15).
 package refdata
 
 import (
@@ -34,24 +36,20 @@ type Entry struct {
 	Kind EntryKind
 }
 
-// Config tunes the publication noise.
-type Config struct {
-	// IncludeProb keeps each true PoP on the published list (stale pages
-	// miss recent PoPs).
-	IncludeProb float64
-	// AccessPerPoP is the mean number of access-point entries added per
+// The publication noise mirrors the paper's observation that published
+// lists are much longer than what user-density analysis can resolve (45
+// reference ASes averaged 43.7 published PoPs vs 13.6 discovered at
+// 40 km).
+const (
+	// includeProb keeps each true PoP on the published list (stale
+	// pages miss recent PoPs).
+	includeProb float64 = 0.93
+	// accessPerPoP is the mean number of access-point entries added per
 	// true user PoP, at other cities of the home country.
-	AccessPerPoP float64
-	// ForeignProb adds one provider PoP to the list.
-	ForeignProb float64
-}
-
-// DefaultConfig mirrors the paper's observation that published lists are
-// much longer than what user-density analysis can resolve (45 reference
-// ASes averaged 43.7 published PoPs vs 13.6 discovered at 40 km).
-func DefaultConfig() Config {
-	return Config{IncludeProb: 0.93, AccessPerPoP: 2.2, ForeignProb: 0.15}
-}
+	accessPerPoP float64 = 2.2
+	// foreignProb adds one provider PoP to the list.
+	foreignProb float64 = 0.15
+)
 
 // Reference maps publishing ASes to their published PoP entries.
 type Reference struct {
@@ -79,7 +77,7 @@ func (r *Reference) Locations(a astopo.ASN) []geo.Point {
 }
 
 // Build collects the published PoP lists of every PublishesPoPs AS.
-func Build(w *astopo.World, cfg Config, src *rng.Source) *Reference {
+func Build(w *astopo.World, src *rng.Source) *Reference {
 	ref := &Reference{Lists: make(map[astopo.ASN][]Entry)}
 	for _, a := range w.ASes() {
 		if !a.PublishesPoPs {
@@ -97,9 +95,9 @@ func Build(w *astopo.World, cfg Config, src *rng.Source) *Reference {
 			list = append(list, e)
 		}
 
-		// True PoPs, each included with IncludeProb.
+		// True PoPs, each included with includeProb.
 		for _, p := range a.PoPs {
-			if s.Bool(cfg.IncludeProb) {
+			if s.Bool(includeProb) {
 				add(Entry{City: p.City.Name, Loc: p.City.Loc, Kind: KindTruePoP})
 			}
 		}
@@ -107,7 +105,7 @@ func Build(w *astopo.World, cfg Config, src *rng.Source) *Reference {
 		// Access points: other cities of the home country, which the AS
 		// reaches but where user density is too thin for KDE to resolve.
 		countryCities := w.Gazetteer.MajorInCountry(a.Country)
-		nAccess := s.Poisson(cfg.AccessPerPoP * float64(len(a.UserPoPs())))
+		nAccess := s.Poisson(accessPerPoP * float64(len(a.UserPoPs())))
 		for i := 0; i < nAccess && i < 4*len(countryCities); i++ {
 			c := countryCities[s.Intn(len(countryCities))]
 			if hasPoPIn(a, c) {
@@ -117,7 +115,7 @@ func Build(w *astopo.World, cfg Config, src *rng.Source) *Reference {
 		}
 
 		// Occasionally a provider's PoP is listed as the AS's own.
-		if s.Bool(cfg.ForeignProb) {
+		if s.Bool(foreignProb) {
 			provs := w.Providers(a.ASN)
 			if len(provs) > 0 {
 				p := w.AS(provs[s.Intn(len(provs))])

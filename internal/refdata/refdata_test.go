@@ -14,7 +14,7 @@ func build(t *testing.T, seed uint64) (*astopo.World, *Reference) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, Build(w, DefaultConfig(), rng.New(seed).Split("ref"))
+	return w, Build(w, rng.New(seed).Split("ref"))
 }
 
 func TestOnlyPublishersListed(t *testing.T) {
@@ -89,7 +89,7 @@ func TestMostTruePoPsIncluded(t *testing.T) {
 		t.Skip("no publishers")
 	}
 	if frac := float64(included) / float64(total); frac < 0.75 {
-		t.Errorf("only %.2f of true PoPs published (IncludeProb is 0.93)", frac)
+		t.Errorf("only %.2f of true PoPs published (includeProb is 0.93)", frac)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"eyeballas/internal/astopo"
 	"eyeballas/internal/core"
 	"eyeballas/internal/faults"
 	"eyeballas/internal/leakcheck"
@@ -458,23 +457,14 @@ func TestRefusedReloadKeepsServingCache(t *testing.T) {
 }
 
 // TestReloadRefusesStructuralDamage: a reload's checks are real, not
-// just a chaos hook. validate rejects an order that names an AS with no
-// record, which no file can carry (the decoder builds the order from the
-// records), and a reload of a CRC-valid file whose funnel ledger leaks
-// is refused before the swap, leaving the generation and the cached
-// body as they were.
+// just a chaos hook. A reload of a CRC-valid file whose funnel ledger
+// leaks is refused before the swap, leaving the generation and the
+// cached body as they were.
 func TestReloadRefusesStructuralDamage(t *testing.T) {
 	reg := obs.New()
 	s, path, snap := newTestServer(t, Options{Obs: reg})
 	if err := validate(snap); err != nil {
 		t.Fatalf("healthy artifact failed validate: %v", err)
-	}
-	broken := *snap.Dataset
-	broken.Order = append(append([]astopo.ASN{}, broken.Order...), 99999)
-	badSnap := *snap
-	badSnap.Dataset = &broken
-	if err := validate(&badSnap); err == nil {
-		t.Error("validate accepted an order entry with no record")
 	}
 
 	h := s.Handler()

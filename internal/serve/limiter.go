@@ -133,7 +133,6 @@ type limiter struct {
 	mu       sync.Mutex
 	st       State
 	inflight int
-	sheds    uint64
 }
 
 func newLimiter(ctl Controller) *limiter {
@@ -153,7 +152,6 @@ func (l *limiter) acquire() (ok bool, retryAfter int) {
 		l.inflight++
 		return true, 0
 	}
-	l.sheds++
 	return false, l.ctl.RetryAfterSeconds(l.st, l.inflight)
 }
 

@@ -344,21 +344,12 @@ func (s *Server) Reload() (*Artifact, error) {
 	return a, nil
 }
 
-// validate checks the structural invariants decode alone cannot rule
-// out: every AS in the order has a record, the order is strictly
-// ascending, and the funnel ledger conserves every peer.
+// validate checks the structural invariant decode alone cannot rule
+// out: the funnel ledger conserves every peer. (The decoder builds the
+// AS order from the records themselves and rejects records out of
+// order.)
 func validate(snap *snapshot.Snapshot) error {
-	ds := snap.Dataset
-	for i, asn := range ds.Order {
-		rec := ds.ASes[asn]
-		if rec == nil {
-			return fmt.Errorf("serve: artifact order lists AS%d with no record", asn)
-		}
-		if i > 0 && ds.Order[i-1] >= asn {
-			return fmt.Errorf("serve: artifact AS order not strictly ascending at AS%d", asn)
-		}
-	}
-	if f := ds.Funnel; f != nil {
+	if f := snap.Dataset.Funnel; f != nil {
 		if err := f.Check(); err != nil {
 			return fmt.Errorf("serve: artifact funnel ledger inconsistent: %w", err)
 		}
@@ -748,17 +739,21 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 // bound.
 const MaxBandwidthKm = 5000
 
+// ValidBandwidth reports whether bw lies in (0, MaxBandwidthKm]: the one
+// bandwidth rule for ?bw= and for every command-line bandwidth flag.
+// NaN and ±Inf fail both comparisons, so neither reaches the KDE.
+func ValidBandwidth(bw float64) bool { return bw > 0 && bw <= MaxBandwidthKm }
+
 // parseBW validates a ?bw= query value: it must parse as a float and
-// land in (0, MaxBandwidthKm]. NaN and ±Inf fail both comparisons, so
-// neither reaches the KDE. Returns the bandwidth to use (the server
-// default when the parameter is absent) and ok=false after writing the
-// 400 when the value is invalid.
+// pass ValidBandwidth. Returns the bandwidth to use (the server default
+// when the parameter is absent) and ok=false after writing the 400 when
+// the value is invalid.
 func (s *Server) parseBW(w http.ResponseWriter, raw string) (float64, bool) {
 	if raw == "" {
 		return s.opts.BandwidthKm, true
 	}
 	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil || !(v > 0) || !(v <= MaxBandwidthKm) {
+	if err != nil || !ValidBandwidth(v) {
 		writeError(w, http.StatusBadRequest, "bad bandwidth %q (want 0 < bw <= %d km)", raw, MaxBandwidthKm)
 		return 0, false
 	}

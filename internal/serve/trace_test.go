@@ -23,7 +23,7 @@ const testTraceparent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01
 // recorder, metrics, and a JSON access log captured into logBuf.
 func tracedServer(t testing.TB, logBuf *bytes.Buffer, opts Options) (*Server, *trace.Recorder, *obs.Registry) {
 	t.Helper()
-	rec := trace.NewRecorder(trace.RecorderOptions{Recent: 16, Slow: 8, SlowThreshold: time.Hour})
+	rec := trace.NewRecorder(trace.RecorderOptions{Recent: 16, SlowThreshold: time.Hour})
 	reg := obs.New()
 	opts.Tracer = trace.New(trace.Options{Seed: 42, Recorder: rec})
 	opts.Obs = reg
@@ -492,7 +492,7 @@ func TestMetricsEndpointMounted(t *testing.T) {
 
 // TestSlowCapture routes an over-threshold request into the slow ring.
 func TestSlowCapture(t *testing.T) {
-	rec := trace.NewRecorder(trace.RecorderOptions{Recent: 8, Slow: 4, SlowThreshold: time.Nanosecond})
+	rec := trace.NewRecorder(trace.RecorderOptions{Recent: 8, SlowThreshold: time.Nanosecond})
 	s, _, _ := newTestServer(t, Options{Tracer: trace.New(trace.Options{Seed: 7, Recorder: rec})})
 	getWithHeader(t, s.Handler(), "/v1/as/64500", "")
 	if len(rec.Slow()) != 1 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"eyeballas/internal/faults"
@@ -112,6 +113,22 @@ func TestRejectTrailingGarbage(t *testing.T) {
 	var fe *FormatError
 	if !errors.As(err, &fe) {
 		t.Fatalf("trailing garbage: error %v is not a *FormatError", err)
+	}
+}
+
+// TestRejectRecordsOutOfOrder: a CRC-valid artifact whose AS records
+// descend decodes to ErrCorrupt. The encoder writes the records in
+// Dataset.Order, so a descending order yields exactly that file, and a
+// server can rely on the decoder for the ascending AS order.
+func TestRejectRecordsOutOfOrder(t *testing.T) {
+	snap := *testSnapshot(t)
+	ds := *snap.Dataset
+	ds.Order = slices.Clone(ds.Order)
+	slices.Reverse(ds.Order)
+	snap.Dataset = &ds
+	_, err := Decode(Encode(&snap))
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("descending records: got %v, want ErrCorrupt", err)
 	}
 }
 

@@ -49,7 +49,7 @@ func (c *CLIFlags) Start(ctx context.Context, name string, seed uint64, keep boo
 func (c *CLIFlags) Root() *Span { return c.root }
 
 // Finish ends the root span and, under -trace, writes its tree to w,
-// followed by one line counting the spans the per-trace MaxSpans budget
+// followed by one line counting the spans the per-trace span budget
 // dropped, if any. Finish is idempotent, so CLIs defer it for error
 // paths and call it explicitly on the normal one.
 func (c *CLIFlags) Finish(w io.Writer) error {
@@ -65,7 +65,7 @@ func (c *CLIFlags) Finish(w io.Writer) error {
 		return err
 	}
 	if n := c.root.DroppedSpans(); n > 0 {
-		_, err := fmt.Fprintf(w, "... %d more spans dropped (per-trace budget %d)\n", n, c.root.tracer.maxSpans)
+		_, err := fmt.Fprintf(w, "... %d more spans dropped (per-trace budget %d)\n", n, maxSpans)
 		return err
 	}
 	return nil

@@ -12,20 +12,21 @@ type RecorderOptions struct {
 	// Recent is the size of the main ring: the last Recent completed
 	// traces are retained regardless of latency (default 128).
 	Recent int
-	// Slow is the size of the slow ring (default 32).
-	Slow int
 	// SlowThreshold routes a completed trace into the slow ring when
 	// its duration reaches the threshold (default 250ms; negative
 	// disables slow capture).
 	SlowThreshold time.Duration
 }
 
+// slowRing is the size of the slow ring.
+const slowRing int = 32
+
 // Recorder is the flight recorder: two fixed-size rings of completed
 // root spans. The recent ring answers "what has this server just
 // done"; the slow ring keeps latency outliers that would otherwise be
 // evicted by the request flood that follows them. Memory is strictly
-// bounded: at most Recent+Slow trace roots are referenced, each capped
-// at the tracer's MaxSpans.
+// bounded: at most Recent+slowRing trace roots are referenced, each
+// capped at the per-trace span budget.
 //
 // record is a single atomic slot store on the request path; readers
 // (the /debug handlers) walk the rings lock-free and may observe a
@@ -42,15 +43,12 @@ func NewRecorder(o RecorderOptions) *Recorder {
 	if o.Recent <= 0 {
 		o.Recent = 128
 	}
-	if o.Slow <= 0 {
-		o.Slow = 32
-	}
 	if o.SlowThreshold == 0 {
 		o.SlowThreshold = 250 * time.Millisecond
 	}
 	r := &Recorder{
 		recent: ring{slots: make([]atomic.Pointer[Span], o.Recent)},
-		slow:   ring{slots: make([]atomic.Pointer[Span], o.Slow)},
+		slow:   ring{slots: make([]atomic.Pointer[Span], slowRing)},
 		slowNS: int64(o.SlowThreshold),
 	}
 	if o.SlowThreshold < 0 {

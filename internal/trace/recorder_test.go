@@ -40,7 +40,7 @@ func TestRecorderRetainsNewestFirst(t *testing.T) {
 }
 
 func TestRecorderSlowRouting(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{Recent: 8, Slow: 4, SlowThreshold: 10 * time.Millisecond})
+	rec := NewRecorder(RecorderOptions{Recent: 8, SlowThreshold: 10 * time.Millisecond})
 	tr := New(Options{Seed: 2, Recorder: rec})
 	fast := finish(tr, "fast", 2*time.Millisecond)
 	slow := finish(tr, "slow", 50*time.Millisecond)
@@ -65,7 +65,7 @@ func TestRecorderFindChecksBothRings(t *testing.T) {
 	// Recent ring of 1: a slow trace followed by a fast one evicts the
 	// slow trace from recent, but Find must still see it via the slow
 	// ring.
-	rec := NewRecorder(RecorderOptions{Recent: 1, Slow: 4, SlowThreshold: 10 * time.Millisecond})
+	rec := NewRecorder(RecorderOptions{Recent: 1, SlowThreshold: 10 * time.Millisecond})
 	tr := New(Options{Seed: 3, Recorder: rec})
 	slow := finish(tr, "slow", 20*time.Millisecond)
 	finish(tr, "fast", time.Millisecond)
@@ -75,7 +75,7 @@ func TestRecorderFindChecksBothRings(t *testing.T) {
 }
 
 func TestRecorderNegativeThresholdDisablesSlow(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{Recent: 4, Slow: 4, SlowThreshold: -1})
+	rec := NewRecorder(RecorderOptions{Recent: 4, SlowThreshold: -1})
 	tr := New(Options{Seed: 4, Recorder: rec})
 	finish(tr, "r", time.Hour)
 	if got := rec.Slow(); len(got) != 0 {
@@ -100,6 +100,18 @@ func TestRecorderDefaults(t *testing.T) {
 	if got := rec.Slow(); len(got) != 1 {
 		t.Fatalf("default slow capture missed a 300ms trace (got %d)", len(got))
 	}
+	// Past its capacity the slow ring keeps the newest slowRing traces.
+	var last *Span
+	for i := 0; i < slowRing+8; i++ {
+		last = finish(tr, "slow", 300*time.Millisecond)
+	}
+	got := rec.Slow()
+	if len(got) != slowRing {
+		t.Fatalf("slow ring holds %d traces, want its capacity %d", len(got), slowRing)
+	}
+	if got[0].TraceID() != last.TraceID() {
+		t.Fatal("slow ring does not lead with the newest trace")
+	}
 }
 
 func TestNilRecorderNoOps(t *testing.T) {
@@ -117,7 +129,7 @@ func TestNilRecorderNoOps(t *testing.T) {
 }
 
 func TestRecorderConcurrentRecord(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{Recent: 16, Slow: 8, SlowThreshold: time.Nanosecond})
+	rec := NewRecorder(RecorderOptions{Recent: 16, SlowThreshold: time.Nanosecond})
 	tr := New(Options{Recorder: rec})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -65,21 +65,21 @@ type Options struct {
 	// are supplied by callers (StartAt/EndAt) so tracing adds no clock
 	// reads on paths that already measure latency.
 	Clock func() time.Time
-	// MaxSpans bounds the spans allocated per trace (default 1024).
-	// Past the budget Child returns nil — callers are nil-safe — and
-	// the trace reports the dropped count.
-	MaxSpans int
 }
+
+// maxSpans bounds the spans allocated per trace, root included. Past the
+// budget Child returns nil — callers are nil-safe — and the trace
+// reports the dropped count.
+const maxSpans int32 = 1024
 
 // Tracer mints traces. A nil *Tracer is the disabled state: Start
 // returns a nil *Span and the whole span API degrades to branch-only
 // no-ops.
 type Tracer struct {
-	state    atomic.Uint64
-	slab     atomic.Pointer[spanSlab]
-	rec      *Recorder
-	clock    func() time.Time
-	maxSpans int32
+	state atomic.Uint64
+	slab  atomic.Pointer[spanSlab]
+	rec   *Recorder
+	clock func() time.Time
 }
 
 // slabSpans sizes the bump-allocation slabs spans are carved from: one
@@ -127,11 +127,6 @@ func New(o Options) *Tracer {
 		seed = rand.Uint64()
 	}
 	t.state.Store(seed)
-	if o.MaxSpans > 0 {
-		t.maxSpans = int32(o.MaxSpans)
-	} else {
-		t.maxSpans = 1024
-	}
 	return t
 }
 
@@ -208,8 +203,8 @@ func (t *Tracer) Start(name string) *Span {
 // StartAt opens a root span with an explicit start time (reuse the
 // timestamp the caller already took for latency measurement) and an
 // optional inbound traceparent header: a valid header continues the
-// remote trace (its trace ID is inherited and the remote span becomes
-// the parent); an empty or malformed header starts a fresh trace.
+// remote trace (its trace ID is inherited; the remote parent span ID is
+// not kept); an empty or malformed header starts a fresh trace.
 // Returns nil on a nil tracer.
 func (t *Tracer) StartAt(name string, start time.Time, traceparent string) *Span {
 	if t == nil {
@@ -221,9 +216,8 @@ func (t *Tracer) StartAt(name string, start time.Time, traceparent string) *Span
 	s.start = start
 	s.root = s
 	if traceparent != "" {
-		if tid, parent, ok := ParseTraceparent(traceparent); ok {
+		if tid, _, ok := ParseTraceparent(traceparent); ok {
 			s.traceID = tid
-			s.remote = parent
 		}
 	}
 	if s.traceID.IsZero() {
@@ -265,8 +259,7 @@ type Span struct {
 
 	traceID TraceID // root only
 	id      SpanID
-	remote  SpanID // root only: inbound traceparent parent
-	seq     int32  // sibling sort key (deterministic under parallelism)
+	seq     int32 // sibling sort key (deterministic under parallelism)
 
 	// Root only: child spans allocated / dropped for the whole trace
 	// (the root itself is uncounted, so a fresh zeroed span needs no
@@ -382,7 +375,7 @@ func (s *Span) ChildSeq(name string, seq int) *Span {
 
 func (s *Span) child(name string, seq int32, start time.Time) *Span {
 	root := s.root
-	if root.nkids.Add(1) > root.tracer.maxSpans-1 {
+	if root.nkids.Add(1) > maxSpans-1 {
 		root.nkids.Add(-1)
 		root.dropped.Add(1)
 		return nil

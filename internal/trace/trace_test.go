@@ -88,16 +88,16 @@ func TestChildSeqDeterministicUnderConcurrency(t *testing.T) {
 }
 
 func TestSpanBudget(t *testing.T) {
-	tr := New(Options{Seed: 9, MaxSpans: 3})
+	tr := New(Options{Seed: 9})
 	root := tr.Start("root")
-	a := root.Child("a")
-	b := root.Child("b")
-	if a == nil || b == nil {
-		t.Fatal("children within budget were rejected")
+	for i := int32(1); i < maxSpans; i++ {
+		if root.Child("a") == nil {
+			t.Fatalf("child %d within the %d-span budget was rejected", i, maxSpans)
+		}
 	}
 	c := root.Child("c")
 	if c != nil {
-		t.Fatal("child past MaxSpans was allocated")
+		t.Fatal("child past the span budget was allocated")
 	}
 	// Nil children compose: attribute and End calls are no-ops, and
 	// grandchildren of a dropped span are dropped too.
@@ -109,8 +109,8 @@ func TestSpanBudget(t *testing.T) {
 	if root.DroppedSpans() != 1 {
 		t.Fatalf("DroppedSpans = %d, want 1", root.DroppedSpans())
 	}
-	if root.SpanCount() != 3 {
-		t.Fatalf("SpanCount = %d, want 3", root.SpanCount())
+	if root.SpanCount() != int(maxSpans) {
+		t.Fatalf("SpanCount = %d, want %d", root.SpanCount(), maxSpans)
 	}
 }
 

@@ -6,7 +6,9 @@
 // The simulation reproduces the structural reason DIMES sees so few PoPs
 // per eyeball AS (1.54 on average vs the paper's 7.14): probes enter an
 // eyeball AS through whichever PoP is closest to the upstream hop, and a
-// handful of vantage points exercise only a handful of entry PoPs.
+// handful of vantage points exercise only a handful of entry PoPs. The
+// blind campaign's size is fixed: campaignVantages (8) vantage ASes,
+// campaignProbesPerAS (4) probes per destination.
 package traceroute
 
 import (
@@ -17,7 +19,6 @@ import (
 	"eyeballas/internal/bgp"
 	"eyeballas/internal/gazetteer"
 	"eyeballas/internal/geo"
-	"eyeballas/internal/rng"
 )
 
 // Hop is one AS-level traceroute hop with the geolocation of the router
@@ -33,50 +34,50 @@ type Trace struct {
 	Hops     []Hop
 }
 
-// Config controls the measurement campaign.
-type Config struct {
-	// Vantages is how many vantage-point ASes launch probes (DIMES-style
-	// agent deployments are small; default 8).
-	Vantages int
-	// TargetsPerAS is how many probes hit each destination AS; default 4.
-	TargetsPerAS int
-}
+// The blind campaign's size: DIMES-style agent deployments are small.
+const (
+	// campaignVantages is how many vantage-point ASes launch probes.
+	campaignVantages int = 8
+	// campaignProbesPerAS is how many probes hit each destination AS.
+	campaignProbesPerAS int = 4
+)
 
-// DefaultConfig returns the baseline campaign size.
-func DefaultConfig() Config { return Config{Vantages: 8, TargetsPerAS: 4} }
-
-// Simulate runs the campaign against every AS with customers (the
-// eyeball population). Vantage ASes are chosen deterministically: the
-// first eyeballs of each region in creation order, which mirrors the
-// volunteer-hosted agents of DIMES.
-func Simulate(w *astopo.World, routing *bgp.Routing, cfg Config, src *rng.Source) ([]Trace, error) {
-	if cfg.Vantages <= 0 || cfg.TargetsPerAS <= 0 {
-		return nil, fmt.Errorf("traceroute: Vantages and TargetsPerAS must be positive")
-	}
+// pickVantages returns the first n eyeball ASes in creation order.
+func pickVantages(w *astopo.World, n int) ([]*astopo.AS, error) {
 	var vantages []*astopo.AS
 	for _, a := range w.Eyeballs() {
 		vantages = append(vantages, a)
-		if len(vantages) == cfg.Vantages {
+		if len(vantages) == n {
 			break
 		}
 	}
 	if len(vantages) == 0 {
 		return nil, fmt.Errorf("traceroute: world has no eyeball ASes")
 	}
+	return vantages, nil
+}
+
+// Simulate runs the blind campaign against every AS with customers (the
+// eyeball population). Vantage ASes are chosen deterministically: the
+// first eyeballs in creation order, which mirrors the volunteer-hosted
+// agents of DIMES. The campaign draws no randomness.
+func Simulate(w *astopo.World, routing *bgp.Routing) ([]Trace, error) {
+	vantages, err := pickVantages(w, campaignVantages)
+	if err != nil {
+		return nil, err
+	}
 
 	// Each probe targets an end user of the destination AS, but only the
 	// AS's entry PoP answers: access-network hops between the entry PoP
 	// and the user's home are the silent last mile — the structural
 	// reason traceroute-based PoP inference undercounts eyeball PoPs
-	// (§5). src is reserved for future probe-level noise; the campaign
-	// itself is deterministic.
-	_ = src
+	// (§5).
 	var traces []Trace
 	for _, dst := range w.ASes() {
 		if dst.Customers <= 0 {
 			continue
 		}
-		for t := 0; t < cfg.TargetsPerAS; t++ {
+		for t := 0; t < campaignProbesPerAS; t++ {
 			v := vantages[(t+int(dst.ASN))%len(vantages)]
 			path := routing.Path(v.ASN, dst.ASN)
 			if path == nil {
@@ -126,15 +127,9 @@ func Targeted(w *astopo.World, routing *bgp.Routing, targets map[astopo.ASN][]ge
 	if vantages < 1 {
 		return nil, fmt.Errorf("traceroute: vantages must be >= 1")
 	}
-	var vantageASes []*astopo.AS
-	for _, a := range w.Eyeballs() {
-		vantageASes = append(vantageASes, a)
-		if len(vantageASes) == vantages {
-			break
-		}
-	}
-	if len(vantageASes) == 0 {
-		return nil, fmt.Errorf("traceroute: world has no eyeball ASes")
+	vantageASes, err := pickVantages(w, vantages)
+	if err != nil {
+		return nil, err
 	}
 	// Deterministic iteration over targets.
 	asns := make([]astopo.ASN, 0, len(targets))

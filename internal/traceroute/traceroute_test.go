@@ -7,7 +7,6 @@ import (
 	"eyeballas/internal/astopo"
 	"eyeballas/internal/bgp"
 	"eyeballas/internal/geo"
-	"eyeballas/internal/rng"
 )
 
 var shared struct {
@@ -26,7 +25,7 @@ func setup(t *testing.T) (*astopo.World, []Trace) {
 			return
 		}
 		routing := bgp.ComputeRouting(w)
-		traces, err := Simulate(w, routing, DefaultConfig(), rng.New(101).Split("tr"))
+		traces, err := Simulate(w, routing)
 		if err != nil {
 			shared.err = err
 			return
@@ -137,17 +136,6 @@ func TestMeanPoPsPerAS(t *testing.T) {
 	}
 	if got := MeanPoPsPerAS(pops, nil); got != 0 {
 		t.Errorf("empty mean = %v", got)
-	}
-}
-
-func TestSimulateValidation(t *testing.T) {
-	w, _ := setup(t)
-	routing := bgp.ComputeRouting(w)
-	if _, err := Simulate(w, routing, Config{Vantages: 0, TargetsPerAS: 1}, rng.New(1)); err == nil {
-		t.Error("zero vantages accepted")
-	}
-	if _, err := Simulate(w, routing, Config{Vantages: 1, TargetsPerAS: 0}, rng.New(1)); err == nil {
-		t.Error("zero targets accepted")
 	}
 }
 
